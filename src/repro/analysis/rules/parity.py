@@ -33,7 +33,7 @@ the tiers remain drop-in replacements.  Two checks enforce that:
   its class attributes.  ``typing.Protocol`` is structural and only
   checked where a stage is annotated as one; this keeps a stage that
   drifts (or a new stage that never grew a ``drain``) from wiring into
-  a shard unnoticed.
+  the service's stack unnoticed.
 """
 
 from __future__ import annotations

@@ -341,19 +341,22 @@ def _run_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 def _run_serve(args: argparse.Namespace) -> int:
     """The ``serve`` subcommand: run (or smoke-check) the service."""
-    if args.shards < 0:
-        print(f"repro serve: error: --shards must be >= 0, got {args.shards}",
-              file=sys.stderr)
+    from repro.service.pipeline import ServiceConfig, SimulationService
+
+    # Validate the flags before either mode runs.
+    try:
+        config = ServiceConfig(
+            max_queue=args.max_queue, max_batch=args.max_batch
+        )
+    except ValueError as exc:
+        print(f"repro serve: error: {exc}", file=sys.stderr)
         return 2
-    shards = args.shards if args.shards else None  # 0 = one per worker
     if args.check:
         from repro.service.check import run_check
 
         code, summary = run_check(
             quick=args.quick,
             metrics_out=args.metrics_out,
-            workers=args.workers,
-            shards=shards,
             warehouse=args.warehouse,
             expect_warm=args.expect_warm,
         )
@@ -367,9 +370,7 @@ def _run_serve(args: argparse.Namespace) -> int:
             print(
                 f"service check: {summary['answered']}/{summary['requests']} "
                 f"requests answered from {summary['clients']} clients over "
-                f"{summary['golden_configs']} golden configs "
-                f"({summary['workers']} worker(s), "
-                f"{summary['shards']} shard(s))"
+                f"{summary['golden_configs']} golden configs"
             )
             print(
                 f"  coalesced: {summary['coalesced_total']}  "
@@ -391,19 +392,10 @@ def _run_serve(args: argparse.Namespace) -> int:
 
     import asyncio
 
-    from repro.service.pipeline import ServiceConfig, SimulationService
     from repro.service.server import ServiceServer
     from repro.sim.engine import StagedEngine
     from repro.sim.store import ResultStore
 
-    config = ServiceConfig(
-        max_queue=args.max_queue,
-        max_batch=args.max_batch,
-        max_workers=args.workers if args.workers != 1 else None,
-        job_timeout=args.job_timeout,
-        shards=shards if shards is not None
-        else (args.workers if args.workers > 1 else 1),
-    )
     engine = (
         StagedEngine(ResultStore(warehouse=args.warehouse))
         if args.warehouse else None
@@ -448,7 +440,7 @@ def _run_chaos(args: argparse.Namespace) -> int:
         phases = report["phases"]
         print(
             f"chaos campaign (seed {report['seed']}, "
-            f"{report['shards']} shards, {report['clients']} clients):"
+            f"{report['clients']} clients):"
         )
         print(
             f"  crash storm: {phases['crash_storm']['answered']}/"
@@ -512,7 +504,6 @@ def _run_explore(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         code, summary = run_check(
             spec=spec,
             quick=args.quick,
-            shards=args.shards,
             warehouse=args.warehouse,
             out_dir=args.out,
             report_out=args.report_out,
@@ -729,12 +720,6 @@ def main(argv: list[str] | None = None) -> int:
                               help="bind address (default 127.0.0.1)")
     serve_parser.add_argument("--port", type=int, default=8765,
                               help="TCP port (0 = ephemeral)")
-    serve_parser.add_argument("--workers", type=int, default=1,
-                              help="engine process-pool width per batch "
-                                   "(1 = in-process)")
-    serve_parser.add_argument("--shards", type=int, default=0,
-                              help="shard pipelines to route across "
-                                   "(0 = one per worker)")
     serve_parser.add_argument("--warehouse", metavar="DIR", default=None,
                               help="directory for the disk-backed result "
                                    "warehouse; a restarted service pointed "
@@ -745,9 +730,6 @@ def main(argv: list[str] | None = None) -> int:
                                    "with 429 backpressure")
     serve_parser.add_argument("--max-batch", type=int, default=16,
                               help="largest job batch per engine call")
-    serve_parser.add_argument("--job-timeout", type=float, default=None,
-                              help="per-job seconds before a structured "
-                                   "timeout response (pool runs only)")
     serve_parser.add_argument("--check", action="store_true",
                               help="run the end-to-end smoke check "
                                    "(concurrent clients, coalescing, "
@@ -769,9 +751,9 @@ def main(argv: list[str] | None = None) -> int:
     chaos_parser = sub.add_parser(
         "chaos",
         help="fault-inject a live service and assert it recovers",
-        description="Boot a sharded service and drive golden traffic "
-                    "while a seeded chaos schedule kills workers "
-                    "mid-batch, fails batches until breakers open, "
+        description="Boot a service and drive golden traffic "
+                    "while a seeded chaos schedule kills the drain task "
+                    "mid-batch, fails batches until the breaker opens, "
                     "corrupts warehouse segments, injects latency "
                     "against tight deadlines, and floods the admission "
                     "queue; exit 1 unless every answer is "
@@ -851,9 +833,6 @@ def main(argv: list[str] | None = None) -> int:
     explore_parser.add_argument("--quick", action="store_true",
                                 help="shrink the check's budget and value "
                                      "samples (CI smoke mode)")
-    explore_parser.add_argument("--shards", type=int, default=2,
-                                help="shard count of the check's live "
-                                     "service leg")
     explore_parser.add_argument("--warehouse", metavar="DIR", default=None,
                                 help="warehouse directory for the check's "
                                      "service leg")

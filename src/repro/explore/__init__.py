@@ -19,7 +19,7 @@ The pieces, bottom up:
 * :mod:`repro.explore.backends` — the submission protocol with two
   implementations: in-process :func:`repro.sim.engine.simulate_many`
   and a :class:`repro.service.client.ServiceClient` backend that rides
-  the sharded service (coalescing, cache, warehouse) and honours its
+  the service (coalescing, cache, warehouse) and honours its
   429/503/deadline semantics;
 * :mod:`repro.explore.study` — the adaptive driver: coarse seeded pass,
   frontier maintenance, refinement rounds that bisect axes around

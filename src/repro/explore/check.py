@@ -8,9 +8,9 @@ headline contracts:
   the on-disk shape a SIGKILL mid-append leaves) finishes with a
   frontier **byte-identical** to the uninterrupted run's, replaying
   exactly the journaled evaluations instead of recomputing them;
-* **backend parity** — the same spec driven through a live sharded
-  service (:class:`~repro.explore.backends.ServiceBackend` riding
-  coalescing, the result store, and optionally a warehouse tier)
+* **backend parity** — the same spec driven through a live service
+  (:class:`~repro.explore.backends.ServiceBackend` riding coalescing,
+  the result store, and optionally a warehouse tier)
   produces the same frontier bytes as the in-process
   :class:`~repro.explore.backends.LocalBackend`;
 * **adaptivity pays** — at equal budget, the adaptive frontier covers
@@ -35,7 +35,6 @@ from repro.explore.report import study_report, summarize
 from repro.explore.spec import StudySpec, preset_spec
 from repro.explore.study import random_frontier, resume_study, run_study
 from repro.service.check import ServerHarness
-from repro.service.pipeline import ServiceConfig
 from repro.sim.engine import StagedEngine
 from repro.sim.store import ResultStore
 
@@ -68,7 +67,6 @@ def _truncated_copy(source: Path, target: Path, keep_evals: int) -> int:
 def run_check(
     spec: StudySpec | None = None,
     quick: bool = False,
-    shards: int = 2,
     warehouse: str | None = None,
     out_dir: str | None = None,
     report_out: str | None = None,
@@ -80,8 +78,6 @@ def run_check(
         spec: Study to check with (default: the ``quick`` preset).
         quick: Shrink the per-application value sample further (CI's
             smoke shape) — halves ``sample_blocks`` and the budget.
-        shards: Shard count of the live service the parity leg runs
-            against.
         warehouse: Optional warehouse directory for the service's
             store (the smoke job points this at a scratch dir).
         out_dir: Where journals and the report land (default: a
@@ -141,15 +137,10 @@ def run_check(
                 f"expected {kept}"
             )
 
-        # Leg 3: backend parity — the same spec through a live sharded
-        # service must land on the same frontier bytes.
-        service_config = ServiceConfig(
-            max_workers=workers if workers > 1 else None, shards=shards
-        )
+        # Leg 3: backend parity — the same spec through a live service
+        # must land on the same frontier bytes.
         service_engine = StagedEngine(ResultStore(warehouse=warehouse))
-        with ServerHarness(
-            service_config=service_config, engine=service_engine
-        ) as harness:
+        with ServerHarness(engine=service_engine) as harness:
             remote = ServiceBackend(
                 client=harness.client(timeout=300.0, max_attempts=10),
                 max_in_flight=4,
@@ -192,7 +183,6 @@ def run_check(
             "resume_byte_identical": resumed_bytes == full_bytes,
             "resume_replayed": resumed.reused,
             "backend_parity": served.frontier.snapshot_bytes() == full_bytes,
-            "shards": shards,
             "warehouse": warehouse,
             "adaptive_coverage": adaptive_cov,
             "random_coverage": random_cov,

@@ -14,19 +14,18 @@ Layers (each its own module, composable in-process without HTTP):
 * :mod:`repro.service.stages` — the composable pipeline stages
   (Admission, Coalescer, Batcher, Executor) behind the
   :class:`~repro.service.stages.PipelineStage` protocol;
-* :mod:`repro.service.router` — consistent-hash routing of canonical
-  run_keys across shards (:class:`~repro.service.router.ShardRouter`);
-* :mod:`repro.service.pipeline` — shards as wired stage stacks behind
-  one facade (:class:`SimulationService`);
+* :mod:`repro.service.pipeline` — the one wired stage stack behind
+  :class:`SimulationService`;
 * :mod:`repro.service.server` — the HTTP front-end
   (:class:`ServiceServer`: ``/simulate``, ``/sweep``, ``/healthz``,
   ``/metrics``);
-* :mod:`repro.service.breaker` — the per-shard circuit breaker
-  (:class:`~repro.service.breaker.CircuitBreaker`): a sick shard sheds
+* :mod:`repro.service.breaker` — the circuit breaker
+  (:class:`~repro.service.breaker.CircuitBreaker`): a sick engine sheds
   load with 503 + Retry-After instead of queueing doomed work;
-* :mod:`repro.service.supervisor` — shard health checks, crash
-  recovery with bounded backoff, queue re-routing, and the warehouse
-  scrubber (:class:`~repro.service.supervisor.ShardSupervisor`);
+* :mod:`repro.service.supervisor` — drain-task health checks, crash
+  recovery with bounded backoff, re-submission of stranded work, and
+  the warehouse scrubber
+  (:class:`~repro.service.supervisor.ShardSupervisor`);
 * :mod:`repro.service.client` — the in-repo client with full-jitter
   429/503-aware retries, deadline stamping, and optional hedged
   requests (:class:`ServiceClient`);
@@ -53,24 +52,16 @@ from repro.service.client import (
     ServiceUnavailable,
 )
 from repro.service.clock import MONOTONIC_CLOCK, Clock, FakeClock
-from repro.service.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsScope,
-)
+from repro.service.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.service.pipeline import (
     Backpressure,
     DeadlineExceeded,
     ServiceConfig,
     ServiceError,
-    ShardPipeline,
     ShardUnavailable,
     SimulationFailed,
     SimulationService,
 )
-from repro.service.router import ShardRouter
 from repro.service.server import ServiceServer
 from repro.service.stages import (
     Admission,
@@ -93,8 +84,6 @@ __all__ = [
     "DeadlineExceeded",
     "Executor",
     "PipelineStage",
-    "ShardPipeline",
-    "ShardRouter",
     "ShardSupervisor",
     "ShardUnavailable",
     "Clock",
@@ -103,7 +92,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "MetricsScope",
     "MONOTONIC_CLOCK",
     "ServiceClient",
     "ServiceClientError",

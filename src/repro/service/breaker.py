@@ -1,19 +1,19 @@
-"""Per-shard circuit breakers: a sick shard sheds load explicitly.
+"""The circuit breaker: a sick engine sheds load explicitly.
 
-A shard whose engine keeps failing (a wedged pool, a poisoned native
-kernel, injected chaos) should not keep absorbing requests that will
-each burn a batch slot and come back as a 500.  The breaker watches the
-shard's recent request outcomes over a sliding window and trips through
-the classic three-state machine:
+A service whose engine keeps failing (a poisoned native kernel,
+injected chaos) should not keep absorbing requests that will each burn
+a batch slot and come back as a 500.  The breaker watches the stack's
+recent request outcomes over a sliding window and trips through the
+classic three-state machine:
 
 * **closed** — normal service; every outcome is recorded;
 * **open** — tripped: the failure rate over the window crossed the
   threshold (with at least ``min_samples`` observations, so one early
-  failure cannot trip a cold shard).  Requests are rejected up front
-  with :class:`~repro.service.stages.ShardUnavailable`, which the HTTP
-  layer maps to ``503`` + ``Retry-After`` — the shard sheds load while
-  healthy shards keep serving.  After ``cooldown_s`` the breaker moves
-  to half-open;
+  failure cannot trip a cold service).  Requests that would reach the
+  engine are rejected up front with
+  :class:`~repro.service.stages.ShardUnavailable`, which the HTTP layer
+  maps to ``503`` + ``Retry-After``; store hits keep being served.
+  After ``cooldown_s`` the breaker moves to half-open;
 * **half-open** — probation: up to ``probes`` concurrent requests are
   admitted as probes.  A probe failure reopens the breaker (cooldown
   doubles, bounded); enough probe successes close it and reset the
@@ -21,13 +21,13 @@ the classic three-state machine:
 
 Backpressure rejections never count as failures — a full queue is load,
 not sickness — and neither do deadline expirations (the client's budget
-is not the shard's health).  Only engine-level failures
+is not the engine's health).  Only engine-level failures
 (:class:`~repro.service.stages.SimulationFailed`, crashed batches)
 trip the breaker.
 
 Time flows through the injectable :class:`~repro.service.clock.Clock`,
 so tests drive the cooldown with a :class:`~repro.service.clock.FakeClock`.
-State transitions are exported on the shard's metrics scope: the
+State transitions are exported on the service's metrics registry: the
 ``breaker_state`` gauge (0 closed / 1 open / 2 half-open) and the
 ``breaker_opens_total`` / ``breaker_closes_total`` counters.
 """
@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.service.clock import Clock
-from repro.service.metrics import MetricsScope
+from repro.service.metrics import MetricsRegistry
 
 __all__ = ["BreakerConfig", "CircuitBreaker", "CLOSED", "OPEN", "HALF_OPEN"]
 
@@ -58,7 +58,7 @@ class BreakerConfig:
         failure_threshold: Failure fraction over the window at (or
             above) which the breaker opens.
         min_samples: Observations required before the threshold can
-            trip (a cold shard's first failure must not open it).
+            trip (a cold service's first failure must not open it).
         cooldown_s: Seconds the breaker stays open before probing;
             doubles on every consecutive reopen, capped at
             ``max_cooldown_s``.
@@ -102,20 +102,20 @@ class BreakerConfig:
 
 
 class CircuitBreaker:
-    """The closed → open → half-open state machine for one shard.
+    """The closed → open → half-open state machine for the stack.
 
     Args:
         config: Trip policy; see :class:`BreakerConfig`.
         clock: Monotonic time source for the cooldown.
-        metrics: The shard's metrics scope (state gauge + transition
-            counters land there).
+        metrics: The service's metrics registry (state gauge +
+            transition counters land there).
     """
 
     def __init__(
         self,
         config: BreakerConfig,
         clock: Clock,
-        metrics: MetricsScope,
+        metrics: MetricsRegistry,
     ) -> None:
         self.config = config
         self._clock = clock
@@ -219,7 +219,7 @@ class CircuitBreaker:
         """Release a half-open probe slot without recording an outcome.
 
         For probes that never reached the engine (backpressure,
-        deadline expiry, shutdown): they say nothing about the shard's
+        deadline expiry, shutdown): they say nothing about the engine's
         health, but their slot must free up for the next probe.
         """
         if self._state == HALF_OPEN:
@@ -250,7 +250,7 @@ class CircuitBreaker:
 
     def force_open(self) -> None:
         """Trip the breaker unconditionally (the supervisor does this
-        while a shard's stage stack is being restarted)."""
+        while the stage stack is being restarted)."""
         self._maybe_half_open()
         if self._state != OPEN:
             self._open()

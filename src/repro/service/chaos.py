@@ -1,18 +1,19 @@
 """Chaos harness: ``repro chaos`` — prove the service survives faults.
 
-Boots a real sharded service (HTTP listener, pipeline, supervisor,
-breakers, disk warehouse) through the same :class:`ServerHarness` the
+Boots a real service (HTTP listener, pipeline, supervisor, breaker,
+disk warehouse) through the same :class:`ServerHarness` the
 ``--check`` smoke test uses, then drives duplicate-heavy golden traffic
 while a **seeded chaos schedule** injects faults phase by phase:
 
 1. **crash storm** — batches are killed mid-flight with
    :class:`~repro.service.stages.BatchCrash` (Bernoulli schedule) and
    slowed by bursty latency (Gilbert–Elliott schedule) while golden
-   clients hammer the service; the supervisor must fence, re-route, and
-   restart, and every client must still get byte-identical answers;
+   clients hammer the service; the supervisor must fence, drain,
+   restart, and re-submit, and every client must still get
+   byte-identical answers;
 2. **failure burst** — every batch on the wire fails, driving the
-   per-shard circuit breakers open; once chaos stops, cold probes must
-   walk the breakers half-open → closed again;
+   circuit breaker open; once chaos stops, cold probes must walk the
+   breaker half-open → closed again;
 3. **corruption + scrub** — bytes are flipped inside flushed warehouse
    segments on disk, then a supervisor scrub pass must detect the CRC
    damage and repair the records from the in-memory tier;
@@ -24,9 +25,9 @@ while a **seeded chaos schedule** injects faults phase by phase:
    with zero silent drops.
 
 The chaos *schedules* reuse the repository's seeded fault processes
-(:mod:`repro.faults.processes`) with one "wire" per shard, so a run is
+(:mod:`repro.faults.processes`) on a single "wire", so a run is
 reproducible event-for-event from ``--seed`` — the same machinery that
-perturbs wires in the link-level campaigns here decides which shard
+perturbs wires in the link-level campaigns here decides which batch
 dies when (see ``docs/faults.md``).
 
 The run fails loudly unless: every verified response is byte-identical
@@ -68,16 +69,15 @@ RECOVERY_LATENCY_BOUND_S = 5.0
 
 
 class ChaosSchedule:
-    """A seeded per-shard chaos event source.
+    """A seeded chaos event source.
 
-    Reuses the fault-process machinery — one "wire" per shard, one tick
-    per consultation — so chaos events flow from the same reproducible
+    Reuses the fault-process machinery — one "wire", one tick per
+    consultation — so chaos events flow from the same reproducible
     generators as the link-level fault campaigns.  An optional budget
     caps total events so a storm always quiets down.
 
     Args:
-        rate: Per-consultation event probability per shard.
-        shards: Number of shards ("wires").
+        rate: Per-consultation event probability.
         rng: The seeded generator every draw flows from.
         burst: Use the bursty Gilbert–Elliott chain instead of
             memoryless Bernoulli draws.
@@ -87,33 +87,30 @@ class ChaosSchedule:
     def __init__(
         self,
         rate: float,
-        shards: int,
         rng: np.random.Generator,
         burst: bool = False,
         budget: int | None = None,
     ) -> None:
-        self._process = make_process(
-            rate, shards, FaultConfig(burst=burst), rng
-        )
+        self._process = make_process(rate, 1, FaultConfig(burst=burst), rng)
         self._budget = budget
         self.fired = 0
 
-    def fire(self, shard: int) -> bool:
-        """Tick the schedule; True when this shard suffers an event."""
+    def fire(self) -> bool:
+        """Tick the schedule; True when this tick is an event."""
         events = self._process.sample()
         if self._budget is not None and self.fired >= self._budget:
             return False
-        if bool(events[shard]):
+        if bool(events[0]):
             self.fired += 1
             return True
         return False
 
 
 class ChaosController:
-    """The switchboard the per-shard batch interceptors consult.
+    """The switchboard the batch interceptor consults.
 
-    The runner thread flips :attr:`mode`; the interceptors (running on
-    the service's event loop) act on whatever mode they observe:
+    The runner thread flips :attr:`mode`; :meth:`intercept` (running on
+    the service's event loop) acts on whatever mode it observes:
 
     * ``"kill"`` — the kill schedule decides which batches die with a
       :class:`BatchCrash`; the jitter schedule injects small bursty
@@ -127,7 +124,6 @@ class ChaosController:
 
     def __init__(
         self,
-        shards: int,
         seed: int,
         kill_rate: float = 0.5,
         kill_budget: int = 4,
@@ -138,45 +134,38 @@ class ChaosController:
         rng = np.random.default_rng(seed)
         self.mode = "off"
         self.kill_schedule = ChaosSchedule(
-            kill_rate, shards, rng, burst=False, budget=kill_budget
+            kill_rate, rng, burst=False, budget=kill_budget
         )
-        self.jitter_schedule = ChaosSchedule(
-            jitter_rate, shards, rng, burst=True
-        )
+        self.jitter_schedule = ChaosSchedule(jitter_rate, rng, burst=True)
         self.jitter_s = jitter_s
         self.latency_s = latency_s
         self.kills = 0
         self.failures = 0
         self.delays = 0
 
-    def interceptor_for(self, shard: int):
-        """The batch interceptor for one shard (service plug point)."""
-
-        async def intercept(jobs: list[SimJob]) -> None:
-            mode = self.mode
-            if mode == "off":
-                return
-            if mode == "kill":
-                if self.jitter_schedule.fire(shard):
-                    self.delays += 1
-                    await asyncio.sleep(self.jitter_s)
-                if self.kill_schedule.fire(shard):
-                    self.kills += 1
-                    raise BatchCrash(
-                        f"chaos kill on shard {shard} "
-                        f"({len(jobs)} job(s) in flight)"
-                    )
-            elif mode == "fail":
-                self.failures += 1
-                raise RuntimeError(f"chaos failure injection on shard {shard}")
-            elif mode == "slow":
-                # Monotone stats counter: += is atomic between awaits on
-                # the single event loop, and no reader couples delays to
-                # other state, so interleaved increments are benign.
-                self.delays += 1  # lint-ok: R007
-                await asyncio.sleep(self.latency_s)
-
-        return intercept
+    async def intercept(self, jobs: list[SimJob]) -> None:
+        """The batch interceptor (the service's plug point)."""
+        mode = self.mode
+        if mode == "off":
+            return
+        if mode == "kill":
+            if self.jitter_schedule.fire():
+                self.delays += 1
+                await asyncio.sleep(self.jitter_s)
+            if self.kill_schedule.fire():
+                self.kills += 1
+                raise BatchCrash(
+                    f"chaos kill ({len(jobs)} job(s) in flight)"
+                )
+        elif mode == "fail":
+            self.failures += 1
+            raise RuntimeError("chaos failure injection")
+        elif mode == "slow":
+            # Monotone stats counter: += is atomic between awaits on
+            # the single event loop, and no reader couples delays to
+            # other state, so interleaved increments are benign.
+            self.delays += 1  # lint-ok: R007
+            await asyncio.sleep(self.latency_s)
 
     def snapshot(self) -> dict:
         """Injected-event totals, JSON-ready."""
@@ -370,17 +359,11 @@ def _run_chaos_inner(
     warehouse: str,
     report_out: str | None,
 ) -> tuple[int, dict]:
-    shards = 2
     system = SystemConfig(sample_blocks=sample_blocks)
     jobs = golden_jobs(system)
     oracle = _Oracle()
-    controller = ChaosController(
-        shards=shards,
-        seed=seed,
-        kill_budget=3 if quick else 6,
-    )
+    controller = ChaosController(seed=seed, kill_budget=3 if quick else 6)
     config = ServiceConfig(
-        shards=shards,
         max_queue=8,
         breaker=BreakerConfig(
             window=8, failure_threshold=0.5, min_samples=2,
@@ -395,7 +378,6 @@ def _run_chaos_inner(
     report: dict = {
         "quick": quick,
         "seed": seed,
-        "shards": shards,
         "clients": num_clients,
         "sample_blocks": sample_blocks,
         "phases": {},
@@ -404,7 +386,7 @@ def _run_chaos_inner(
     with ServerHarness(
         service_config=config,
         engine=engine,
-        interceptor_factory=controller.interceptor_for,
+        interceptor=controller.intercept,
     ) as harness:
         # -- phase 1: crash storm under golden duplicate-heavy traffic.
         controller.mode = "kill"
@@ -431,13 +413,13 @@ def _run_chaos_inner(
                 "[crash-storm] the seeded schedule never killed a batch"
             )
 
-        # -- phase 2: failure burst opens the breakers, probes close
-        # them.  Sacrificial cold configs; errors here are the point.
+        # -- phase 2: failure burst opens the breaker, probes close
+        # it.  Sacrificial cold configs; errors here are the point.
         controller.mode = "fail"
         burn_jobs = [
             SimJob.of(job.app.name, job.scheme,
                       system.with_(sample_blocks=sample_blocks + 1))
-            for job in jobs[: 4 * shards]
+            for job in jobs[:8]
         ]
         burned = 0
         with harness.client(max_attempts=1, backoff_s=0.01) as torch:
@@ -456,12 +438,12 @@ def _run_chaos_inner(
                 "[failure-burst] no breaker opened under a 100% "
                 "failure rate"
             )
-        # Cold probes walk the breakers half-open -> closed; the client
+        # Cold probes walk the breaker half-open -> closed; the client
         # honours Retry-After on 503, so converged probes prove closure.
         probe_jobs = [
             SimJob.of(job.app.name, job.scheme,
                       system.with_(sample_blocks=sample_blocks + 2))
-            for job in jobs[: 4 * shards]
+            for job in jobs[:8]
         ]
         with harness.client(
             max_attempts=12, backoff_s=0.05, jitter_seed=seed,
@@ -507,7 +489,7 @@ def _run_chaos_inner(
         slow_jobs = [
             SimJob.of(job.app.name, job.scheme,
                       system.with_(sample_blocks=sample_blocks + 3))
-            for job in jobs[: 2 * shards]
+            for job in jobs[:4]
         ]
         expirations_seen = 0
         with harness.client(
@@ -554,18 +536,15 @@ def _run_chaos_inner(
         service = harness.service
     # Harness stopped: nothing may linger.
     supervisor_snap = service.supervisor.snapshot()
-    if supervisor_snap["reroutes_inflight"]:
+    if supervisor_snap["resubmits_inflight"]:
         problems.append(
-            f"{supervisor_snap['reroutes_inflight']} re-route task(s) "
+            f"{supervisor_snap['resubmits_inflight']} re-submit task(s) "
             "orphaned after shutdown"
         )
     if supervisor_snap["running"]:
         problems.append("supervisor health loop survived shutdown")
-    for shard in service.shards:
-        if shard.batcher.running:
-            problems.append(
-                f"shard {shard.index} drain task survived shutdown"
-            )
+    if service.batcher.running:
+        problems.append("drain task survived shutdown")
 
     counters = metrics.get("counters", {})
     gauges = metrics.get("gauges", {})
@@ -575,7 +554,7 @@ def _run_chaos_inner(
                  "deadline_expirations"):
         if counters.get(name, 0) <= 0:
             problems.append(f"/metrics counter {name} never moved")
-    if not any(name.endswith("breaker_state") for name in gauges):
+    if "breaker_state" not in gauges:
         problems.append("/metrics exports no breaker_state gauge")
     recovery = histograms.get("supervisor_recovery_latency_s") or {}
     worst = recovery.get("max")

@@ -14,8 +14,8 @@ contract:
   coalesce+store hit rate on the duplicate stream is at least 50 %;
 * **byte-identical results** — every response, re-encoded canonically,
   equals a direct :class:`~repro.sim.engine.StagedEngine` run of the
-  same configuration on a private store.  The serving layer may route,
-  batch, cache, and coalesce, but never perturb a number.
+  same configuration on a private store.  The serving layer may batch,
+  cache, and coalesce, but never perturb a number.
 
 :class:`ServerHarness` (the service in a background thread with a
 ready/stop handshake) is exported for tests and examples.
@@ -34,9 +34,7 @@ from repro.experiments.common import DEFAULT_SCHEMES
 from repro.service import codec
 from repro.service.client import ServiceClient
 from repro.service.pipeline import ServiceConfig, SimulationService
-from repro.service.router import ShardRouter
 from repro.service.server import ServiceServer
-from repro.sim import stages as sim_stages
 from repro.sim.config import SystemConfig
 from repro.sim.engine import SimJob, StagedEngine
 from repro.sim.store import ResultStore
@@ -69,9 +67,9 @@ class ServerHarness:
         engine: Engine to serve (default: fresh engine + private store,
             so harnesses never leak state into the process-wide store).
         host: Bind address.
-        interceptor_factory: Optional per-shard batch interceptor
-            factory, passed through to the service — the chaos
-            harness's injection point (see :mod:`repro.service.chaos`).
+        interceptor: Optional batch interceptor, passed through to the
+            service — the chaos harness's injection point (see
+            :mod:`repro.service.chaos`).
     """
 
     def __init__(
@@ -79,7 +77,7 @@ class ServerHarness:
         service_config: ServiceConfig | None = None,
         engine: StagedEngine | None = None,
         host: str = "127.0.0.1",
-        interceptor_factory=None,
+        interceptor=None,
     ) -> None:
         self.host = host
         self.port: int | None = None
@@ -89,7 +87,7 @@ class ServerHarness:
         self.service_config = (
             service_config if service_config is not None else ServiceConfig()
         )
-        self.interceptor_factory = interceptor_factory
+        self.interceptor = interceptor
         self.service: SimulationService | None = None
         self._thread: threading.Thread | None = None
         self._ready = threading.Event()
@@ -163,7 +161,7 @@ class ServerHarness:
         self.service = SimulationService(
             engine=self.engine,
             config=self.service_config,
-            interceptor_factory=self.interceptor_factory,
+            interceptor=self.interceptor,
         )
         server = ServiceServer(self.service, host=self.host, port=0)
         await server.start()
@@ -208,8 +206,6 @@ def run_check(
     requests_per_client: int | None = None,
     sample_blocks: int | None = None,
     metrics_out: str | None = None,
-    workers: int = 1,
-    shards: int | None = None,
     warehouse: str | None = None,
     expect_warm: bool = False,
 ) -> tuple[int, dict]:
@@ -219,9 +215,6 @@ def run_check(
     cost), not the traffic shape: the concurrency and duplication the
     check exists to exercise stay the same.
 
-    ``workers`` > 1 runs engine batches in worker processes;
-    ``shards`` routes across N shard pipelines (default: one per
-    worker) and additionally asserts coalescing happened *per shard*.
     ``warehouse`` points the service's store at a disk tier, and
     ``expect_warm`` asserts the run was served (at least partly) from
     that tier — the warm-restart proof: run once to populate, re-run
@@ -231,10 +224,6 @@ def run_check(
         sample_blocks = 250 if quick else 1200
     if requests_per_client is None:
         requests_per_client = 3 if quick else 6
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if shards is None:
-        shards = workers if workers > 1 else 1
     system = SystemConfig(sample_blocks=sample_blocks)
     jobs = golden_jobs(system)
     payloads = [
@@ -258,33 +247,22 @@ def run_check(
         for job in jobs
     ]
 
-    # Duplicate-heavy traffic: every client opens with one config per
-    # covered shard (num_clients concurrent identical requests per
-    # shard — the coalescing pressure test), then walks a seeded-random
-    # mix of the full golden set.  With one shard the openers are just
-    # ``[0]``, the historic single-shard traffic shape.
-    router = ShardRouter(shards)
-    shard_openers: dict[int, int] = {}
-    for config_index, job in enumerate(jobs):
-        key = sim_stages.run_key(job.app, job.scheme, job.system)
-        shard_openers.setdefault(router.route(key), config_index)
-    openers = [shard_openers[shard] for shard in sorted(shard_openers)]
+    # Duplicate-heavy traffic: every client opens with config 0
+    # (num_clients concurrent identical requests — the coalescing
+    # pressure test), then walks a seeded-random mix of the full
+    # golden set.
     schedules = []
     for client_index in range(num_clients):
         rng = random.Random(1000 + client_index)
-        indices = list(openers) + [
+        indices = [0] + [
             rng.randrange(len(jobs)) for _ in range(requests_per_client - 1)
         ]
         schedules.append(indices)
 
-    service_config = ServiceConfig(
-        max_workers=workers if workers > 1 else None,
-        shards=shards,
-    )
     engine = StagedEngine(ResultStore(warehouse=warehouse))
     outcomes = [_ClientOutcome() for _ in range(num_clients)]
     barrier = threading.Barrier(num_clients)
-    with ServerHarness(service_config=service_config, engine=engine) as harness:
+    with ServerHarness(engine=engine) as harness:
         threads = [
             threading.Thread(
                 target=_drive_client,
@@ -336,14 +314,6 @@ def run_check(
     # only binds cold runs.
     if answered and coalesced == 0 and not expect_warm:
         problems.append("no request was coalesced under concurrent duplicates")
-    if answered and shards > 1 and not expect_warm:
-        for shard in sorted(shard_openers):
-            per_shard = counters.get(f"shard_{shard}/coalesced_total", 0)
-            if per_shard == 0:
-                problems.append(
-                    f"shard_{shard} coalesced nothing under concurrent "
-                    "duplicates"
-                )
     if answered and hit_rate < 0.5:
         problems.append(
             f"combined coalesce+store hit rate {hit_rate:.1%} is below 50%"
@@ -371,8 +341,6 @@ def run_check(
         "byte_identical": mismatches == 0,
         "coalesced_total": coalesced,
         "combined_hit_rate": hit_rate,
-        "workers": workers,
-        "shards": shards,
         "warehouse": warehouse,
         "store_disk_hits": store_stats.disk_hits,
         "store_promotions": store_stats.promotions,

@@ -6,7 +6,7 @@ the retry discipline the service's error contract asks for:
 * **429 backpressure / 503 unavailable** — honoured, not fought: the
   client sleeps for the server's ``Retry-After`` hint (bounded) and
   retries, up to its attempt budget (an open circuit breaker answers
-  503, so clients naturally pace a recovering shard);
+  503, so clients naturally pace a recovering service);
 * **connection errors / timeouts** — simulation requests are pure and
   idempotent, so the client reconnects and retries with **full-jitter**
   exponential backoff: each sleep is drawn uniformly from
@@ -23,7 +23,7 @@ the retry discipline the service's error contract asks for:
   connection against the first and takes whichever answers first.
   Simulations are deterministic and coalesced server-side, so the
   duplicate is nearly free when it lands on a cache hit — and a big
-  tail-latency win when the first connection hit a sick shard;
+  tail-latency win when the first connection hit a slow batch;
 * **structured errors** — non-retryable responses raise
   :class:`ServiceRequestError` carrying the server's error payload.
 

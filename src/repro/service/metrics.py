@@ -2,7 +2,7 @@
 
 The service pipeline records its operational signals — queue depth,
 coalesce and store hit rates, batch sizes, service latency percentiles,
-failure and fallback counts — in one :class:`MetricsRegistry`, which
+failure counts — in one :class:`MetricsRegistry`, which
 the HTTP layer serializes at ``/metrics`` and ``repro bench`` reuses
 for its live-traffic tier.  Plain data structures, no external
 dependencies, thread-safe: the event loop, executor threads, and the
@@ -11,13 +11,6 @@ bench harness all write concurrently.
 Histograms keep a bounded ring of recent observations (plus exact
 count/sum over all of them), so percentile queries stay cheap and the
 registry cannot grow without bound under sustained traffic.
-
-A sharded service records through per-shard :class:`MetricsScope` views
-(see :meth:`MetricsRegistry.scoped`): every counter and gauge write
-lands twice — once on the bare aggregate name (``coalesced_total``) and
-once on a shard-labelled name (``shard_0/coalesced_total``) — so
-existing dashboards and the ``--check`` harness keep reading aggregate
-totals while per-shard behaviour stays independently observable.
 """
 
 from __future__ import annotations
@@ -31,9 +24,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "MetricsScope",
-    "ScopedCounter",
-    "ScopedGauge",
 ]
 
 
@@ -189,10 +179,6 @@ class MetricsRegistry:
                 self._histograms[name] = Histogram(max_samples=max_samples)
             return self._histograms[name]
 
-    def scoped(self, label: str) -> "MetricsScope":
-        """A labelled view of this registry (see :class:`MetricsScope`)."""
-        return MetricsScope(self, label)
-
     def names(self) -> Iterable[str]:
         """Every instrument name currently registered, sorted."""
         with self._lock:
@@ -215,90 +201,3 @@ class MetricsRegistry:
                 name: histograms[name].summary() for name in sorted(histograms)
             },
         }
-
-
-class ScopedCounter:
-    """A counter that writes both its labelled and aggregate instrument.
-
-    ``value`` reads the labelled (per-shard) counter, so a scope's own
-    snapshot reflects only its share of the traffic.
-    """
-
-    def __init__(self, labelled: Counter, aggregate: Counter) -> None:
-        self._labelled = labelled
-        self._aggregate = aggregate
-
-    def inc(self, amount: int = 1) -> None:
-        """Add ``amount`` to both the labelled and aggregate counter."""
-        self._labelled.inc(amount)
-        self._aggregate.inc(amount)
-
-    @property
-    def value(self) -> int:
-        return self._labelled.value
-
-
-class ScopedGauge:
-    """A gauge that writes both its labelled and aggregate instrument.
-
-    The aggregate gauge sees the *same* write as the labelled one (not
-    a sum over scopes); callers that need a cross-shard total — the
-    service's ``queue_depth`` — compute and set it explicitly.
-    """
-
-    def __init__(self, labelled: Gauge, aggregate: Gauge) -> None:
-        self._labelled = labelled
-        self._aggregate = aggregate
-
-    def set(self, value: float) -> None:
-        """Replace both readings."""
-        self._labelled.set(value)
-        self._aggregate.set(value)
-
-    def add(self, delta: float) -> None:
-        """Shift both readings by ``delta``."""
-        self._labelled.add(delta)
-        self._aggregate.add(delta)
-
-    @property
-    def value(self) -> float:
-        return self._labelled.value
-
-
-class MetricsScope:
-    """A labelled view of a :class:`MetricsRegistry`.
-
-    Counter and gauge writes dual-record under the bare name and under
-    ``{label}/{name}``; histograms record aggregate-only (percentiles
-    across shards are what operators watch, and per-shard rings would
-    multiply the retained-sample footprint by the shard count).
-
-    Args:
-        registry: The registry to record into.
-        label: The scope label, e.g. ``shard_0``.
-    """
-
-    def __init__(self, registry: MetricsRegistry, label: str) -> None:
-        self.registry = registry
-        self.label = label
-
-    def _labelled(self, name: str) -> str:
-        return f"{self.label}/{name}"
-
-    def counter(self, name: str) -> ScopedCounter:
-        """The dual-writing counter called ``name``."""
-        return ScopedCounter(
-            self.registry.counter(self._labelled(name)),
-            self.registry.counter(name),
-        )
-
-    def gauge(self, name: str) -> ScopedGauge:
-        """The dual-writing gauge called ``name``."""
-        return ScopedGauge(
-            self.registry.gauge(self._labelled(name)),
-            self.registry.gauge(name),
-        )
-
-    def histogram(self, name: str, max_samples: int = 2048) -> Histogram:
-        """The aggregate histogram called ``name`` (not labelled)."""
-        return self.registry.histogram(name, max_samples=max_samples)

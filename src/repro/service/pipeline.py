@@ -1,49 +1,44 @@
-"""The service's request pipeline: route, admit, coalesce, batch, serve.
+"""The service's request pipeline: admit, coalesce, batch, serve.
 
-One :class:`SimulationService` fronts N independent shards.  Each shard
-(:class:`ShardPipeline`) is a wired stack of the composable stages from
-:mod:`repro.service.stages` — Admission, Coalescer, Batcher, Executor —
-with its own metrics scope, and the
-:class:`~repro.service.router.ShardRouter` consistent-hashes canonical
-run_keys across them so every spelling of the same configuration lands
-on the same shard (preserving the coalescing win per shard).  The full
-request path:
+One :class:`SimulationService` owns one wired stack of the composable
+stages from :mod:`repro.service.stages` — Admission, Coalescer,
+Batcher, Executor — plus one circuit breaker and one supervisor.  The
+full request path:
 
-1. **routing** — the canonical :func:`~repro.sim.stages.run_key` picks
-   the owning shard;
-2. **read-through cache** — a request whose run_key is already in the
-   engine's :class:`~repro.sim.store.ResultStore` (memory LRU or the
-   disk warehouse tier beneath it) is answered immediately;
-3. **coalescing** — identical configurations *in flight* share one
+1. **read-through cache** — a request whose canonical
+   :func:`~repro.sim.stages.run_key` is already in the engine's
+   :class:`~repro.sim.store.ResultStore` (memory LRU or the disk
+   warehouse tier beneath it) is answered immediately;
+2. **coalescing** — identical configurations *in flight* share one
    computation: the first request enqueues a job, the rest await the
    same future (``coalesced_total`` counts the sharers);
-4. **admission control** — each shard's pending queue is bounded; a
-   request that cannot be enqueued raises
+3. **admission control** — the pending queue is bounded; a request that
+   cannot be enqueued raises
    :class:`~repro.service.stages.Backpressure` with a suggested
    retry-after derived from observed latency, which the HTTP layer
    turns into a ``429`` (the service never silently queues unbounded
    work or hangs a connection);
-5. **adaptive batching** — each shard's batcher task drains its queue
-   into :meth:`~repro.sim.engine.StagedEngine.run_many` calls, sizing
-   each batch from the observed queue depth and lingering (briefly, and
-   only when jobs are expensive enough for batching to pay) to let
+4. **adaptive batching** — the batcher task drains the queue into
+   :meth:`~repro.sim.engine.StagedEngine.run_many` calls, sizing each
+   batch from the observed queue depth and lingering (briefly, and only
+   when jobs are expensive enough for batching to pay) to let
    concurrent clients pile in;
-6. **failure isolation** — the hardened engine turns worker crashes,
-   timeouts, and pool breakage into typed
-   :class:`~repro.sim.engine.FailedJob` slots, which surface here as
-   :class:`~repro.service.stages.SimulationFailed` — a structured error
-   response, never a hung connection.
+5. **failure isolation** — the hardened engine turns job failures into
+   typed :class:`~repro.sim.engine.FailedJob` slots, which surface here
+   as :class:`~repro.service.stages.SimulationFailed` — a structured
+   error response, never a hung connection.
 
-With ``--workers N`` each shard dispatches its batches into engine
-worker processes, so N shards drive N pools concurrently; ``/sweep``
-requests fan their expanded points across all shards through the same
-:meth:`SimulationService.submit_many` path.
+Batches run in-process on one worker thread: a job costs about a
+millisecond, so a process pool per batch costs more than it saves, and
+extra stacks in one process would share the one event loop, GIL, and
+engine.  ``/sweep`` requests ride the same path through
+:meth:`SimulationService.submit_many`.
 
 Every clock read goes through the injectable
 :class:`~repro.service.clock.Clock` (see that module for the lint
 story).  Determinism: the pipeline only ever *routes* work to the
 engine — results are the engine's, bit-for-bit, no matter which tier
-(store, coalescing map, fresh batch) or shard served them.
+(store, coalescing map, fresh batch) served them.
 """
 
 from __future__ import annotations
@@ -53,17 +48,11 @@ from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Iterable
 
 from repro.sim import stages as sim_stages
-from repro.sim.engine import (
-    FailedJob,
-    SimJob,
-    StagedEngine,
-    get_pool_fallback_count,
-)
+from repro.sim.engine import FailedJob, SimJob, StagedEngine
 from repro.sim.metrics import RunResult
 from repro.service.breaker import HALF_OPEN, BreakerConfig, CircuitBreaker
 from repro.service.clock import MONOTONIC_CLOCK, Clock
-from repro.service.metrics import MetricsRegistry, MetricsScope
-from repro.service.router import ShardRouter
+from repro.service.metrics import MetricsRegistry
 from repro.service.stages import (
     Admission,
     Backpressure,
@@ -84,14 +73,13 @@ __all__ = [
     "DeadlineExceeded",
     "ServiceConfig",
     "ServiceError",
-    "ShardPipeline",
     "ShardUnavailable",
     "SimulationFailed",
     "SimulationService",
 ]
 
-#: An async hook awaited by a shard's executor before each engine
-#: dispatch; see :class:`~repro.service.stages.Executor`.
+#: An async hook awaited by the executor before each engine dispatch;
+#: see :class:`~repro.service.stages.Executor`.
 Interceptor = Callable[[list[SimJob]], Awaitable[None]]
 
 
@@ -106,11 +94,10 @@ class ServiceConfig:
     """Every operational knob of the pipeline.
 
     Attributes:
-        max_queue: Pending (not yet batched) jobs each shard will hold
-            before rejecting new work with
-            :class:`~repro.service.stages.Backpressure`.
+        max_queue: Pending (not yet batched) jobs held before rejecting
+            new work with :class:`~repro.service.stages.Backpressure`.
         max_batch: Largest job count handed to one ``run_many`` call.
-        batch_linger_s: Upper bound on how long a batcher waits for
+        batch_linger_s: Upper bound on how long the batcher waits for
             more arrivals after the first job of a batch; the actual
             linger adapts downward for cheap jobs.
         retry_after_s: Floor of the retry-after hint sent with a
@@ -118,20 +105,13 @@ class ServiceConfig:
         max_sweep_jobs: Largest job count one sweep request may expand
             to (sweeps self-throttle through the queue rather than
             being rejected, so this bounds their footprint).
-        max_workers: Engine process-pool width per batch (``None`` uses
-            the engine default; 1 = in-process).
-        job_timeout: Per-job seconds before the engine declares a
-            :class:`~repro.sim.engine.FailedJob` (pool runs only).
         retries: Engine-level re-attempts per job.
-        shards: Independent stage stacks the service routes across;
-            each has its own queue, coalescing map, and batcher task.
-        breaker: Per-shard circuit-breaker trip policy; see
+        breaker: Circuit-breaker trip policy; see
             :class:`~repro.service.breaker.BreakerConfig`.
         supervisor_interval_s: How often the supervisor health-checks
-            each shard's drain task (also its crash-detection latency).
-        restart_backoff_s: First restart delay after a shard crash;
-            doubles on repeated crashes, capped at
-            ``restart_max_backoff_s``.
+            the drain task (also its crash-detection latency).
+        restart_backoff_s: First restart delay after a crash; doubles
+            on repeated crashes, capped at ``restart_max_backoff_s``.
         restart_max_backoff_s: Upper bound of the restart backoff.
         scrub_interval_s: Seconds between background warehouse scrub
             passes (``None`` disables periodic scrubbing; an explicit
@@ -145,10 +125,7 @@ class ServiceConfig:
     batch_linger_s: float = 0.02
     retry_after_s: float = 0.25
     max_sweep_jobs: int = 1024
-    max_workers: int | None = None
-    job_timeout: float | None = None
     retries: int = 1
-    shards: int = 1
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
     supervisor_interval_s: float = 0.1
     restart_backoff_s: float = 0.05
@@ -165,8 +142,6 @@ class ServiceConfig:
             raise ValueError(
                 f"batch_linger_s must be >= 0, got {self.batch_linger_s}"
             )
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.supervisor_interval_s <= 0:
             raise ValueError(
                 f"supervisor_interval_s must be > 0, "
@@ -194,106 +169,113 @@ class ServiceConfig:
             )
 
 
-class ShardPipeline:
-    """One shard: a wired stack of pipeline stages over a shared engine.
+class SimulationService:
+    """The async request pipeline in front of a :class:`StagedEngine`.
 
     Args:
-        index: The shard's position in the service's shard list (names
-            its metrics scope and batcher task).
-        engine: The engine every shard shares (the store beneath it is
-            the cross-shard cache).
+        engine: The engine to drive (default: a fresh one over the
+            process-wide store).
         config: Operational knobs; see :class:`ServiceConfig`.
-        clock: Monotonic time source.
-        metrics: The shard's labelled metrics scope.
-        interceptor: Optional chaos hook for this shard's executor.
+        clock: Monotonic time source (tests inject a fake).
+        metrics: Registry to record into (default: a private one).
+        interceptor: Optional chaos hook for the executor; see
+            :class:`~repro.service.stages.Executor`.
+
+    Use as an async context manager, or call :meth:`start` /
+    :meth:`stop` explicitly.  All methods must be called from the
+    event loop the service was started on.
     """
 
     def __init__(
         self,
-        index: int,
-        engine: StagedEngine,
-        config: ServiceConfig,
-        clock: Clock,
-        metrics: MetricsScope,
+        engine: StagedEngine | None = None,
+        config: ServiceConfig | None = None,
+        clock: Clock | None = None,
+        metrics: MetricsRegistry | None = None,
         interceptor: Interceptor | None = None,
     ) -> None:
-        self.index = index
-        self.metrics = metrics
-        self._engine = engine
-        self._config = config
-        self._clock = clock
-        self._interceptor = interceptor
-        self.breaker = CircuitBreaker(config.breaker, clock, metrics)
-        self.executor = self._build_executor()
+        self.engine = engine if engine is not None else StagedEngine()
+        self.config = config if config is not None else ServiceConfig()
+        self.clock = clock if clock is not None else MONOTONIC_CLOCK
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.breaker = CircuitBreaker(
+            self.config.breaker, self.clock, self.metrics
+        )
+        self.executor = Executor(
+            engine=self.engine,
+            retries=self.config.retries,
+            interceptor=interceptor,
+        )
         self.batcher = self._build_batcher()
         self.admission = Admission(
-            max_queue=config.max_queue,
-            metrics=metrics,
+            max_queue=self.config.max_queue,
+            metrics=self.metrics,
             # A lambda, not a bound method: restart_stack() replaces
             # the batcher and the hint must follow the live one.
             retry_after=lambda depth: self.batcher.suggest_retry_after(depth),
-            clock=clock,
+            clock=self.clock,
         )
-        self.coalescer = Coalescer(metrics=metrics)
+        self.coalescer = Coalescer(metrics=self.metrics)
+        self._started = False
+        # Imported here to break the module cycle: the supervisor
+        # drives the service, the service owns the supervisor.
+        from repro.service.supervisor import ShardSupervisor
 
-    def _build_executor(self) -> Executor:
-        return Executor(
-            engine=self._engine,
-            max_workers=self._config.max_workers,
-            job_timeout=self._config.job_timeout,
-            retries=self._config.retries,
-            metrics=self.metrics,
-            interceptor=self._interceptor,
-        )
+        self.supervisor = ShardSupervisor(self)
 
     def _build_batcher(self) -> Batcher:
         return Batcher(
-            max_batch=self._config.max_batch,
-            linger_s=self._config.batch_linger_s,
-            retry_after_floor=self._config.retry_after_s,
-            clock=self._clock,
+            max_batch=self.config.max_batch,
+            linger_s=self.config.batch_linger_s,
+            retry_after_floor=self.config.retry_after_s,
+            clock=self.clock,
             metrics=self.metrics,
         )
 
     @property
     def stages(self) -> tuple:
-        """The shard's stages in pipeline order."""
+        """The stack's stages in pipeline order."""
         return (self.admission, self.coalescer, self.batcher, self.executor)
 
-    def start(self) -> None:
-        """Spawn the shard's batcher task; idempotent while alive."""
-        self.batcher.start(
-            self.admission,
-            self.coalescer,
-            self.executor,
-            task_name=f"repro-service-batcher-{self.index}",
-        )
+    # -- lifecycle -----------------------------------------------------
 
-    @property
-    def crashed(self) -> bool:
-        """Whether this shard's drain task died with an exception."""
-        return self.batcher.crashed
+    def _start_batcher(self) -> None:
+        self.batcher.start(self.admission, self.coalescer, self.executor)
+
+    async def start(self) -> None:
+        """Spawn the batcher task and the supervisor; idempotent."""
+        if self._started:
+            return
+        self._started = True
+        self._start_batcher()
+        self.supervisor.start()
 
     def restart_stack(self) -> None:
-        """Rebuild the crashed execution stages and respawn the task.
+        """Rebuild the crashed batcher and respawn its task.
 
-        The supervisor calls this after it has drained and re-routed
-        the old stack's stranded work.  Executor and batcher are
-        rebuilt (dropping any state the crash poisoned — including the
-        latency EMA, which restarts cold); the admission queue and
-        coalescing map survive, already emptied by the supervisor.
+        The supervisor calls this after it has drained the old stack's
+        stranded work.  The batcher is rebuilt (dropping any state the
+        crash poisoned — including the latency EMA, which restarts
+        cold); the stateless executor, the admission queue, and the
+        coalescing map survive, the latter two already emptied by the
+        supervisor.
         """
-        self.executor = self._build_executor()
         self.batcher = self._build_batcher()
-        self.start()
+        self._start_batcher()
 
-    async def drain(self) -> None:
-        """Shut the stages down in pipeline-safe order.
+    async def stop(self) -> None:
+        """Stop supervision, drain the stages, flush the warehouse.
 
-        The batcher exits first (completing its current batch), then
-        admission fails anything stranded behind the sentinel, then the
-        coalescing map clears.
+        The supervisor goes first (its re-submit tasks either finish or
+        fail their futures loudly — no orphaned tasks).  Then the
+        batcher exits (completing its current batch), admission fails
+        anything stranded behind the sentinel, and the coalescing map
+        clears.  Last, the store's write-behind tier flushes.
         """
+        if not self._started:
+            return
+        self._started = False
+        await self.supervisor.stop()
         # Shutdown path, bounded by the sentinel protocol: the batcher
         # exits at the sentinel and the later stages fail-fast anything
         # stranded rather than waiting on it.
@@ -301,18 +283,79 @@ class ShardPipeline:
         await self.admission.drain()  # lint-ok: R006
         await self.coalescer.drain()  # lint-ok: R006
         await self.executor.drain()  # lint-ok: R006
+        self.engine.store.flush()
+
+    async def __aenter__(self) -> "SimulationService":
+        await self.start()
+        return self
+
+    async def __aexit__(self, *exc_info: object) -> None:
+        await self.stop()
+
+    # -- the request path ----------------------------------------------
+
+    def _absolute_deadline(self, deadline_s: float | None) -> float | None:
+        """An absolute monotonic deadline from a relative budget,
+        falling back to the configured default budget."""
+        budget = (
+            deadline_s if deadline_s is not None
+            else self.config.default_deadline_s
+        )
+        if budget is None:
+            return None
+        return self.clock.monotonic() + budget
 
     async def submit(
+        self,
+        job: SimJob,
+        wait: bool = False,
+        deadline_s: float | None = None,
+    ) -> RunResult:
+        """Serve one canonicalized job through the full pipeline.
+
+        Args:
+            job: The canonical configuration to simulate.
+            wait: When the queue is full, ``False`` (the default, used
+                for external requests) raises
+                :class:`~repro.service.stages.Backpressure`; ``True``
+                (used by internal fan-outs like sweeps) awaits queue
+                space instead, so a large expansion throttles itself
+                rather than being rejected.
+            deadline_s: Remaining budget in seconds (``None`` uses the
+                configured default; both ``None`` = unbounded).  The
+                deadline propagates through every stage: admission
+                refuses spent budgets, the batcher cancels jobs no
+                waiter can use, and the await gives up at the deadline
+                even mid-computation.
+
+        Raises:
+            Backpressure: Queue full and ``wait`` is false.
+            ShardUnavailable: The breaker is open.
+            DeadlineExceeded: The budget ran out before a result.
+            SimulationFailed: The engine gave up on the job.
+        """
+        if not self._started:
+            raise ServiceError("service is not running (call start())")
+        started = self.clock.monotonic()
+        key = sim_stages.run_key(job.app, job.scheme, job.system)
+        deadline = self._absolute_deadline(deadline_s)
+        result = await self.serve_key(key, job, wait, deadline)
+        return self._respond(started, result)
+
+    async def serve_key(
         self,
         key: StoreKey,
         job: SimJob,
         wait: bool,
         deadline: float | None = None,
     ) -> RunResult:
-        """Serve one routed job through this shard's stage stack.
+        """Serve one keyed job through the stage stack.
+
+        :meth:`submit` calls this for every request; the supervisor
+        calls it to re-submit work a crashed stack stranded.
 
         Args:
-            key: The canonical run_key (routing and coalescing handle).
+            key: The canonical run_key (the coalescing handle).
             job: The configuration to simulate.
             wait: Await queue space instead of raising
                 :class:`Backpressure` when the queue is full.
@@ -320,30 +363,31 @@ class ShardPipeline:
                 unbounded.
 
         Raises:
-            ShardUnavailable: The shard's breaker is open (store hits
-                are still served — they never touch the engine).
+            ShardUnavailable: The breaker is open (store hits are still
+                served — they never touch the engine).
             DeadlineExceeded: The budget ran out before a result.
         """
         self.metrics.counter("requests_total").inc()
-        store = self.executor.engine.store
+        store = self.engine.store
         if key in store:
             self.metrics.counter("store_hits_total").inc()
             return store.get(key)
-        probe = self.breaker.state == HALF_OPEN
         if not self.breaker.allow():
             raise ShardUnavailable(
-                self.index,
-                self.breaker.retry_after_s(),
-                self.breaker.state_name,
+                self.breaker.retry_after_s(), self.breaker.state_name
             )
+        # Read after allow(): an expiring cooldown can move the breaker
+        # to half-open inside allow(), which then admits this request as
+        # a probe whose slot must be released below.
+        probe = self.breaker.state == HALF_OPEN
         try:
-            result = await self._submit_inner(key, job, wait, deadline)
+            result = await self._enqueue(key, job, wait, deadline)
         except SimulationFailed:
             self.breaker.record_failure(probe=probe)
             raise
         except ServiceError:
             # Backpressure, deadline expiry, shutdown: load and client
-            # budgets, not shard sickness — no breaker outcome, but a
+            # budgets, not engine sickness — no breaker outcome, but a
             # half-open probe slot must still be released.
             if probe:
                 self.breaker.release_probe()
@@ -351,7 +395,7 @@ class ShardPipeline:
         self.breaker.record_success(probe=probe)
         return result
 
-    async def _submit_inner(
+    async def _enqueue(
         self,
         key: StoreKey,
         job: SimJob,
@@ -395,7 +439,7 @@ class ShardPipeline:
         if deadline is None:
             result = await asyncio.shield(pending.future)  # lint-ok: R006
         else:
-            remaining = deadline - self._clock.monotonic()
+            remaining = deadline - self.clock.monotonic()
             try:
                 result = await asyncio.wait_for(
                     asyncio.shield(pending.future), timeout=remaining
@@ -415,189 +459,18 @@ class ShardPipeline:
             )
         return result
 
-    def snapshot(self) -> dict:
-        """Each stage's operational snapshot, keyed by stage name,
-        plus the shard's breaker state."""
-        snap = {stage.name: stage.snapshot() for stage in self.stages}
-        snap["breaker"] = self.breaker.snapshot()
-        return snap
-
-
-class SimulationService:
-    """The async request pipeline in front of a :class:`StagedEngine`.
-
-    Args:
-        engine: The engine to drive (default: a fresh one over the
-            process-wide store).  All shards share it — and the store
-            beneath it, so a result computed by one shard is a store
-            hit on every shard.
-        config: Operational knobs; see :class:`ServiceConfig`.
-        clock: Monotonic time source (tests inject a fake).
-        metrics: Registry to record into (default: a private one).
-
-    Use as an async context manager, or call :meth:`start` /
-    :meth:`stop` explicitly.  All methods must be called from the
-    event loop the service was started on.
-    """
-
-    def __init__(
-        self,
-        engine: StagedEngine | None = None,
-        config: ServiceConfig | None = None,
-        clock: Clock | None = None,
-        metrics: MetricsRegistry | None = None,
-        interceptor_factory: Callable[[int], Interceptor] | None = None,
-    ) -> None:
-        self.engine = engine if engine is not None else StagedEngine()
-        self.config = config if config is not None else ServiceConfig()
-        self.clock = clock if clock is not None else MONOTONIC_CLOCK
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.router = ShardRouter(self.config.shards)
-        self.shards = [
-            ShardPipeline(
-                index=index,
-                engine=self.engine,
-                config=self.config,
-                clock=self.clock,
-                metrics=self.metrics.scoped(f"shard_{index}"),
-                interceptor=(
-                    interceptor_factory(index)
-                    if interceptor_factory is not None else None
-                ),
-            )
-            for index in range(self.config.shards)
-        ]
-        #: Shards currently down for restart; the router walks past
-        #: them so only their keys remap (see ShardRouter.route).
-        self.down: set[int] = set()
-        self._started = False
-        # Imported here to break the module cycle: the supervisor
-        # drives the service, the service owns the supervisor.
-        from repro.service.supervisor import ShardSupervisor
-
-        self.supervisor = ShardSupervisor(self)
-
-    # -- lifecycle -----------------------------------------------------
-
-    async def start(self) -> None:
-        """Spawn every shard's batcher task and the supervisor;
-        idempotent."""
-        if self._started:
-            return
-        self._started = True
-        for shard in self.shards:
-            shard.start()
-        self.supervisor.start()
-
-    async def stop(self) -> None:
-        """Stop supervision, drain every shard, flush the warehouse.
-
-        The supervisor goes first (its re-route tasks either finish or
-        fail their futures loudly — no orphaned tasks), then each shard
-        drains, then the store's write-behind tier flushes.
-        """
-        if not self._started:
-            return
-        self._started = False
-        await self.supervisor.stop()
-        for shard in self.shards:
-            await shard.drain()  # lint-ok: R006 - sentinel-bounded
-        self.engine.store.flush()
-
-    async def __aenter__(self) -> "SimulationService":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.stop()
-
-    # -- the request path ----------------------------------------------
-
-    def shard_for(self, key: StoreKey) -> ShardPipeline:
-        """The live shard owning ``key`` under the router.
-
-        Down shards are excluded: while a crashed shard restarts, its
-        keys (and only its keys) fail over around the ring.
-
-        Raises:
-            ShardUnavailable: Every shard is down.
-        """
-        try:
-            index = self.router.route(key, exclude=frozenset(self.down))
-        except ValueError:
-            raise ShardUnavailable(
-                shard=-1,
-                retry_after_s=self.config.restart_backoff_s,
-                state="all shards down",
-            ) from None
-        return self.shards[index]
-
-    def queue_depth(self) -> int:
-        """Pending jobs across every shard's admission queue."""
-        return sum(shard.admission.depth for shard in self.shards)
-
-    def _absolute_deadline(self, deadline_s: float | None) -> float | None:
-        """An absolute monotonic deadline from a relative budget,
-        falling back to the configured default budget."""
-        budget = (
-            deadline_s if deadline_s is not None
-            else self.config.default_deadline_s
-        )
-        if budget is None:
-            return None
-        return self.clock.monotonic() + budget
-
-    async def submit(
-        self,
-        job: SimJob,
-        wait: bool = False,
-        deadline_s: float | None = None,
-    ) -> RunResult:
-        """Serve one canonicalized job through the full pipeline.
-
-        Args:
-            job: The canonical configuration to simulate.
-            wait: When the owning shard's queue is full, ``False`` (the
-                default, used for external requests) raises
-                :class:`~repro.service.stages.Backpressure`; ``True``
-                (used by internal fan-outs like sweeps) awaits queue
-                space instead, so a large expansion throttles itself
-                rather than being rejected.
-            deadline_s: Remaining budget in seconds (``None`` uses the
-                configured default; both ``None`` = unbounded).  The
-                deadline propagates through every stage: admission
-                refuses spent budgets, the batcher cancels jobs no
-                waiter can use, and the await gives up at the deadline
-                even mid-computation.
-
-        Raises:
-            Backpressure: Queue full and ``wait`` is false.
-            ShardUnavailable: The owning shard's breaker is open.
-            DeadlineExceeded: The budget ran out before a result.
-            SimulationFailed: The engine gave up on the job.
-        """
-        if not self._started:
-            raise ServiceError("service is not running (call start())")
-        started = self.clock.monotonic()
-        key = sim_stages.run_key(job.app, job.scheme, job.system)
-        deadline = self._absolute_deadline(deadline_s)
-        result = await self.shard_for(key).submit(key, job, wait, deadline)
-        return self._respond(started, result)
-
     async def submit_many(
         self,
         jobs: Iterable[SimJob],
         deadline_s: float | None = None,
     ) -> list[RunResult]:
-        """Fan a set of jobs across the shards, preserving order.
+        """Submit a set of jobs concurrently, preserving order.
 
-        Used by sweep requests: every job routes to its owning shard
-        and rides the same coalescing and batching machinery as
-        individual requests (a concurrent client asking for one of the
-        sweep's points shares its computation), so a sweep's points run
-        on every shard's engine pool concurrently.  Jobs beyond a
-        shard's queue bound throttle the caller instead of being
-        rejected; an oversized expansion raises
+        Used by sweep requests: every job rides the same coalescing and
+        batching machinery as individual requests (a concurrent client
+        asking for one of the sweep's points shares its computation).
+        Jobs beyond the queue bound throttle the caller instead of
+        being rejected; an oversized expansion raises
         :class:`~repro.service.stages.ServiceError` up front.  An
         optional ``deadline_s`` budget applies to every point of the
         fan-out.
@@ -627,11 +500,12 @@ class SimulationService:
     # -- observability -------------------------------------------------
 
     def snapshot(self) -> dict:
-        """The metrics snapshot plus derived rates, engine counters,
-        warehouse-tier statistics, and per-shard stage state."""
-        # The bare queue_depth gauge is last-writer-wins across shards;
-        # pin it to the true cross-shard sum at snapshot time.
-        self.metrics.gauge("queue_depth").set(self.queue_depth())
+        """The metrics snapshot plus derived rates, store and warehouse
+        statistics, each stage's state, the breaker, and the
+        supervisor."""
+        # The batcher updates the gauge only after it assembles a
+        # batch; pin it to the true depth at snapshot time.
+        self.metrics.gauge("queue_depth").set(self.admission.depth)
         snap = self.metrics.snapshot()
         counters = snap["counters"]
         requests = counters.get("requests_total", 0)
@@ -646,7 +520,6 @@ class SimulationService:
             ),
         }
         snap["engine"] = {
-            "pool_fallbacks": get_pool_fallback_count(),
             "store_entries": store_stats.size,
             "store_hits": store_stats.hits,
             "store_misses": store_stats.misses,
@@ -657,9 +530,7 @@ class SimulationService:
             "warehouse_segments": store_stats.warehouse_segments,
             "warehouse_bytes": store_stats.warehouse_bytes,
         }
-        snap["shards"] = {
-            f"shard_{shard.index}": shard.snapshot() for shard in self.shards
-        }
+        snap["stages"] = {stage.name: stage.snapshot() for stage in self.stages}
+        snap["breaker"] = self.breaker.snapshot()
         snap["supervisor"] = self.supervisor.snapshot()
-        snap["supervisor"]["down_shards"] = sorted(self.down)
         return snap

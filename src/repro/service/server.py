@@ -14,12 +14,13 @@ POST      ``/sweep``     a grid sweep, expanded through the pipeline
 ========  =============  ===========================================
 
 Error mapping is structural, never a hung connection: malformed
-payloads are ``400``, an over-full queue is ``429`` with a
-``Retry-After`` header, an open circuit breaker (or down shard) is
-``503`` with a ``Retry-After`` header, an engine-timeout job or an
-expired request deadline is ``504``, any other engine failure is
-``500`` — each with a JSON body naming the error type, so clients
-branch on data rather than prose.
+requests (including a negative ``Content-Length`` or a non-finite
+deadline) are ``400``, an over-full queue is ``429`` with a
+``Retry-After`` header, an open circuit breaker (a failing or
+restarting stack) is ``503`` with a ``Retry-After`` header, an expired
+request deadline is ``504``, and an engine failure is ``500`` — each
+with a JSON body naming the error type, so clients branch on data
+rather than prose.
 
 **Deadline propagation**: a client may stamp an
 ``X-Repro-Deadline-S`` header (remaining budget, seconds) on
@@ -34,6 +35,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import math
 from typing import Any, Awaitable, Callable, Mapping
 
 from repro.service import codec
@@ -236,6 +238,13 @@ class ServiceServer:
                            f"bad Content-Length {length_text!r}"),
             )
             return False
+        if length < 0:
+            await _respond_error(
+                writer,
+                _HttpError(400, "malformed-request",
+                           f"negative Content-Length {length}"),
+            )
+            return False
         if length > _MAX_BODY:
             await _respond_error(
                 writer,
@@ -429,9 +438,8 @@ class ServiceServer:
 
 
 def _simulation_failed_error(exc: SimulationFailed) -> _HttpError:
-    status = 504 if exc.reason == "timeout" else 500
     return _HttpError(
-        status, "simulation-failed", str(exc),
+        500, "simulation-failed", str(exc),
         extra={"reason": exc.reason, "attempts": exc.attempts,
                "detail": exc.detail[-2000:]},
     )
@@ -441,8 +449,7 @@ def _shard_unavailable_error(exc: ShardUnavailable) -> _HttpError:
     return _HttpError(
         503, "shard-unavailable", str(exc),
         headers={"Retry-After": f"{exc.retry_after_s:.3f}"},
-        extra={"shard": exc.shard, "state": exc.state,
-               "retry_after_s": exc.retry_after_s},
+        extra={"state": exc.state, "retry_after_s": exc.retry_after_s},
     )
 
 
@@ -455,8 +462,9 @@ def _deadline_exceeded_error(exc: DeadlineExceeded) -> _HttpError:
 def _parse_deadline(headers: Mapping[str, str]) -> float | None:
     """The ``X-Repro-Deadline-S`` budget, or ``None`` when absent.
 
-    A malformed or non-positive budget is a client error, surfaced as
-    a structured 400 rather than silently treated as unbounded.
+    A malformed, non-finite, or non-positive budget is a client error,
+    surfaced as a structured 400 rather than silently treated as
+    unbounded.
     """
     raw = headers.get(_DEADLINE_HEADER)
     if raw is None:
@@ -468,6 +476,11 @@ def _parse_deadline(headers: Mapping[str, str]) -> float | None:
             400, "bad-request",
             f"bad {_DEADLINE_HEADER} value {raw!r}: expected seconds",
         ) from None
+    if not math.isfinite(value):
+        raise _HttpError(
+            400, "bad-request",
+            f"bad {_DEADLINE_HEADER} value {raw!r}: must be finite",
+        )
     if value <= 0:
         raise _HttpError(
             400, "bad-request",

@@ -1,9 +1,9 @@
 """Composable pipeline stages: admission, coalescing, batching, execution.
 
-The request pipeline used to be one monolithic ``SimulationService``;
-it is now four small stages, each behind the :class:`PipelineStage`
-protocol, so a shard (:class:`~repro.service.pipeline.ShardPipeline`)
-is just a wired stack of stages with its own metrics scope:
+The request path is four small stages, each behind the
+:class:`PipelineStage` protocol, which
+:class:`~repro.service.pipeline.SimulationService` wires into its one
+stack:
 
 * :class:`Admission` — the bounded intake queue.  A request that cannot
   be enqueued raises :class:`Backpressure` with a retry-after hint
@@ -16,15 +16,16 @@ is just a wired stack of stages with its own metrics scope:
   in; owns the per-job latency EMA that both the linger and the
   retry-after hint scale from;
 * :class:`Executor` — engine dispatch.  Runs
-  :meth:`~repro.sim.engine.StagedEngine.run_many` off the event loop
-  and turns engine-infrastructure crashes into
-  :class:`~repro.sim.engine.FailedJob` slots, never a hung future.
+  :meth:`~repro.sim.engine.StagedEngine.run_many` in-process on a
+  worker thread, off the event loop, and turns engine-infrastructure
+  crashes into :class:`~repro.sim.engine.FailedJob` slots, never a
+  hung future.
 
 Every stage implements the same protocol surface — a ``name``, a
 ``snapshot()`` of its operational state, and an async ``drain()`` for
 shutdown — which ``repro lint`` rule R003 verifies stays in lock-step
 across implementations (a stage that drifts from the protocol cannot
-be wired into a shard).
+be wired into the stack).
 
 **Deadlines** propagate through the stack: a :class:`Pending` carries
 the latest absolute deadline any of its waiters can still use (the
@@ -40,7 +41,7 @@ that sleeps injects stage latency; one that raises
 :data:`CHAOS_FAILURE`-style exceptions produces typed
 :class:`~repro.sim.engine.FailedJob` slots; one that raises a
 :class:`BatchCrash` escapes the batcher loop entirely and kills the
-shard's drain task — the crash the
+stack's drain task — the crash the
 :class:`~repro.service.supervisor.ShardSupervisor` exists to recover
 from.  Production stacks leave it ``None``.
 
@@ -58,7 +59,7 @@ from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Protocol
 
 from repro.service.clock import Clock
-from repro.service.metrics import MetricsScope
+from repro.service.metrics import MetricsRegistry
 from repro.sim.engine import FailedJob, SimJob, StagedEngine
 from repro.sim.store import StoreKey
 
@@ -112,8 +113,9 @@ class SimulationFailed(ServiceError):
     """The engine could not produce a result for this job.
 
     Attributes:
-        reason: ``"error"`` or ``"timeout"`` (see
-            :class:`~repro.sim.engine.FailedJob`).
+        reason: The :class:`~repro.sim.engine.FailedJob` reason
+            (``"error"``: the service runs jobs in-process, where
+            nothing can time a job out).
         detail: Traceback text of the final attempt (may be empty).
         attempts: How many times the engine tried.
     """
@@ -141,25 +143,24 @@ class DeadlineExceeded(ServiceError):
 
 
 class ShardUnavailable(ServiceError):
-    """The owning shard's circuit breaker is open (or the shard is
-    down for restart); retry after ``retry_after_s``.
+    """The circuit breaker is open (the engine keeps failing, or the
+    stack is down for restart); retry after ``retry_after_s``.
 
     The HTTP layer maps this to ``503`` + ``Retry-After`` — the sick
-    shard sheds load while healthy shards keep serving.
+    stack sheds load while store hits keep being served.
     """
 
-    def __init__(self, shard: int, retry_after_s: float, state: str) -> None:
+    def __init__(self, retry_after_s: float, state: str) -> None:
         super().__init__(
-            f"shard {shard} is unavailable ({state}); "
+            f"service is unavailable ({state}); "
             f"retry in {retry_after_s:.2f}s"
         )
-        self.shard = shard
         self.retry_after_s = retry_after_s
         self.state = state
 
 
 class BatchCrash(BaseException):
-    """A deliberate, unhandled crash of a shard's drain task.
+    """A deliberate, unhandled crash of the stack's drain task.
 
     Derives from :class:`BaseException` so the executor's
     failure-isolation net (which converts ``Exception`` into typed
@@ -196,10 +197,10 @@ class Pending:
 class PipelineStage(Protocol):
     """The contract every pipeline stage implements.
 
-    A stage is a small, independently-testable unit of the per-shard
-    request path.  Beyond its stage-specific operations, every stage
-    exposes the same three-part surface so shards can wire, observe,
-    and shut down any stack of stages uniformly — and so ``repro lint``
+    A stage is a small, independently-testable unit of the request
+    path.  Beyond its stage-specific operations, every stage exposes
+    the same three-part surface so the service can wire, observe, and
+    shut down its stack of stages uniformly — and so ``repro lint``
     rule R003 can hold implementations to the protocol signature:
 
     * ``name`` — a stable label used in snapshots and metrics;
@@ -227,7 +228,7 @@ class Admission:
     Args:
         max_queue: Pending (not yet batched) jobs held before new work
             is rejected with :class:`Backpressure`.
-        metrics: The shard's metrics scope.
+        metrics: The service's metrics registry.
         retry_after: Maps the current queue depth to the retry-after
             hint sent with a rejection (wired to
             :meth:`Batcher.suggest_retry_after`, which scales the hint
@@ -239,7 +240,7 @@ class Admission:
     def __init__(
         self,
         max_queue: int,
-        metrics: MetricsScope,
+        metrics: MetricsRegistry,
         retry_after: Callable[[int], float],
         clock: Clock | None = None,
     ) -> None:
@@ -352,7 +353,7 @@ class Coalescer:
 
     name = "coalescer"
 
-    def __init__(self, metrics: MetricsScope) -> None:
+    def __init__(self, metrics: MetricsRegistry) -> None:
         self._inflight: dict[StoreKey, Pending] = {}
         self._metrics = metrics
 
@@ -379,9 +380,10 @@ class Coalescer:
     def inflight_items(self) -> list[Pending]:
         """The tracked computations themselves.
 
-        The supervisor reads these when a shard crashes: the map is the
-        authoritative list of work with live waiters (queued *and*
-        mid-batch), exactly what must be re-routed rather than dropped.
+        The supervisor reads these when the stack crashes: the map is
+        the authoritative list of work with live waiters (queued *and*
+        mid-batch), exactly what must be re-submitted rather than
+        dropped.
         """
         return list(self._inflight.values())
 
@@ -396,7 +398,7 @@ class Coalescer:
 
 
 class Batcher:
-    """Stage 3: adaptive batch assembly and the shard's pacing brain.
+    """Stage 3: adaptive batch assembly and the stack's pacing brain.
 
     One batcher task drains the admission queue into executor calls,
     sizing each batch from the observed queue depth and lingering
@@ -410,7 +412,7 @@ class Batcher:
         linger_s: Upper bound on how long a batch waits for company.
         retry_after_floor: Floor of the retry-after hint.
         clock: Monotonic time source.
-        metrics: The shard's metrics scope.
+        metrics: The service's metrics registry.
     """
 
     name = "batcher"
@@ -421,7 +423,7 @@ class Batcher:
         linger_s: float,
         retry_after_floor: float,
         clock: Clock,
-        metrics: MetricsScope,
+        metrics: MetricsRegistry,
     ) -> None:
         self._max_batch = max_batch
         self._linger_cap = linger_s
@@ -445,13 +447,12 @@ class Batcher:
         admission: Admission,
         coalescer: Coalescer,
         executor: "Executor",
-        task_name: str = "repro-service-batcher",
     ) -> None:
         """Wire the stack and spawn the drain task.
 
         Idempotent while the task is alive; a finished (crashed or
         drained) task may be replaced, which is how the supervisor
-        restarts a shard's stack in place.
+        restarts the stack in place.
         """
         if self._task is not None and not self._task.done():
             return
@@ -459,7 +460,7 @@ class Batcher:
         self._coalescer = coalescer
         self._executor = executor
         self._task = asyncio.get_running_loop().create_task(
-            self._loop(), name=task_name
+            self._loop(), name="repro-service-batcher"
         )
 
     @property
@@ -471,9 +472,9 @@ class Batcher:
     def crashed(self) -> bool:
         """Whether the drain task died with an unhandled exception.
 
-        This is the supervisor's health probe: a healthy shard's task
-        is alive, a drained shard's task finished cleanly, a crashed
-        shard's task finished with an exception still attached.
+        This is the supervisor's health probe: a healthy stack's task
+        is alive, a drained stack's task finished cleanly, a crashed
+        stack's task finished with an exception still attached.
         """
         task = self._task
         return (
@@ -491,7 +492,7 @@ class Batcher:
         return task.exception()
 
     def suggest_retry_after(self, queue_depth: int) -> float:
-        """A retry-after hint scaled to how far behind the shard is."""
+        """A retry-after hint scaled to how far behind the stack is."""
         if self._ema is None:
             return self._retry_after_floor
         backlog_batches = 1 + queue_depth // self._max_batch
@@ -628,20 +629,16 @@ class Batcher:
 class Executor:
     """Stage 4: engine dispatch off the event loop.
 
-    Runs :meth:`~repro.sim.engine.StagedEngine.run_many` in a thread so
-    the event loop stays responsive, and absorbs engine-infrastructure
-    crashes (not per-job failures — the hardened engine already types
-    those) into :class:`~repro.sim.engine.FailedJob` slots, so a
-    broken pool can never hang a waiter.
+    Runs :meth:`~repro.sim.engine.StagedEngine.run_many` in-process
+    (a worker count of 1) on a worker thread so the event loop stays
+    responsive, and absorbs engine-infrastructure crashes (not per-job
+    failures — the hardened engine already types those) into
+    :class:`~repro.sim.engine.FailedJob` slots, so a broken engine can
+    never hang a waiter.
 
     Args:
         engine: The engine to drive.
-        max_workers: Engine process-pool width per batch (``None``
-            uses the engine default; 1 = in-process).
-        job_timeout: Per-job seconds before the engine declares a
-            :class:`~repro.sim.engine.FailedJob` (pool runs only).
         retries: Engine-level re-attempts per job.
-        metrics: The shard's metrics scope.
         interceptor: Optional chaos hook awaited before each engine
             dispatch, *outside* the failure-isolation net: a sleeping
             interceptor injects stage latency, an ``Exception`` becomes
@@ -655,17 +652,11 @@ class Executor:
     def __init__(
         self,
         engine: StagedEngine,
-        max_workers: int | None,
-        job_timeout: float | None,
         retries: int,
-        metrics: MetricsScope,
         interceptor: Callable[[list[SimJob]], Awaitable[None]] | None = None,
     ) -> None:
         self.engine = engine
-        self._max_workers = max_workers
-        self._job_timeout = job_timeout
         self._retries = retries
-        self._metrics = metrics
         self._interceptor = interceptor
 
     async def execute(self, jobs: list[SimJob]) -> list:
@@ -693,21 +684,14 @@ class Executor:
             return [failure] * len(jobs)
 
     def _run_many(self, jobs: list[SimJob]) -> list:
-        return self.engine.run_many(
-            jobs,
-            max_workers=self._max_workers,
-            job_timeout=self._job_timeout,
-            retries=self._retries,
-        )
+        # Worker count 1: the batch runs in this thread.  A process
+        # pool per batch costs more than the millisecond jobs it runs.
+        return self.engine.run_many(jobs, 1, retries=self._retries)
 
     def snapshot(self) -> dict:
         """The engine-dispatch knobs."""
-        return {
-            "max_workers": self._max_workers,
-            "job_timeout": self._job_timeout,
-            "retries": self._retries,
-        }
+        return {"retries": self._retries}
 
     async def drain(self) -> None:
-        """Nothing to release — batches own their pool lifetimes."""
+        """Nothing to release — batches run on the loop's thread pool."""
         return None

@@ -1,42 +1,40 @@
-"""Shard supervision: detect crashed drain tasks, recover, re-route.
+"""Stack supervision: detect a crashed drain task, recover, re-submit.
 
-A shard's batcher task is its heartbeat — every queued request funnels
-through it, so an unhandled crash (a chaos :class:`BatchCrash`, a bug
-in a stage, a poisoned batch) would otherwise strand the shard's whole
+The batcher task is the service's heartbeat — every queued request
+funnels through it, so an unhandled crash (a chaos :class:`BatchCrash`,
+a bug in a stage, a poisoned batch) would otherwise strand the whole
 queue on futures nobody will ever resolve.  The supervisor closes that
 hole with a small health loop:
 
-1. **detect** — every ``supervisor_interval_s`` it probes each shard's
+1. **detect** — every ``supervisor_interval_s`` it probes the
    :attr:`~repro.service.stages.Batcher.crashed` flag (a finished task
    with an exception still attached);
-2. **fence** — the crashed shard joins the service's ``down`` set (the
-   router walks past it, so only its keys remap) and its breaker is
-   forced open (requests that raced the fence shed with 503);
+2. **fence** — the breaker is forced open, so requests that would need
+   the engine shed with 503 + Retry-After while store hits keep being
+   served;
 3. **drain** — the dead stack's stranded work is collected: the
    admission queue is emptied and the coalescing map (the
    authoritative list of computations with live waiters, queued *and*
-   mid-batch) is cleared;
-4. **re-route** — each stranded computation is re-submitted through
-   the consistent-hash ring (excluding down shards) on its own task;
-   the outcome — result or structured failure — lands on the original
-   future, so every coalesced waiter resolves rather than hangs.  With
-   no healthy shard left (the single-shard case) the work is held and
-   re-routed after the restart instead;
-5. **restart** — after a bounded exponential backoff (doubling per
-   consecutive crash of the same shard, capped), the shard's execution
-   stages are rebuilt and its task respawned; the breaker resets and
-   the shard leaves the ``down`` set.
+   mid-batch) is cleared, and the work is held;
+4. **restart** — after a bounded exponential backoff (doubling per
+   consecutive crash, capped), the batcher is rebuilt and its task
+   respawned; the breaker resets;
+5. **re-submit** — each held computation is re-submitted through the
+   restarted stack on its own task; the outcome — result or structured
+   failure — lands on the original future, so every coalesced waiter
+   resolves rather than hangs.
 
-Recovery is observable: ``supervisor_restarts`` counts restarts (per
-shard and in aggregate), ``supervisor_recovery_latency_s`` records
-detect-to-restart latency, and the snapshot reports per-shard crash
-counts.  The supervisor also runs the warehouse scrubber on a
-configurable cadence (``scrub_interval_s``), counting repaired records
-on ``scrub_repairs``.
+Recovery is observable: ``supervisor_restarts`` counts restarts,
+``supervisor_recovery_latency_s`` records detect-to-restart latency,
+and the snapshot reports the crash count.  The supervisor also runs
+the warehouse scrubber on a configurable cadence
+(``scrub_interval_s``), counting repaired records on
+``scrub_repairs``.
 
 Shutdown is orphan-free by construction: :meth:`ShardSupervisor.stop`
-cancels the health loop, then settles every outstanding re-route task —
-a re-route that cannot finish fails its future with a structured
+cancels the health loop, then settles every outstanding re-submit task
+— work held by a recovery cut short, and a re-submit that cannot
+finish, fail their futures with a structured
 :class:`~repro.service.stages.ServiceError` instead of leaking.
 """
 
@@ -49,16 +47,24 @@ from typing import TYPE_CHECKING
 from repro.service.stages import Pending, ServiceError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.service.pipeline import ShardPipeline, SimulationService
+    from repro.service.pipeline import SimulationService
 
 __all__ = ["ShardSupervisor"]
 
 _log = logging.getLogger("repro.service.supervisor")
 
 
+def _fail_stopped(pending: Pending) -> None:
+    """Fail a computation the stopping service will never run."""
+    if not pending.future.done():
+        pending.future.set_exception(
+            ServiceError("service stopped before the job ran")
+        )
+
+
 class ShardSupervisor:
-    """The health-check / restart / re-route loop over a service's
-    shards.
+    """The health-check / restart / re-submit loop over the service's
+    stage stack.
 
     Args:
         service: The owning :class:`SimulationService`; interval,
@@ -71,10 +77,10 @@ class ShardSupervisor:
         self._clock = service.clock
         self._metrics = service.metrics
         self._task: asyncio.Task | None = None
-        self._reroutes: set[asyncio.Task] = set()
-        self._crash_counts: dict[int, int] = {}
-        self._consecutive: dict[int, int] = {}
-        self._restarted_at: dict[int, float] = {}
+        self._resubmits: set[asyncio.Task] = set()
+        self._crashes = 0
+        self._consecutive = 0
+        self._restarted_at: float | None = None
         self._last_scrub = 0.0
 
     # -- lifecycle -----------------------------------------------------
@@ -89,10 +95,11 @@ class ShardSupervisor:
         )
 
     async def stop(self) -> None:
-        """Cancel the health loop and settle every re-route task.
+        """Cancel the health loop and settle every re-submit task.
 
-        No orphans: outstanding re-routes are cancelled and any future
-        they still owned fails with a structured error.
+        No orphans: a recovery cut short fails the work it held,
+        outstanding re-submits are cancelled, and any future they still
+        owned fails with a structured error.
         """
         if self._task is not None:
             self._task.cancel()
@@ -103,12 +110,12 @@ class ShardSupervisor:
             except asyncio.CancelledError:  # lint-ok: R007
                 pass
             self._task = None
-        if self._reroutes:
-            tasks = list(self._reroutes)
+        if self._resubmits:
+            tasks = list(self._resubmits)
             for task in tasks:
                 task.cancel()
             await asyncio.gather(*tasks, return_exceptions=True)
-            self._reroutes.clear()
+            self._resubmits.clear()
 
     # -- the health loop -----------------------------------------------
 
@@ -116,112 +123,101 @@ class ShardSupervisor:
         interval = self._config.supervisor_interval_s
         while True:
             await asyncio.sleep(interval)
-            for shard in self._service.shards:
-                if shard.crashed and shard.index not in self._service.down:
-                    await self._recover(shard)
-                else:
-                    self._maybe_forgive(shard.index)
+            if self._service.batcher.crashed:
+                await self._recover()
+            else:
+                self._maybe_forgive()
             self._maybe_scrub()
 
-    def _maybe_forgive(self, index: int) -> None:
-        """Clear a shard's consecutive-crash streak once it has stayed
+    def _maybe_forgive(self) -> None:
+        """Clear the consecutive-crash streak once the stack has stayed
         healthy for a full (maximum) backoff window — so the next
         isolated crash restarts fast again, while a crash loop keeps
         its doubled delays."""
-        restarted = self._restarted_at.get(index)
-        if restarted is None or index not in self._consecutive:
+        if self._restarted_at is None or not self._consecutive:
             return
-        stable_for = self._clock.monotonic() - restarted
+        stable_for = self._clock.monotonic() - self._restarted_at
         if stable_for >= self._config.restart_max_backoff_s:
-            self._consecutive.pop(index, None)
+            self._consecutive = 0
 
-    async def _recover(self, shard: "ShardPipeline") -> None:
+    async def _recover(self) -> None:
+        service = self._service
         detected = self._clock.monotonic()
-        index = shard.index
-        self._crash_counts[index] = self._crash_counts.get(index, 0) + 1
-        self._consecutive[index] = self._consecutive.get(index, 0) + 1
-        exc = shard.batcher.crash_exception()
+        self._crashes += 1
+        self._consecutive += 1
         _log.warning(
-            "shard %d drain task crashed (%r); recovering", index, exc
+            "service drain task crashed (%r); recovering",
+            service.batcher.crash_exception(),
         )
-        # Fence: router walks past the shard, racing requests shed load.
-        self._service.down.add(index)
-        shard.breaker.force_open()
-        # Drain the dead stack's stranded work.
-        stranded = self._collect_stranded(shard)
-        # Re-route through the ring now when any shard is alive;
-        # otherwise hold the work for the restarted shard below.
-        healthy_left = len(self._service.down) < len(self._service.shards)
-        if healthy_left:
-            for pending in stranded:
-                self._spawn_reroute(pending)
-            held: list[Pending] = []
-        else:
-            held = stranded
+        # Fence: requests that need the engine shed load until restart.
+        service.breaker.force_open()
+        held = self._collect_stranded()
         # Bounded exponential backoff per consecutive crash.
         backoff = min(
             self._config.restart_max_backoff_s,
-            self._config.restart_backoff_s
-            * (2 ** (self._consecutive[index] - 1)),
+            self._config.restart_backoff_s * (2 ** (self._consecutive - 1)),
         )
-        await asyncio.sleep(backoff)
-        shard.restart_stack()
-        shard.breaker.reset()
-        self._service.down.discard(index)
-        self._restarted_at[index] = self._clock.monotonic()
+        try:
+            await asyncio.sleep(backoff)
+        except asyncio.CancelledError:
+            # Stopped mid-backoff: the held work will never run.
+            for pending in held:
+                _fail_stopped(pending)
+            raise
+        service.restart_stack()
+        service.breaker.reset()
+        self._restarted_at = self._clock.monotonic()
         for pending in held:
-            self._spawn_reroute(pending)
-        scope = self._metrics.scoped(f"shard_{index}")
-        scope.counter("supervisor_restarts").inc()
-        scope.histogram("supervisor_recovery_latency_s").observe(
+            self._spawn_resubmit(pending)
+        self._metrics.counter("supervisor_restarts").inc()
+        self._metrics.histogram("supervisor_recovery_latency_s").observe(
             self._clock.monotonic() - detected
         )
 
-    def _collect_stranded(self, shard: "ShardPipeline") -> list[Pending]:
+    def _collect_stranded(self) -> list[Pending]:
         """Empty the dead stack's queue and coalescing map, returning
         every computation that still has unresolved waiters."""
-        while shard.admission.take_nowait() is not None:
+        admission = self._service.admission
+        coalescer = self._service.coalescer
+        while admission.take_nowait() is not None:
             # The coalescing map is a superset of the queue (every
             # queued Pending is registered); emptying the queue just
             # keeps the restarted batcher from re-running them.
             pass
         stranded = [
             pending
-            for pending in shard.coalescer.inflight_items()
+            for pending in coalescer.inflight_items()
             if not pending.future.done()
         ]
         for pending in stranded:
-            shard.coalescer.resolve(pending.key)
+            coalescer.resolve(pending.key)
         return stranded
 
-    # -- re-routing ----------------------------------------------------
+    # -- re-submitting -------------------------------------------------
 
-    def _spawn_reroute(self, pending: Pending) -> None:
+    def _spawn_resubmit(self, pending: Pending) -> None:
         task = asyncio.get_running_loop().create_task(
-            self._reroute(pending),
-            name=f"repro-service-reroute-{len(self._reroutes)}",
+            self._resubmit(pending),
+            name=f"repro-service-resubmit-{len(self._resubmits)}",
         )
-        self._reroutes.add(task)
-        task.add_done_callback(self._reroutes.discard)
+        self._resubmits.add(task)
+        task.add_done_callback(self._resubmits.discard)
 
-    async def _reroute(self, pending: Pending) -> None:
-        """Re-submit one stranded computation through a live shard.
+    async def _resubmit(self, pending: Pending) -> None:
+        """Re-submit one stranded computation through the restarted
+        stack.
 
         Whatever happens lands on the original future — a result, a
         structured failure, or (on shutdown) a loud service error — so
-        no coalesced waiter ever hangs on a crashed shard.
+        no coalesced waiter ever hangs on a crashed stack.
         """
         try:
-            shard = self._service.shard_for(pending.key)
-            result = await shard.submit(
+            result = await self._service.serve_key(
                 pending.key, pending.job, wait=True,
                 deadline=pending.deadline,
             )
         except asyncio.CancelledError:
-            if not pending.future.done():
-                pending.future.set_exception(
-                    ServiceError("service stopped before the job ran")
-                )
+            _fail_stopped(pending)
             raise
         except ServiceError as exc:
             if not pending.future.done():
@@ -229,7 +225,7 @@ class ShardSupervisor:
         except Exception as exc:
             if not pending.future.done():
                 pending.future.set_exception(
-                    ServiceError(f"re-route failed: {exc!r}")
+                    ServiceError(f"re-submit failed: {exc!r}")
                 )
         else:
             if not pending.future.done():
@@ -264,12 +260,9 @@ class ShardSupervisor:
     # -- observability -------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Crash counts and outstanding re-routes, JSON-ready."""
+        """Crash count and outstanding re-submits, JSON-ready."""
         return {
             "running": self._task is not None and not self._task.done(),
-            "crash_counts": {
-                f"shard_{index}": count
-                for index, count in sorted(self._crash_counts.items())
-            },
-            "reroutes_inflight": len(self._reroutes),
+            "crashes": self._crashes,
+            "resubmits_inflight": len(self._resubmits),
         }

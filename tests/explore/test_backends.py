@@ -8,7 +8,6 @@ from repro.explore.backends import EvaluationError, LocalBackend, ServiceBackend
 from repro.explore.objectives import resolve_design
 from repro.service import codec
 from repro.service.check import ServerHarness
-from repro.service.pipeline import ServiceConfig
 from repro.sim.engine import FailedJob, StagedEngine
 from repro.sim.store import ResultStore
 
@@ -68,10 +67,7 @@ class TestServiceBackend:
         )
         local = LocalBackend()
         local_payloads = local.submit(jobs)
-        with ServerHarness(
-            service_config=ServiceConfig(max_workers=2, shards=2),
-            engine=StagedEngine(ResultStore()),
-        ) as harness:
+        with ServerHarness(engine=StagedEngine(ResultStore())) as harness:
             backend = ServiceBackend(
                 client=harness.client(timeout=60, max_attempts=5),
                 max_in_flight=2,

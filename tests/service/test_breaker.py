@@ -1,4 +1,4 @@
-"""Unit tests for the per-shard circuit breaker state machine."""
+"""Unit tests for the circuit breaker state machine."""
 
 from __future__ import annotations
 
@@ -25,9 +25,7 @@ def make_breaker(**overrides):
     defaults.update(overrides)
     clock = FakeClock()
     registry = MetricsRegistry()
-    breaker = CircuitBreaker(
-        BreakerConfig(**defaults), clock, registry.scoped("shard_0")
-    )
+    breaker = CircuitBreaker(BreakerConfig(**defaults), clock, registry)
     return breaker, clock, registry
 
 
@@ -143,7 +141,7 @@ class TestStateMachine:
         breaker, clock, registry = make_breaker()
 
         def gauge():
-            return registry.snapshot()["gauges"]["shard_0/breaker_state"]
+            return registry.snapshot()["gauges"]["breaker_state"]
 
         assert gauge() == CLOSED
         breaker.record_failure()
@@ -183,7 +181,8 @@ class TestStateMachine:
 
 
 class TestServiceIntegration:
-    """The breaker wired into a shard: failures shed load with 503s."""
+    """The breaker wired into the service: failures shed load with
+    503s."""
 
     def test_failing_shard_sheds_load_with_shard_unavailable(self):
         from repro.service.pipeline import (
@@ -201,7 +200,7 @@ class TestServiceIntegration:
 
                 self.store = ResultStore()
 
-            def run_many(self, jobs, **kwargs):
+            def run_many(self, jobs, *args, **kwargs):
                 return [
                     FailedJob(job=job, reason="error", error="boom")
                     for job in jobs
@@ -233,4 +232,91 @@ class TestServiceIntegration:
 
         rejection, snap = asyncio.run(drive())
         assert rejection.retry_after_s > 0
-        assert snap["shards"]["shard_0"]["breaker"]["state"] == "open"
+        assert snap["breaker"]["state"] == "open"
+        assert snap["gauges"]["breaker_state"] == OPEN
+
+    def test_probe_admitted_as_the_cooldown_expires_is_released(self):
+        """The cooldown can run out between the service's probe check
+        and ``allow()``.  The request ``allow()`` then admits must
+        still count as the probe, or its slot leaks and the breaker
+        sticks half-open, shedding every later request."""
+        from repro.service.pipeline import (
+            ServiceConfig,
+            ShardUnavailable,
+            SimulationFailed,
+            SimulationService,
+        )
+        from repro.sim import stages
+        from repro.sim.config import SchemeConfig, SystemConfig
+        from repro.sim.engine import FailedJob, SimJob
+        from repro.sim.store import ResultStore
+
+        tick = 0.25
+
+        class TickingClock(FakeClock):
+            """Advances one tick after every reading."""
+
+            def monotonic(self):
+                now = super().monotonic()
+                self.advance(tick)
+                return now
+
+        class FlakyEngine:
+            def __init__(self):
+                self.store = ResultStore()
+                self.failures_left = 2
+
+            def run_many(self, jobs, *args, **kwargs):
+                results = []
+                for job in jobs:
+                    if self.failures_left:
+                        self.failures_left -= 1
+                        results.append(
+                            FailedJob(job=job, reason="error", error="boom")
+                        )
+                        continue
+                    result = ("result", job.system.sample_blocks)
+                    self.store.put(
+                        stages.run_key(job.app, job.scheme, job.system),
+                        result,
+                    )
+                    results.append(result)
+                return results
+
+        def job(blocks):
+            return SimJob.of(
+                "Ocean", SchemeConfig(), SystemConfig(sample_blocks=blocks)
+            )
+
+        clock = TickingClock()
+        config = ServiceConfig(
+            breaker=BreakerConfig(
+                window=4, failure_threshold=0.5, min_samples=2,
+                cooldown_s=4.0, probes=1,
+            ),
+        )
+
+        async def drive():
+            async with SimulationService(
+                engine=FlakyEngine(), config=config, clock=clock
+            ) as service:
+                for blocks in (100, 101):
+                    with pytest.raises(SimulationFailed):
+                        await service.submit(job(blocks))
+                remaining = service.breaker.retry_after_s()
+                # Land the cooldown's end on the third clock reading of
+                # the next submit() (start time, then the breaker).
+                clock.advance(remaining - 3 * tick)
+                results = []
+                for blocks in (200, 201):
+                    for _ in range(3):
+                        try:
+                            results.append(await service.submit(job(blocks)))
+                            break
+                        except ShardUnavailable:
+                            pass  # shed until the cooldown runs out
+                return results, service.breaker.state_name
+
+        results, state = asyncio.run(drive())
+        assert results == [("result", 200), ("result", 201)]
+        assert state == "closed"

@@ -17,43 +17,41 @@ from repro.service.chaos import ChaosController, ChaosSchedule, run_chaos
 from repro.service.stages import BatchCrash
 
 
-def fire_sequence(schedule: ChaosSchedule, shard: int, ticks: int):
-    return [schedule.fire(shard) for _ in range(ticks)]
+def fire_sequence(schedule: ChaosSchedule, ticks: int):
+    return [schedule.fire() for _ in range(ticks)]
 
 
 class TestChaosSchedule:
     def test_same_seed_same_fire_sequence(self):
-        first = ChaosSchedule(0.3, 2, np.random.default_rng(42))
-        second = ChaosSchedule(0.3, 2, np.random.default_rng(42))
-        assert fire_sequence(first, 0, 50) == fire_sequence(second, 0, 50)
+        first = ChaosSchedule(0.3, np.random.default_rng(42))
+        second = ChaosSchedule(0.3, np.random.default_rng(42))
+        assert fire_sequence(first, 50) == fire_sequence(second, 50)
 
     def test_different_seeds_diverge(self):
-        first = ChaosSchedule(0.3, 2, np.random.default_rng(1))
-        second = ChaosSchedule(0.3, 2, np.random.default_rng(2))
-        assert fire_sequence(first, 0, 100) != fire_sequence(second, 0, 100)
+        first = ChaosSchedule(0.3, np.random.default_rng(1))
+        second = ChaosSchedule(0.3, np.random.default_rng(2))
+        assert fire_sequence(first, 100) != fire_sequence(second, 100)
 
     def test_budget_caps_total_events(self):
-        schedule = ChaosSchedule(
-            1.0, 1, np.random.default_rng(0), budget=3
-        )
-        fired = sum(fire_sequence(schedule, 0, 50))
+        schedule = ChaosSchedule(1.0, np.random.default_rng(0), budget=3)
+        fired = sum(fire_sequence(schedule, 50))
         assert fired == 3
         assert schedule.fired == 3
 
     def test_zero_rate_never_fires(self):
-        schedule = ChaosSchedule(0.0, 1, np.random.default_rng(0))
-        assert not any(fire_sequence(schedule, 0, 100))
+        schedule = ChaosSchedule(0.0, np.random.default_rng(0))
+        assert not any(fire_sequence(schedule, 100))
 
     def test_burst_schedule_is_also_reproducible(self):
-        first = ChaosSchedule(0.2, 2, np.random.default_rng(7), burst=True)
-        second = ChaosSchedule(0.2, 2, np.random.default_rng(7), burst=True)
-        assert fire_sequence(first, 1, 80) == fire_sequence(second, 1, 80)
+        first = ChaosSchedule(0.2, np.random.default_rng(7), burst=True)
+        second = ChaosSchedule(0.2, np.random.default_rng(7), burst=True)
+        assert fire_sequence(first, 80) == fire_sequence(second, 80)
 
 
 class TestChaosController:
     def test_off_mode_passes_batches_through(self):
-        controller = ChaosController(shards=1, seed=0)
-        intercept = controller.interceptor_for(0)
+        controller = ChaosController(seed=0)
+        intercept = controller.intercept
         asyncio.run(intercept([]))
         assert controller.snapshot() == {
             "kills": 0, "failures": 0, "delays": 0,
@@ -62,9 +60,9 @@ class TestChaosController:
     def test_fail_mode_raises_plain_exception(self):
         """A plain Exception: absorbed by the executor as FailedJob
         slots (breaker fuel), never a task-killing crash."""
-        controller = ChaosController(shards=1, seed=0)
+        controller = ChaosController(seed=0)
         controller.mode = "fail"
-        intercept = controller.interceptor_for(0)
+        intercept = controller.intercept
         with pytest.raises(RuntimeError, match="chaos failure"):
             asyncio.run(intercept([]))
         assert not isinstance(RuntimeError("x"), BatchCrash)
@@ -72,20 +70,20 @@ class TestChaosController:
 
     def test_kill_mode_raises_batch_crash_when_schedule_fires(self):
         controller = ChaosController(
-            shards=1, seed=0, kill_rate=1.0, jitter_rate=0.0
+            seed=0, kill_rate=1.0, jitter_rate=0.0
         )
         controller.mode = "kill"
-        intercept = controller.interceptor_for(0)
+        intercept = controller.intercept
         with pytest.raises(BatchCrash, match="chaos kill"):
             asyncio.run(intercept([]))
         assert controller.kills == 1
 
     def test_kill_budget_quiets_the_storm(self):
         controller = ChaosController(
-            shards=1, seed=0, kill_rate=1.0, kill_budget=2, jitter_rate=0.0
+            seed=0, kill_rate=1.0, kill_budget=2, jitter_rate=0.0
         )
         controller.mode = "kill"
-        intercept = controller.interceptor_for(0)
+        intercept = controller.intercept
         crashes = 0
         for _ in range(10):
             try:
@@ -95,9 +93,9 @@ class TestChaosController:
         assert crashes == 2
 
     def test_slow_mode_delays_not_crashes(self):
-        controller = ChaosController(shards=1, seed=0, latency_s=0.0)
+        controller = ChaosController(seed=0, latency_s=0.0)
         controller.mode = "slow"
-        intercept = controller.interceptor_for(0)
+        intercept = controller.intercept
         asyncio.run(intercept([]))
         assert controller.delays == 1
         assert controller.kills == 0
@@ -112,11 +110,10 @@ class TestChaosEndToEnd:
         from repro.service.pipeline import ServiceConfig
 
         controller = ChaosController(
-            shards=1, seed=0, kill_rate=1.0, kill_budget=1, jitter_rate=0.0
+            seed=0, kill_rate=1.0, kill_budget=1, jitter_rate=0.0
         )
         controller.mode = "kill"
         config = ServiceConfig(
-            shards=1,
             batch_linger_s=0.0,
             supervisor_interval_s=0.01,
             restart_backoff_s=0.01,
@@ -124,7 +121,7 @@ class TestChaosEndToEnd:
         )
         with ServerHarness(
             service_config=config,
-            interceptor_factory=controller.interceptor_for,
+            interceptor=controller.intercept,
         ) as harness:
             with harness.client(timeout=30, max_attempts=3) as client:
                 result = client.simulate(

@@ -1,7 +1,7 @@
 """Client-side resilience: full-jitter backoff, 503 retry, hedging.
 
 The jitter RNG exists so a fleet of clients that fail in lock-step
-(thundering herd against a recovering shard) spreads back out instead
+(thundering herd against a recovering service) spreads back out instead
 of re-synchronizing on identical backoff schedules.
 """
 
@@ -146,19 +146,16 @@ class TestHedging:
 
         slow_once = {"remaining": 1}
 
-        def factory(index: int):
-            async def intercept(jobs):
-                if slow_once["remaining"] > 0:
-                    slow_once["remaining"] -= 1
-                    import asyncio
+        async def intercept(jobs):
+            if slow_once["remaining"] > 0:
+                slow_once["remaining"] -= 1
+                import asyncio
 
-                    await asyncio.sleep(0.5)
+                await asyncio.sleep(0.5)
 
-            return intercept
-
-        config = ServiceConfig(shards=1, batch_linger_s=0.0)
+        config = ServiceConfig(batch_linger_s=0.0)
         with ServerHarness(
-            service_config=config, interceptor_factory=factory
+            service_config=config, interceptor=intercept
         ) as harness:
             with harness.client(
                 hedge_after_s=0.05, timeout=30, jitter_seed=0
@@ -173,7 +170,7 @@ class TestHedging:
         from repro.service.check import ServerHarness
         from repro.service.pipeline import ServiceConfig
 
-        config = ServiceConfig(shards=1, batch_linger_s=0.0)
+        config = ServiceConfig(batch_linger_s=0.0)
         with ServerHarness(service_config=config) as harness:
             with harness.client(
                 hedge_after_s=5.0, timeout=30, jitter_seed=0

@@ -37,7 +37,7 @@ class StubEngine:
         self.store = ResultStore()
         self.gate = gate
 
-    def run_many(self, jobs, **kwargs):
+    def run_many(self, jobs, *args, **kwargs):
         from repro.sim import stages
 
         if self.gate is not None:
@@ -85,7 +85,7 @@ class TestAdmissionDeadline:
 
         async def drive():
             admission = Admission(
-                max_queue=4, metrics=registry.scoped("shard_0"),
+                max_queue=4, metrics=registry,
                 retry_after=lambda depth: 0.1, clock=clock,
             )
             pending = Pending(
@@ -106,7 +106,7 @@ class TestAdmissionDeadline:
 
         async def drive():
             admission = Admission(
-                max_queue=4, metrics=registry.scoped("shard_0"),
+                max_queue=4, metrics=registry,
                 retry_after=lambda depth: 0.1, clock=clock,
             )
             pending = Pending(
@@ -124,7 +124,7 @@ class TestServiceDeadline:
     def test_expired_request_gets_structured_504_path(self):
         """A deadline shorter than the engine's latency produces a
         DeadlineExceeded, counts the expiration, and leaves the breaker
-        closed (a client's budget is not the shard's sickness)."""
+        closed (a client's budget is not the engine's sickness)."""
         gate = threading.Event()
         engine = StubEngine(gate=gate)
         config = ServiceConfig(batch_linger_s=0.0)
@@ -143,7 +143,7 @@ class TestServiceDeadline:
 
         snap = asyncio.run(drive())
         assert snap["counters"]["deadline_expirations"] >= 1
-        assert snap["shards"]["shard_0"]["breaker"]["state"] == "closed"
+        assert snap["breaker"]["state"] == "closed"
 
     def test_queued_expired_work_cancelled_before_dispatch(self):
         """Jobs whose budget dies in the queue are cancelled by the
@@ -153,9 +153,9 @@ class TestServiceDeadline:
         seen: list[int] = []
         original = engine.run_many
 
-        def spying_run_many(jobs, **kwargs):
+        def spying_run_many(jobs, *args, **kwargs):
             seen.extend(job.system.sample_blocks for job in jobs)
-            return original(jobs, **kwargs)
+            return original(jobs, *args, **kwargs)
 
         engine.run_many = spying_run_many
         config = ServiceConfig(batch_linger_s=0.0, max_batch=1)

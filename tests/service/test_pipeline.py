@@ -45,7 +45,7 @@ class StubEngine:
             lambda job: ("result", job.app.name)
         )
 
-    def run_many(self, jobs, max_workers=None, job_timeout=None, retries=1):
+    def run_many(self, jobs, max_workers=None, retries=1):
         from repro.sim import stages
 
         if self.gate is not None:
@@ -180,7 +180,7 @@ class TestBackpressure:
     def test_retry_after_floor_applies_when_no_latency_observed(self):
         config = ServiceConfig(retry_after_s=0.5)
         service = SimulationService(engine=StubEngine(), config=config)
-        assert service.shards[0].batcher.suggest_retry_after(0) == 0.5
+        assert service.batcher.suggest_retry_after(0) == 0.5
 
 
 class TestFailures:
@@ -205,8 +205,8 @@ class TestFailures:
 
     def test_engine_infrastructure_crash_fails_the_batch(self):
         class ExplodingEngine(StubEngine):
-            def run_many(self, jobs, **kwargs):
-                raise OSError("pool melted")
+            def run_many(self, jobs, *args, **kwargs):
+                raise OSError("engine melted")
 
         async def drive():
             async with SimulationService(engine=ExplodingEngine()) as service:
@@ -297,7 +297,7 @@ class TestBatching:
                 job=job_for(sample_blocks=150),
                 future=asyncio.get_running_loop().create_future(),
             )
-            admission = service.shards[0].admission
+            admission = service.admission
             stop_task = asyncio.ensure_future(service.stop())
             while admission._queue.qsize() == 0:  # sentinel lands...
                 await asyncio.sleep(0)  # ...after supervisor shutdown

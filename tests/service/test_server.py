@@ -7,6 +7,7 @@ ephemeral localhost port and threads drive it with the in-repo client.
 
 from __future__ import annotations
 
+import json
 import socket
 import threading
 
@@ -33,6 +34,37 @@ def harness():
         yield running
 
 
+def raw_exchange(harness, request: bytes) -> tuple[int, dict]:
+    """Send raw request bytes; return the status and the JSON body.
+
+    For requests the in-repo client refuses to build.  A server that
+    drops the connection without answering yields status 0.
+    """
+    with socket.create_connection(
+        (harness.host, harness.port), timeout=10
+    ) as conn:
+        conn.sendall(request)
+        reply = b""
+        while b"\r\n\r\n" not in reply:
+            chunk = conn.recv(65536)
+            if not chunk:
+                return 0, {}
+            reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        length = next(
+            int(line.split(":", 1)[1])
+            for line in lines
+            if line.lower().startswith("content-length:")
+        )
+        while len(body) < length:
+            chunk = conn.recv(65536)
+            if not chunk:
+                break
+            body += chunk
+    return int(lines[0].split(" ")[1]), json.loads(body)
+
+
 class TestEndpoints:
     def test_healthz_document(self, harness):
         from repro.util.version import package_version
@@ -45,12 +77,32 @@ class TestEndpoints:
         assert health["max_queue"] == harness.service_config.max_queue
 
     def test_metrics_snapshot_shape(self, harness):
+        """The bare metric names that ``repro serve --check``,
+        ``repro chaos --check`` and the benchmark read."""
         with harness.client() as client:
-            client.simulate("Ocean", system=SYSTEM)
+            first = client.simulate("Ocean", system={"sample_blocks": 119})
+            repeat = client.simulate("Ocean", system={"sample_blocks": 119})
             metrics = client.metrics()
-        assert metrics["counters"]["requests_total"] >= 1
-        assert "derived" in metrics and "engine" in metrics
-        assert "version" in metrics
+        assert repeat == first
+        counters = metrics["counters"]
+        assert counters["requests_total"] >= 2
+        assert counters["store_hits_total"] >= 1
+        for name in ("responses_total", "batches_total", "engine_jobs_total"):
+            assert counters[name] >= 1, name
+        for name in ("queue_depth", "breaker_state", "job_latency_ema_s"):
+            assert name in metrics["gauges"], name
+        for name in ("service_latency_s", "batch_size", "batch_latency_s"):
+            assert metrics["histograms"][name]["count"] >= 1, name
+        for block in ("derived", "engine", "supervisor", "version"):
+            assert block in metrics, block
+        names = [
+            name
+            for block in ("counters", "gauges", "histograms")
+            for name in metrics[block]
+        ]
+        assert not [
+            name for name in [*metrics, *names] if name.startswith("shard_")
+        ]
 
     def test_simulate_matches_direct_engine_bytes(self, harness):
         direct = StagedEngine(ResultStore()).run(
@@ -115,6 +167,28 @@ class TestErrorMapping:
             with pytest.raises(ServiceRequestError) as excinfo:
                 client.sweep({}, system=SYSTEM)
         assert excinfo.value.status == 400
+
+    def test_negative_content_length_is_400(self, harness):
+        head = (
+            b"POST /simulate HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Length: -5\r\n\r\n"
+        )
+        status, body = raw_exchange(harness, head)
+        assert status == 400
+        assert body["error"]["type"] == "malformed-request"
+
+    def test_nonfinite_deadline_is_400(self, harness):
+        payload = json.dumps({"app": "Ocean", "system": SYSTEM}).encode()
+        for value in ("nan", "inf", "-inf"):
+            head = (
+                b"POST /simulate HTTP/1.1\r\nHost: localhost\r\n"
+                b"X-Repro-Deadline-S: " + value.encode() + b"\r\n"
+                b"Content-Length: " + str(len(payload)).encode()
+                + b"\r\n\r\n"
+            )
+            status, body = raw_exchange(harness, head + payload)
+            assert status == 400, value
+            assert body["error"]["type"] == "bad-request", value
 
 
 class TestConcurrentClients:

@@ -29,7 +29,7 @@ ALL_STAGE_TYPES = (Admission, Coalescer, Batcher, Executor)
 
 
 def scope():
-    return MetricsRegistry().scoped("shard_0")
+    return MetricsRegistry()
 
 
 def make_pending(loop, key=("k",)):
@@ -51,7 +51,7 @@ class TestProtocol:
 
     def test_protocol_declares_the_wiring_surface(self):
         # PipelineStage is a typing.Protocol: its members enumerate the
-        # wiring surface shards depend on.
+        # wiring surface the service depends on.
         assert "name" in PipelineStage.__annotations__
         assert callable(PipelineStage.snapshot)
         assert asyncio.iscoroutinefunction(PipelineStage.drain)
@@ -221,14 +221,11 @@ class TestExecutor:
         class MeltingEngine:
             store = None
 
-            def run_many(self, jobs, **kwargs):
-                raise OSError("pool melted")
+            def run_many(self, jobs, *args, **kwargs):
+                raise OSError("engine melted")
 
         async def drive():
-            executor = Executor(
-                engine=MeltingEngine(), max_workers=None,
-                job_timeout=None, retries=1, metrics=scope(),
-            )
+            executor = Executor(engine=MeltingEngine(), retries=1)
             return await executor.execute(["job-a", "job-b"])
 
         results = asyncio.run(drive())
@@ -241,31 +238,23 @@ class TestExecutor:
             store = None
 
             def __init__(self):
-                self.kwargs = None
+                self.call = None
 
-            def run_many(self, jobs, **kwargs):
-                self.kwargs = kwargs
+            def run_many(self, jobs, *args, **kwargs):
+                self.call = (args, kwargs)
                 return list(jobs)
 
         engine = RecordingEngine()
 
         async def drive():
-            executor = Executor(
-                engine=engine, max_workers=3, job_timeout=1.5,
-                retries=2, metrics=scope(),
-            )
+            executor = Executor(engine=engine, retries=2)
             return await executor.execute(["job"])
 
         assert asyncio.run(drive()) == ["job"]
-        assert engine.kwargs == {
-            "max_workers": 3, "job_timeout": 1.5, "retries": 2
-        }
-        executor_snapshot = Executor(
-            engine=engine, max_workers=3, job_timeout=1.5,
-            retries=2, metrics=scope(),
-        ).snapshot()
-        assert executor_snapshot == {
-            "max_workers": 3, "job_timeout": 1.5, "retries": 2
+        # Always one worker (in-process), whatever the engine default.
+        assert engine.call == ((1,), {"retries": 2})
+        assert Executor(engine=engine, retries=2).snapshot() == {
+            "retries": 2
         }
 
 

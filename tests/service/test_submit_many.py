@@ -6,14 +6,11 @@ import pytest
 
 from repro.service.check import ServerHarness
 from repro.service.client import ServiceClientError
-from repro.service.pipeline import ServiceConfig
 
 
 @pytest.fixture(scope="module")
 def harness():
-    with ServerHarness(
-        service_config=ServiceConfig(max_workers=2, shards=2)
-    ) as running:
+    with ServerHarness() as running:
         yield running
 
 

@@ -1,10 +1,10 @@
-"""Tests for shard supervision: crash detection, restart, re-routing.
+"""Tests for stack supervision: crash detection, restart, re-submit.
 
-These crash shard stacks on purpose — via the executor's interceptor
+These crash the stage stack on purpose — via the executor's interceptor
 hook, the same plug point the chaos harness uses — and assert the
-supervisor's contract: stranded work resolves (correctly re-routed or
-loudly failed, never hung), crashed stacks come back, restarts back
-off, and shutdown leaves no orphans.
+supervisor's contract: stranded work resolves (correctly re-submitted
+or loudly failed, never hung), the crashed stack comes back, restarts
+back off, and shutdown leaves no orphans.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ import pytest
 from repro.service.pipeline import (
     ServiceConfig,
     ServiceError,
+    ShardUnavailable,
     SimulationService,
 )
 from repro.service.stages import BatchCrash
-from repro.sim import stages as sim_stages
 from repro.sim.config import SchemeConfig, SystemConfig
 from repro.sim.engine import SimJob
 from repro.sim.store import ResultStore
@@ -32,24 +32,13 @@ def job_for(blocks: int) -> SimJob:
     )
 
 
-def blocks_on_shard(service: SimulationService, index: int) -> int:
-    """A sample_blocks value whose job routes to the given shard."""
-    for blocks in range(100, 300):
-        job = job_for(blocks)
-        key = sim_stages.run_key(job.app, job.scheme, job.system)
-        if service.shard_for(key).index == index:
-            return blocks
-    raise AssertionError(f"no key found for shard {index}")
-
-
 async def wait_for_restarts(
     service: SimulationService, count: int, timeout: float = 5.0
 ) -> None:
     """Park until the supervisor has completed ``count`` restarts.
 
-    Re-routed requests resolve *before* the crashed stack finishes its
-    backoff + restart, so tests asserting on restart counters must wait
-    for recovery to complete rather than for their result.
+    Tests asserting on recovery counters wait for them explicitly
+    rather than rely on how recovery and their result interleave.
     """
     deadline = asyncio.get_running_loop().time() + timeout
     while asyncio.get_running_loop().time() < deadline:
@@ -65,7 +54,7 @@ class StubEngine:
         self.store = ResultStore()
         self.batches = []
 
-    def run_many(self, jobs, **kwargs):
+    def run_many(self, jobs, *args, **kwargs):
         from repro.sim import stages
 
         self.batches.append(list(jobs))
@@ -78,21 +67,17 @@ class StubEngine:
 
 
 class CrashOnce:
-    """An interceptor that kills the first batch on a chosen shard."""
+    """An interceptor that kills the first ``times`` batches."""
 
-    def __init__(self, shard: int = 0, times: int = 1):
-        self.shard = shard
+    def __init__(self, times: int = 1):
         self.remaining = times
         self.crashes = 0
 
-    def factory(self, index: int):
-        async def intercept(jobs):
-            if index == self.shard and self.remaining > 0:
-                self.remaining -= 1
-                self.crashes += 1
-                raise BatchCrash(f"test crash on shard {index}")
-
-        return intercept
+    async def intercept(self, jobs):
+        if self.remaining > 0:
+            self.remaining -= 1
+            self.crashes += 1
+            raise BatchCrash("test crash")
 
 
 FAST = dict(
@@ -105,65 +90,62 @@ FAST = dict(
 
 class TestRecovery:
     def test_crashed_batch_is_rerouted_and_resolves(self):
-        """A request caught mid-batch by a crash still gets its answer
-        (re-routed through the surviving shard)."""
-        chaos = CrashOnce(shard=0)
+        """A request caught mid-batch by a crash still gets its answer,
+        routed again through the restarted stack, which comes back
+        with its breaker closed."""
+        chaos = CrashOnce()
         engine = StubEngine()
-        config = ServiceConfig(shards=2, **FAST)
+        config = ServiceConfig(**FAST)
 
         async def drive():
             async with SimulationService(
-                engine=engine, config=config,
-                interceptor_factory=chaos.factory,
-            ) as service:
-                # Find a job routed to shard 0 so the crash catches it.
-                blocks = blocks_on_shard(service, 0)
-                result = await asyncio.wait_for(
-                    service.submit(job_for(blocks)), timeout=10
-                )
-                await wait_for_restarts(service, 1)
-                snap = service.snapshot()
-                return result, snap
-
-        result, snap = asyncio.run(drive())
-        assert result[0] == "result"
-        assert chaos.crashes == 1
-        assert snap["counters"]["supervisor_restarts"] == 1
-        assert snap["supervisor"]["crash_counts"] == {"shard_0": 1}
-        assert snap["supervisor"]["down_shards"] == []
-
-    def test_single_shard_crash_holds_work_until_restart(self):
-        """With no healthy shard to re-route to, stranded work waits
-        for the restarted stack instead of failing."""
-        chaos = CrashOnce(shard=0)
-        engine = StubEngine()
-        config = ServiceConfig(shards=1, **FAST)
-
-        async def drive():
-            async with SimulationService(
-                engine=engine, config=config,
-                interceptor_factory=chaos.factory,
+                engine=engine, config=config, interceptor=chaos.intercept,
             ) as service:
                 result = await asyncio.wait_for(
-                    service.submit(job_for(100)), timeout=10
+                    service.submit(job_for(150)), timeout=10
                 )
                 await wait_for_restarts(service, 1)
                 return result, service.snapshot()
 
         result, snap = asyncio.run(drive())
-        assert result == ("result", 100)
+        assert result == ("result", 150)
         assert chaos.crashes == 1
         assert snap["counters"]["supervisor_restarts"] == 1
+        assert snap["supervisor"]["crashes"] == 1
+        assert snap["breaker"]["state"] == "closed"
+        assert snap["stages"]["batcher"]["running"] is True
+        assert [len(batch) for batch in engine.batches] == [1]
 
-    def test_coalesced_waiters_all_resolve_after_crash(self):
-        chaos = CrashOnce(shard=0)
+    def test_single_shard_crash_holds_work_until_restart(self):
+        """Stranded work waits for the restarted stack instead of
+        failing: by the time it resolves, the restart has happened."""
+        chaos = CrashOnce()
         engine = StubEngine()
-        config = ServiceConfig(shards=1, **FAST)
+        config = ServiceConfig(**FAST)
 
         async def drive():
             async with SimulationService(
-                engine=engine, config=config,
-                interceptor_factory=chaos.factory,
+                engine=engine, config=config, interceptor=chaos.intercept,
+            ) as service:
+                result = await asyncio.wait_for(
+                    service.submit(job_for(100)), timeout=10
+                )
+                restarts = service.metrics.counter("supervisor_restarts")
+                return result, restarts.value
+
+        result, restarts_at_resolution = asyncio.run(drive())
+        assert result == ("result", 100)
+        assert chaos.crashes == 1
+        assert restarts_at_resolution == 1
+
+    def test_coalesced_waiters_all_resolve_after_crash(self):
+        chaos = CrashOnce()
+        engine = StubEngine()
+        config = ServiceConfig(**FAST)
+
+        async def drive():
+            async with SimulationService(
+                engine=engine, config=config, interceptor=chaos.intercept,
             ) as service:
                 results = await asyncio.wait_for(
                     asyncio.gather(
@@ -177,12 +159,11 @@ class TestRecovery:
         assert all(result == ("result", 100) for result in results)
 
     def test_repeated_crashes_back_off_exponentially(self):
-        """Consecutive crashes of the same shard double the restart
-        delay (bounded), visible in recovery latency."""
-        chaos = CrashOnce(shard=0, times=3)
+        """Consecutive crashes double the restart delay (bounded),
+        visible in recovery latency."""
+        chaos = CrashOnce(times=3)
         engine = StubEngine()
         config = ServiceConfig(
-            shards=1,
             supervisor_interval_s=0.01,
             restart_backoff_s=0.05,
             restart_max_backoff_s=0.2,
@@ -191,8 +172,7 @@ class TestRecovery:
 
         async def drive():
             async with SimulationService(
-                engine=engine, config=config,
-                interceptor_factory=chaos.factory,
+                engine=engine, config=config, interceptor=chaos.intercept,
             ) as service:
                 result = await asyncio.wait_for(
                     service.submit(job_for(100)), timeout=10
@@ -210,61 +190,72 @@ class TestRecovery:
         # measurably slower than the first.
         assert latency["max"] >= latency["min"] * 2
 
-    def test_healthy_shard_keeps_serving_while_sibling_restarts(self):
-        chaos = CrashOnce(shard=0)
+    def test_store_hits_keep_serving_while_stack_restarts(self):
+        """While the crashed stack waits out its restart backoff, the
+        forced-open breaker sheds engine work with ShardUnavailable but
+        cached results are still served."""
+        chaos = CrashOnce()
         engine = StubEngine()
-        config = ServiceConfig(shards=2, **FAST)
+        config = ServiceConfig(
+            supervisor_interval_s=0.01,
+            restart_backoff_s=0.5,
+            restart_max_backoff_s=0.5,
+            batch_linger_s=0.0,
+        )
 
         async def drive():
             async with SimulationService(
                 engine=engine, config=config,
-                interceptor_factory=chaos.factory,
             ) as service:
-                jobs = [job_for(100 + i) for i in range(8)]
-                results = await asyncio.wait_for(
-                    asyncio.gather(*(service.submit(j) for j in jobs)),
-                    timeout=10,
-                )
-                return jobs, results
+                cached = await service.submit(job_for(100))
+            async with SimulationService(
+                engine=engine, config=config, interceptor=chaos.intercept,
+            ) as service:
+                victim = asyncio.ensure_future(service.submit(job_for(101)))
+                for _ in range(1000):
+                    if service.supervisor.snapshot()["crashes"]:
+                        break
+                    await asyncio.sleep(0.005)
+                assert await service.submit(job_for(100)) == cached
+                with pytest.raises(ShardUnavailable):
+                    await service.submit(job_for(102))
+                return await asyncio.wait_for(victim, timeout=10)
 
-        jobs, results = asyncio.run(drive())
-        assert [r[1] for r in results] == [
-            j.system.sample_blocks for j in jobs
-        ]
+        assert asyncio.run(drive()) == ("result", 101)
+        assert chaos.crashes == 1
 
 
 class TestShutdownHygiene:
     def test_stop_settles_inflight_reroutes(self):
         """Stopping the service mid-recovery fails stranded futures
-        loudly instead of leaking re-route tasks."""
+        loudly instead of leaking re-submit tasks."""
         gate = threading.Event()
 
         class GatedEngine(StubEngine):
-            def run_many(self, jobs, **kwargs):
+            def run_many(self, jobs, *args, **kwargs):
                 assert gate.wait(timeout=30)
-                return super().run_many(jobs, **kwargs)
+                return super().run_many(jobs, *args, **kwargs)
 
-        chaos = CrashOnce(shard=0)
+        chaos = CrashOnce()
         engine = GatedEngine()
-        config = ServiceConfig(shards=1, **FAST)
+        config = ServiceConfig(**FAST)
 
         async def drive():
             service = SimulationService(
-                engine=engine, config=config,
-                interceptor_factory=chaos.factory,
+                engine=engine, config=config, interceptor=chaos.intercept,
             )
             await service.start()
             victim = asyncio.ensure_future(service.submit(job_for(100)))
             # Wait until the crash has been detected and recovery is
-            # under way (the re-route is parked behind the gate).
+            # under way (the re-submit is parked behind the gate).
             for _ in range(1000):
                 if chaos.crashes and service.supervisor.snapshot()[
-                    "reroutes_inflight"
+                    "resubmits_inflight"
                 ]:
                     break
                 await asyncio.sleep(0.005)
             # Stop concurrently: supervisor.stop cancels the parked
-            # re-route first; then open the gate so the drain's
+            # re-submit first; then open the gate so the drain's
             # in-flight engine batch can finish.
             stop_task = asyncio.ensure_future(service.stop())
             await asyncio.sleep(0.05)
@@ -275,26 +266,63 @@ class TestShutdownHygiene:
             return service.supervisor.snapshot()
 
         snap = asyncio.run(drive())
-        assert snap["reroutes_inflight"] == 0
+        assert snap["resubmits_inflight"] == 0
         assert snap["running"] is False
 
-    def test_supervisor_restarts_counter_exported_per_shard(self):
-        chaos = CrashOnce(shard=0)
+    def test_stop_during_restart_backoff_fails_held_work(self):
+        """Stopping the service while a crashed stack waits out its
+        restart backoff fails the held work loudly instead of leaving
+        its waiters hanging."""
+        chaos = CrashOnce()
+        config = ServiceConfig(
+            supervisor_interval_s=0.01,
+            restart_backoff_s=30.0,
+            restart_max_backoff_s=30.0,
+            batch_linger_s=0.0,
+        )
+
+        async def drive():
+            service = SimulationService(
+                engine=StubEngine(), config=config,
+                interceptor=chaos.intercept,
+            )
+            await service.start()
+            victim = asyncio.ensure_future(service.submit(job_for(100)))
+            for _ in range(1000):
+                if service.supervisor.snapshot()["crashes"]:
+                    break
+                await asyncio.sleep(0.005)
+            await asyncio.wait_for(service.stop(), timeout=5)
+            with pytest.raises(ServiceError, match="stopped"):
+                await asyncio.wait_for(victim, timeout=5)
+            return service.supervisor.snapshot()
+
+        snap = asyncio.run(drive())
+        assert snap["crashes"] == 1
+        assert snap["running"] is False
+
+    def test_supervisor_restarts_counter_exported(self):
+        chaos = CrashOnce()
         engine = StubEngine()
-        config = ServiceConfig(shards=2, **FAST)
+        config = ServiceConfig(**FAST)
 
         async def drive():
             async with SimulationService(
-                engine=engine, config=config,
-                interceptor_factory=chaos.factory,
+                engine=engine, config=config, interceptor=chaos.intercept,
             ) as service:
-                blocks = blocks_on_shard(service, 0)
                 await asyncio.wait_for(
-                    service.submit(job_for(blocks)), timeout=10
+                    service.submit(job_for(100)), timeout=10
                 )
                 await wait_for_restarts(service, 1)
                 return service.snapshot()
 
         snap = asyncio.run(drive())
-        assert snap["counters"]["shard_0/supervisor_restarts"] == 1
-        assert snap["counters"].get("shard_1/supervisor_restarts", 0) == 0
+        assert snap["counters"]["supervisor_restarts"] == 1
+        assert snap["histograms"]["supervisor_recovery_latency_s"][
+            "count"
+        ] == 1
+        assert not any(
+            name.startswith("shard_")
+            for block in ("counters", "gauges", "histograms")
+            for name in snap[block]
+        )

@@ -262,6 +262,35 @@ class TestSweepCommand:
         assert store.exists()  # the run saved a fresh, valid store
 
 
+class TestServeCommand:
+    """Bad ``repro serve`` flags: a one-line error and exit code 2,
+    never a traceback (the server never starts)."""
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--max-queue", "0", "max_queue must be >= 1, got 0"),
+            ("--max-batch", "-1", "max_batch must be >= 1, got -1"),
+        ],
+    )
+    def test_bad_queue_and_batch_bounds_exit_2(
+        self, capsys, flag, value, message
+    ):
+        assert main(["serve", "--port", "0", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err == f"repro serve: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "flag", ["--workers", "--shards", "--job-timeout"]
+    )
+    def test_pool_and_shard_flags_are_gone(self, capsys, flag):
+        # --max-queue 0 keeps a regression from starting a server.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--port", "0", "--max-queue", "0", flag, "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestBenchCommand:
     def test_quick_bench_writes_report(self, capsys, tmp_path):
         out = tmp_path / "bench.json"
