@@ -94,3 +94,54 @@ class TestMultiRound:
         rx.step(levels(0, 1))
         rx.step(levels(0, 0))
         assert rx.received_blocks[-1].tolist() == [3, 1]
+
+
+class TestChecks:
+    """Input and protocol checks that hold for any receiver state."""
+
+    def test_level_outside_binary_raises_in_step(self):
+        layout = ChunkLayout(block_bits=8, chunk_bits=4, num_wires=2)
+        rx = DescReceiver(layout)
+        with pytest.raises(ValueError, match="0 or 1"):
+            rx.step(levels(0, 0, 2))
+
+    def test_level_outside_binary_raises_in_resync(self):
+        layout = ChunkLayout(block_bits=8, chunk_bits=4, num_wires=2)
+        rx = DescReceiver(layout)
+        with pytest.raises(ValueError, match="0 or 1"):
+            rx.resync(levels(2, 0, 0))
+
+    def test_strict_unexpected_toggle_names_the_wire(self):
+        layout = ChunkLayout(block_bits=16, chunk_bits=4, num_wires=4)
+        rx = DescReceiver(layout)
+        with pytest.raises(RuntimeError, match="wire 3"):
+            rx.step(levels(0, 0, 0, 0, 1))
+
+    def test_strict_cycle_zero_toggle_of_skipping_round_raises(self):
+        """Under zero skipping no chunk fires on the reset cycle."""
+        layout = ChunkLayout(block_bits=16, chunk_bits=4, num_wires=4)
+        rx = DescReceiver(layout, ZeroSkipping())
+        with pytest.raises(ValueError, match="cycle 0"):
+            rx.step(levels(1, 0, 1, 0, 0))
+
+
+class TestNonStrictEvents:
+    def test_counts_spurious_out_of_range_and_watchdog(self):
+        """2-bit chunks: values 0..3, so the watchdog allows cycle 5."""
+        layout = ChunkLayout(block_bits=4, chunk_bits=2, num_wires=2)
+        rx = DescReceiver(layout, strict=False)
+        rx.step(levels(0, 1, 0))  # data toggle with no round open
+        rx.step(levels(1, 1, 0))  # round opens: counter 0
+        for _ in range(3):
+            rx.step(levels(1, 1, 0))  # counter 1..3
+        rx.step(levels(1, 0, 0))  # wire 0 on counter 4: out of range
+        rx.step(levels(1, 0, 0))  # counter 5: still a legal window
+        assert rx.in_round and not rx.desynced
+        rx.step(levels(1, 0, 0))  # counter 6: watchdog abandons the round
+        events = rx.fault_events
+        assert events.spurious_toggles == 1
+        assert events.out_of_range_decodes == 1
+        assert events.watchdog_aborts == 1
+        assert events.detected == 3
+        assert rx.desynced
+        assert rx.received_blocks[-1].tolist() == [-1, -1]
