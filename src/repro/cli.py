@@ -205,6 +205,10 @@ def _run_faults(args: argparse.Namespace) -> int:
     """The ``faults`` subcommand: sweep and/or smoke-check."""
     from repro.experiments import fault_sweep
 
+    # Validate the flags before either mode runs.
+    if args.seed < 0:
+        print("repro faults: error: --seed must be >= 0", file=sys.stderr)
+        return 2
     if args.check:
         problems = fault_sweep.smoke_check(seed=args.seed)
         if problems:

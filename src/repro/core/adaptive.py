@@ -56,17 +56,21 @@ class AdaptiveSkipping(SkipPolicy):
         """Delivered chunks per wire between elections."""
         return self._window
 
-    def skip_value(self, wire: int) -> int | None:
-        return int(self._skip[wire])
+    def skip_values(self) -> np.ndarray | None:
+        return self._skip.copy()
 
-    def observe(self, wire: int, value: int) -> None:
-        self._counts[wire, value] += 1
-        self._observed[wire] += 1
-        if self._observed[wire] == self._window:
+    def observe_round(self, values: np.ndarray, keep: np.ndarray | None = None) -> None:
+        wires = (
+            np.arange(self._num_wires) if keep is None else np.flatnonzero(keep)
+        )
+        self._counts[wires, np.asarray(values)[wires]] += 1
+        self._observed[wires] += 1
+        full = self._observed == self._window
+        if full.any():
             # Most frequent value of the window; argmax breaks ties low.
-            self._skip[wire] = int(np.argmax(self._counts[wire]))
-            self._counts[wire] = 0
-            self._observed[wire] = 0
+            self._skip[full] = np.argmax(self._counts[full], axis=1)
+            self._counts[full] = 0
+            self._observed[full] = 0
 
     def reset(self) -> None:
         self._skip[:] = 0

@@ -48,7 +48,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["fire_cycle", "decode_cycle", "round_duration", "TransferCost"]
+import numpy as np
+
+__all__ = [
+    "fire_cycle",
+    "fire_cycles",
+    "decode_cycle",
+    "decode_cycles",
+    "round_duration",
+    "TransferCost",
+]
 
 
 def fire_cycle(value: int, skip_value: int | None) -> int | None:
@@ -76,6 +85,36 @@ def decode_cycle(cycle: int, skip_value: int | None) -> int:
         )
     value = cycle - 1 if cycle - 1 < skip_value else cycle
     return value
+
+
+def fire_cycles(values: np.ndarray, skip_values: np.ndarray | None) -> np.ndarray:
+    """:func:`fire_cycle` over a whole wire bank; ``-1`` marks a skip.
+
+    ``skip_values`` broadcasts against ``values`` (one entry per wire,
+    or a 0-d array shared by every wire); ``None`` means no skipping.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    if skip_values is None:
+        return values.copy()
+    fire = values + (values < skip_values)
+    fire[values == skip_values] = -1
+    return fire
+
+
+def decode_cycles(cycle: int, skip_values: np.ndarray | None) -> np.ndarray:
+    """:func:`decode_cycle` for toggles seen on ``cycle`` on many wires.
+
+    Every wire of a round shares the counter, so only the skip values
+    differ; the result broadcasts like ``skip_values`` (0-d for
+    ``None``).
+    """
+    if skip_values is None:
+        return np.asarray(cycle, dtype=np.int64)
+    if cycle < 1:
+        raise ValueError(
+            f"a skipping round cannot carry a data toggle on cycle {cycle}"
+        )
+    return np.where(cycle - 1 < skip_values, cycle - 1, cycle).astype(np.int64)
 
 
 def round_duration(last_fire_cycle: int | None, any_skipped: bool) -> int:

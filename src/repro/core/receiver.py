@@ -1,12 +1,19 @@
 """Cycle-accurate DESC receiver (Section 3.2.2).
 
 The receiver mirrors the transmitter: an internal counter restarted by
-each reset toggle, one toggle detector per wire, and a copy of the skip
+each reset toggle, a toggle detector per wire, and a copy of the skip
 policy.  It reconstructs chunk values *purely* from the observed wire
 levels — it never peeks at the transmitter's queues — which is what the
 round-trip property tests rely on.
 
-A toggle on the shared reset/skip wire is interpreted as the paper
+The detectors of the whole wire bank are one array of last sampled
+levels (index 0 is the reset/skip wire), so a cycle computes every edge
+at once (``edges = levels != last``).  Per-wire round state is two more
+arrays: which chunks are still pending and the values latched so far.
+The counter reads the same on every wire within a cycle, so all of a
+cycle's data toggles decode in one vector operation.
+
+A toggle on the shared reset/skip wire is handled first, as the paper
 specifies: a counter reset (start of a round) when no chunk is pending,
 or a skip command (assign the skip value to all silent wires) when some
 chunk receivers are still waiting.
@@ -40,9 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.chunking import ChunkLayout
-from repro.core.protocol import decode_cycle
+from repro.core.protocol import decode_cycles
 from repro.core.skipping import NoSkipping, SkipPolicy
-from repro.core.toggles import ToggleDetector
 
 __all__ = ["DescReceiver", "ReceiverFaultEvents", "CORRUPT_CHUNK"]
 
@@ -87,8 +93,9 @@ class DescReceiver:
         self._layout = layout
         self._policy = policy if policy is not None else NoSkipping()
         self._strict = strict
-        self._reset_detector = ToggleDetector()
-        self._data_detectors = [ToggleDetector() for _ in range(layout.num_wires)]
+        # The toggle detectors of the whole bank: the last sampled level
+        # of every line (index 0 is the reset/skip wire).
+        self._last_levels = np.zeros(1 + layout.num_wires, dtype=np.uint8)
         self._in_round = False
         self._cycle_in_round = -1
         self._pending: np.ndarray = np.zeros(layout.num_wires, dtype=bool)
@@ -159,14 +166,7 @@ class DescReceiver:
         desynchronized flag is cleared — the endpoints restart from a
         known-clean state.
         """
-        if len(levels) != 1 + self._layout.num_wires:
-            raise ValueError(
-                f"expected {1 + self._layout.num_wires} wire levels, "
-                f"got {len(levels)}"
-            )
-        self._reset_detector.resync(int(levels[0]))
-        for wire, detector in enumerate(self._data_detectors):
-            detector.resync(int(levels[1 + wire]))
+        self._last_levels = self._checked(levels)
         if abandon_partial:
             self._in_round = False
             self._cycle_in_round = -1
@@ -177,58 +177,80 @@ class DescReceiver:
 
     def step(self, levels: np.ndarray) -> None:
         """Consume one cycle of wire levels (reset/skip first, then data)."""
-        if len(levels) != 1 + self._layout.num_wires:
-            raise ValueError(
-                f"expected {1 + self._layout.num_wires} wire levels, "
-                f"got {len(levels)}"
-            )
+        levels = self._checked(levels)
         if self._in_round:
             self._cycle_in_round += 1
             if not self._strict and self._cycle_in_round > self._watchdog_limit:
                 self._watchdog_abort()
 
-        reset_edge = self._reset_detector.sample(int(levels[0]))
-        if reset_edge:
-            if self._in_round and self._pending.any():
+        edges = levels != self._last_levels
+        self._last_levels = levels
+        if edges[0]:
+            # np.count_nonzero is the cheapest "any" on a small bool array.
+            if self._in_round and np.count_nonzero(self._pending):
                 self._apply_skip_command()
             else:
                 self._begin_round()
-
-        for wire, detector in enumerate(self._data_detectors):
-            edge = detector.sample(int(levels[1 + wire]))
-            if not edge:
-                continue
-            if not self._in_round or not self._pending[wire]:
-                if self._strict:
-                    raise RuntimeError(
-                        f"unexpected data toggle on wire {wire}: no chunk pending"
-                    )
-                self.fault_events.spurious_toggles += 1
-                continue
-            skip = self._policy.skip_value(wire)
-            value = self._decode(wire, skip)
-            self._round_values[wire] = value
-            self._pending[wire] = False
-
-        if self._in_round and not self._pending.any():
+        self._latch(edges[1:])
+        if self._in_round and not np.count_nonzero(self._pending):
             self._finish_round()
 
-    def _decode(self, wire: int, skip: int | None) -> int:
-        """Decode one data toggle, absorbing fault-mode violations."""
-        if self._strict:
-            return decode_cycle(self._cycle_in_round, skip)
+    def _checked(self, levels: np.ndarray) -> np.ndarray:
+        """The sampled levels as a fresh ``uint8`` array, validated."""
+        if len(levels) != 1 + self._layout.num_wires:
+            raise ValueError(
+                f"expected {1 + self._layout.num_wires} wire levels, "
+                f"got {len(levels)}"
+            )
+        levels = np.asarray(levels)
+        bad = (levels != 0) & (levels != 1)
+        if np.count_nonzero(bad):
+            line = int(np.argmax(bad))
+            raise ValueError(
+                f"level must be 0 or 1, got {levels[line]} on line {line}"
+            )
+        return levels.astype(np.uint8)
+
+    def _latch(self, edges: np.ndarray) -> None:
+        """Decode this cycle's data toggles (``edges``, one per wire).
+
+        A toggle on a wire with a chunk pending latches the counter; any
+        other toggle is unexpected.  The counter reads the same on every
+        wire, so the whole bank decodes at once.
+        """
+        toggles = int(np.count_nonzero(edges))
+        if not toggles:
+            return
+        expected = edges & self._pending  # a pending chunk implies a round
+        latching = int(np.count_nonzero(expected))
+        if toggles > latching:
+            if self._strict:
+                wire = int(np.argmax(edges & ~self._pending))
+                raise RuntimeError(
+                    f"unexpected data toggle on wire {wire}: no chunk pending"
+                )
+            self.fault_events.spurious_toggles += toggles - latching
+        if not latching:
+            return
         try:
-            value = decode_cycle(self._cycle_in_round, skip)
+            values = decode_cycles(self._cycle_in_round, self._policy.skip_values())
         except ValueError:
+            if self._strict:
+                raise
             # A toggle on cycle 0 of a skipping round: physically a
             # spurious edge racing the reset toggle.
-            self.fault_events.spurious_toggles += 1
-            return CORRUPT_CHUNK
-        if value > self._layout.max_chunk_value or value < 0:
-            # A drifted counter latched an impossible count.
-            self.fault_events.out_of_range_decodes += 1
-            return CORRUPT_CHUNK
-        return value
+            self.fault_events.spurious_toggles += latching
+            values = np.asarray(CORRUPT_CHUNK)
+        else:
+            if not self._strict:
+                # A drifted counter latched an impossible count.
+                impossible = (values < 0) | (values > self._layout.max_chunk_value)
+                self.fault_events.out_of_range_decodes += int(
+                    np.count_nonzero(impossible & expected)
+                )
+                values = np.where(impossible, CORRUPT_CHUNK, values)
+        np.copyto(self._round_values, values, where=expected)
+        self._pending ^= expected  # expected is a subset of pending
 
     def _watchdog_abort(self) -> None:
         """The round overran every legal window: the counters disagree.
@@ -252,18 +274,19 @@ class DescReceiver:
 
     def _apply_skip_command(self) -> None:
         """Reset/skip toggle with chunks pending: silent wires take the skip value."""
-        for wire in np.flatnonzero(self._pending):
-            skip = self._policy.skip_value(int(wire))
-            if skip is None:
-                if self._strict:
-                    raise RuntimeError(
-                        "skip command received but the policy does not skip"
-                    )
-                # A glitched strobe closed a basic-DESC round early: the
-                # still-pending chunks are lost, but we saw it happen.
-                self.fault_events.spurious_toggles += 1
-                skip = CORRUPT_CHUNK
-            self._round_values[wire] = skip
+        skip = self._policy.skip_values()
+        if skip is None:
+            if self._strict:
+                raise RuntimeError(
+                    "skip command received but the policy does not skip"
+                )
+            # A glitched strobe closed a basic-DESC round early: the
+            # still-pending chunks are lost, but we saw it happen.
+            self.fault_events.spurious_toggles += int(
+                np.count_nonzero(self._pending)
+            )
+            skip = np.asarray(CORRUPT_CHUNK)
+        np.copyto(self._round_values, skip, where=self._pending)
         self._pending[:] = False
         # _finish_round runs from step() since pending is now empty — but
         # step() already passed the completion check when it called us, so
@@ -274,9 +297,9 @@ class DescReceiver:
         """Commit the round; assemble the block once all rounds arrived."""
         if not self._in_round:
             return
-        for wire, value in enumerate(self._round_values):
-            if value != CORRUPT_CHUNK:
-                self._policy.observe(wire, int(value))
+        self._policy.observe_round(
+            self._round_values, self._round_values != CORRUPT_CHUNK
+        )
         self._completed_rounds.append(self._round_values.copy())
         self._in_round = False
         self._cycle_in_round = -1

@@ -34,7 +34,12 @@ __all__ = [
 
 
 class SkipPolicy(ABC):
-    """Decides, per wire, which chunk value is transmitted implicitly."""
+    """Decides, per wire, which chunk value is transmitted implicitly.
+
+    The interface works on whole wire banks: :meth:`skip_values` answers
+    for every wire of the next round at once and :meth:`observe_round`
+    records a whole round's delivered values.
+    """
 
     #: Short identifier used in configs, figures, and registries.
     name: str = "abstract"
@@ -43,12 +48,22 @@ class SkipPolicy(ABC):
     enables_skipping: bool = True
 
     @abstractmethod
-    def skip_value(self, wire: int) -> int | None:
-        """Value wire ``wire`` would take if silent, or ``None`` if no skipping."""
+    def skip_values(self) -> np.ndarray | None:
+        """Values silent wires take this round, or ``None`` if no skipping.
+
+        The array broadcasts against one entry per wire: a 0-d array
+        when every wire shares its skip value.  It is the caller's own
+        copy, unaffected by later observations.
+        """
 
     @abstractmethod
-    def observe(self, wire: int, value: int) -> None:
-        """Record that ``value`` was delivered on ``wire`` (sent or skipped)."""
+    def observe_round(self, values: np.ndarray, keep: np.ndarray | None = None) -> None:
+        """Record one round's delivered values (sent or skipped).
+
+        ``keep`` masks the wires whose value is known; wires outside it
+        (a receiver's detected losses) leave their history untouched.
+        ``None`` keeps every wire.
+        """
 
     @abstractmethod
     def reset(self) -> None:
@@ -65,10 +80,10 @@ class NoSkipping(SkipPolicy):
     name = "none"
     enables_skipping = False
 
-    def skip_value(self, wire: int) -> int | None:
+    def skip_values(self) -> np.ndarray | None:
         return None
 
-    def observe(self, wire: int, value: int) -> None:
+    def observe_round(self, values: np.ndarray, keep: np.ndarray | None = None) -> None:
         pass
 
     def reset(self) -> None:
@@ -83,10 +98,10 @@ class ZeroSkipping(SkipPolicy):
 
     name = "zero"
 
-    def skip_value(self, wire: int) -> int | None:
-        return 0
+    def skip_values(self) -> np.ndarray | None:
+        return np.zeros((), dtype=np.int64)
 
-    def observe(self, wire: int, value: int) -> None:
+    def observe_round(self, values: np.ndarray, keep: np.ndarray | None = None) -> None:
         pass
 
     def reset(self) -> None:
@@ -116,11 +131,11 @@ class LastValueSkipping(SkipPolicy):
         """Number of wires whose history is tracked."""
         return self._num_wires
 
-    def skip_value(self, wire: int) -> int | None:
-        return int(self._last[wire])
+    def skip_values(self) -> np.ndarray | None:
+        return self._last.copy()
 
-    def observe(self, wire: int, value: int) -> None:
-        self._last[wire] = value
+    def observe_round(self, values: np.ndarray, keep: np.ndarray | None = None) -> None:
+        np.copyto(self._last, values, where=True if keep is None else keep)
 
     def reset(self) -> None:
         self._last[:] = 0

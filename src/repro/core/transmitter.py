@@ -1,10 +1,14 @@
 """Cycle-accurate DESC transmitter (Section 3.2.1, Figures 5/6/11).
 
-The transmitter owns one FIFO queue per data wire (filled by
-:meth:`DescTransmitter.load_block`), a free-running counter, a toggle
-generator per wire, and the shared reset/skip wire.  Calling
-:meth:`DescTransmitter.step` advances one clock cycle and returns the
-levels currently driven on the wires.
+The transmitter owns one FIFO queue of rounds (filled by
+:meth:`DescTransmitter.load_block`), a free-running counter, and the
+toggle generators of the whole wire bank.  The generators are one
+``uint8`` level array — index 0 is the shared reset/skip wire, then one
+entry per data wire — plus integer flip counters, so a clock cycle is a
+single vector operation whatever the wire count: every data wire whose
+fire cycle equals the counter flips (``levels[1:] ^= fire == cycle``).
+Calling :meth:`DescTransmitter.step` advances one clock cycle and
+returns the levels currently driven on the wires.
 
 The implementation matches ``repro.core.protocol`` exactly; the
 receiver (`repro.core.receiver`) decodes using only the observed wire
@@ -16,9 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.chunking import ChunkLayout
-from repro.core.protocol import fire_cycle
+from repro.core.protocol import fire_cycles
 from repro.core.skipping import NoSkipping, SkipPolicy
-from repro.core.toggles import ToggleGenerator
 
 __all__ = ["DescTransmitter"]
 
@@ -29,8 +32,10 @@ class DescTransmitter:
     def __init__(self, layout: ChunkLayout, policy: SkipPolicy | None = None) -> None:
         self._layout = layout
         self._policy = policy if policy is not None else NoSkipping()
-        self._reset_wire = ToggleGenerator()
-        self._data_wires = [ToggleGenerator() for _ in range(layout.num_wires)]
+        self._levels = np.zeros(1 + layout.num_wires, dtype=np.uint8)
+        self._data_levels = self._levels[1:]  # a view: the data wires
+        self._data_flips = 0
+        self._overhead_flips = 0
         self._pending_rounds: list[np.ndarray] = []
         self._fire_cycles: np.ndarray | None = None
         self._any_skipped = False
@@ -56,20 +61,16 @@ class DescTransmitter:
     @property
     def data_flips(self) -> int:
         """Total transitions driven on the data wires so far."""
-        return sum(wire.transitions for wire in self._data_wires)
+        return self._data_flips
 
     @property
     def overhead_flips(self) -> int:
         """Total transitions driven on the reset/skip wire so far."""
-        return self._reset_wire.transitions
+        return self._overhead_flips
 
     def wire_levels(self) -> np.ndarray:
-        """Current levels: index 0 is the reset/skip wire, then data wires."""
-        levels = np.empty(1 + self._layout.num_wires, dtype=np.uint8)
-        levels[0] = self._reset_wire.level
-        for i, wire in enumerate(self._data_wires):
-            levels[1 + i] = wire.level
-        return levels
+        """Current levels (a copy): index 0 is the reset/skip wire, then data wires."""
+        return self._levels.copy()
 
     def load_block(self, chunks: np.ndarray) -> None:
         """Queue a block (chunk-value array) for transmission.
@@ -80,7 +81,7 @@ class DescTransmitter:
         if self.busy:
             raise RuntimeError("transmitter is busy; wait for the ready signal")
         schedule = self._layout.schedule(np.asarray(chunks, dtype=np.int64))
-        self._pending_rounds = [schedule[r] for r in range(schedule.shape[0])]
+        self._pending_rounds = list(schedule)
 
     def step(self) -> np.ndarray:
         """Advance one clock cycle; return the driven wire levels.
@@ -88,53 +89,50 @@ class DescTransmitter:
         An idle transmitter holds its levels (no transitions).
         """
         if self._fire_cycles is None:
-            if not self._pending_rounds:
-                return self.wire_levels()
-            self._begin_round(self._pending_rounds.pop(0))
+            if self._pending_rounds:
+                self._begin_round(self._pending_rounds.pop(0))
             return self.wire_levels()
 
         self._cycle_in_round += 1
-        assert self._fire_cycles is not None
-        for wire, cycle in enumerate(self._fire_cycles):
-            if cycle == self._cycle_in_round:
-                self._data_wires[wire].pulse()
+        self._fire(self._cycle_in_round)
         if self._close_cycle is not None and self._cycle_in_round >= self._close_cycle:
             if self._any_skipped:
-                self._reset_wire.pulse()  # closing skip toggle
+                self._pulse_reset()  # closing skip toggle
             self._finish_round()
         return self.wire_levels()
 
+    def _pulse_reset(self) -> None:
+        self._levels[0] ^= 1
+        self._overhead_flips += 1
+
+    def _fire(self, cycle: int) -> None:
+        """Toggle every data wire whose chunk fires on ``cycle``."""
+        assert self._fire_cycles is not None
+        fired = self._fire_cycles == cycle
+        self._data_levels ^= fired
+        self._data_flips += int(np.count_nonzero(fired))
+
     def _begin_round(self, values: np.ndarray) -> None:
         """Cycle 0 of a round: toggle reset/skip, compute fire cycles."""
-        self._reset_wire.pulse()
+        self._pulse_reset()
         self._cycle_in_round = 0
-        fire = np.full(self._layout.num_wires, -1, dtype=np.int64)
-        self._any_skipped = False
-        for wire, value in enumerate(values):
-            cycle = fire_cycle(int(value), self._policy.skip_value(wire))
-            if cycle is None:
-                self._any_skipped = True
-            else:
-                fire[wire] = cycle
-        self._round_values = values
-        unskipped = fire[fire >= 0]
-        last_fire = int(unskipped.max()) if unskipped.size else None
+        fire = fire_cycles(values, self._policy.skip_values())
+        self._any_skipped = bool((fire < 0).any())
+        last_fire = int(fire.max())  # -1 when every chunk was skipped
         if self._any_skipped:
-            self._close_cycle = 1 if last_fire is None else last_fire + 1
+            self._close_cycle = max(last_fire, 0) + 1
         else:
             self._close_cycle = last_fire  # round ends with the final data toggle
+        self._round_values = values
         self._fire_cycles = fire
         # A chunk may fire on cycle 0 itself (value 0 under basic DESC).
-        for wire, cycle in enumerate(fire):
-            if cycle == 0:
-                self._data_wires[wire].pulse()
+        self._fire(0)
         if self._close_cycle == 0:
             self._finish_round()
 
     def _finish_round(self) -> None:
-        """Commit per-wire history and arm the next round (next cycle)."""
-        for wire, value in enumerate(self._round_values):
-            self._policy.observe(wire, int(value))
+        """Commit the round's history and arm the next round (next cycle)."""
+        self._policy.observe_round(self._round_values)
         self._fire_cycles = None
         self._close_cycle = None
         self._cycle_in_round = -1

@@ -7,8 +7,11 @@ every block with the paper's chunk-interleaved SECDED layout (Figure 9),
 and classifies each delivered block against the transmitted data:
 clean, ECC-corrected, *detected* corrupt (sentinels or uncorrectable
 syndrome — a retry candidate), or *silently* wrong (the failure mode
-that actually matters).  A fault-free reference link carries the same
-stream so recovery costs can be expressed as overhead ratios.
+that actually matters).  The closed-form
+:class:`~repro.core.analysis.DescCostModel` prices the same stream on a
+fault-free link, so recovery costs can be expressed as overhead ratios;
+``tests/core/test_agreement.py`` pins that model to the cycle-accurate
+link for every skip policy.
 
 The campaign is a pure function of its config: all randomness comes from
 the config's seeds, so results are identical whether campaigns run
@@ -22,6 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.core.analysis import DescCostModel
 from repro.core.chunking import ChunkLayout
 from repro.core.link import DescLink
 from repro.core.receiver import CORRUPT_CHUNK
@@ -74,6 +78,8 @@ class FaultCampaignConfig:
     def __post_init__(self) -> None:
         if self.num_blocks < 1:
             raise ValueError(f"num_blocks must be >= 1, got {self.num_blocks}")
+        if self.data_seed < 0:
+            raise ValueError(f"data_seed must be >= 0, got {self.data_seed}")
 
     def key(self) -> str:
         """A stable identity string for result-store caching."""
@@ -153,9 +159,6 @@ def run_campaign(config: FaultCampaignConfig) -> FaultCampaignResult:
         injector=injector,
         resync_interval=config.resync_interval,
     )
-    reference = DescLink(
-        layout, skip_policy=config.skip_policy, wire_delay=config.wire_delay
-    )
 
     clean = corrected = detected = silent = 0
     chunk_errors = chunks_total = 0
@@ -163,7 +166,6 @@ def run_campaign(config: FaultCampaignConfig) -> FaultCampaignResult:
     for i in range(config.num_blocks):
         delivered_before = len(faulty.receiver.received_blocks)
         faulty.send_block(stream[i])
-        reference.send_block(stream[i])
         if len(faulty.receiver.received_blocks) == delivered_before:
             continue  # lost block, already counted by the link watchdog
         got = faulty.receiver.received_blocks[-1]
@@ -199,7 +201,7 @@ def run_campaign(config: FaultCampaignConfig) -> FaultCampaignResult:
     report = faulty.fault_report()
     inj = injector.stats() if injector is not None else None
     cost = faulty.cost_so_far()
-    base = reference.cost_so_far()
+    base = DescCostModel(layout, config.skip_policy).stream_cost(stream).total()
     stats = FaultStats(
         blocks_sent=report.blocks_sent,
         blocks_delivered=report.blocks_delivered,

@@ -31,9 +31,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.faults.processes import FaultConfig, make_process
+from repro.faults.processes import (
+    BernoulliProcess,
+    FaultConfig,
+    GilbertElliottProcess,
+    make_process,
+)
 
 __all__ = ["InjectorStats", "LinkFaultInjector"]
+
+
+def _active(
+    rate: float, num_wires: int, config: FaultConfig, rng: np.random.Generator
+) -> BernoulliProcess | GilbertElliottProcess | None:
+    """The configured process at ``rate``, or ``None`` when it is zero."""
+    return make_process(rate, num_wires, config, rng) if rate else None
 
 
 @dataclass(frozen=True)
@@ -88,15 +100,16 @@ class LinkFaultInjector:
         # Drops apply to every line (a masked strobe toggle mis-frames a
         # round); glitches are split between the data wires and the
         # dedicated strobe process so their rates tune independently.
-        self._drop = make_process(config.drop_rate, lines, config, self._rng)
-        self._glitch = make_process(
-            config.glitch_rate, num_wires, config, self._rng
-        )
-        self._strobe = make_process(
+        # A zero-rate process never draws or fires, so it is not built
+        # at all: ``perturb`` then skips it without changing the draws.
+        self._drop = _active(config.drop_rate, lines, config, self._rng)
+        self._glitch = _active(config.glitch_rate, num_wires, config, self._rng)
+        self._strobe = _active(
             config.strobe_glitch_rate, 1, config, self._rng
         )
-        self._desync = make_process(config.desync_rate, 1, config, self._rng)
+        self._desync = _active(config.desync_rate, 1, config, self._rng)
         self._mask = np.zeros(lines, dtype=np.uint8)
+        self._stuck = 1 + np.array(config.stuck_wires, dtype=np.intp)
         self._last_driven: np.ndarray | None = None
         self._pending_desync = 0
         self.dropped_toggles = 0
@@ -119,31 +132,35 @@ class LinkFaultInjector:
         """One cycle of faults: driven levels in, delivered levels out.
 
         Must be called exactly once per link cycle — the fault processes
-        advance on every call.
+        advance on every call.  The injector keeps ``levels`` (without
+        copying) to spot the next cycle's toggles, so a caller must not
+        modify the array afterwards; :class:`~repro.core.link.DescLink`
+        hands over a fresh array every cycle.
         """
         driven = np.asarray(levels, dtype=np.uint8)
         if len(driven) != 1 + self.num_wires:
             raise ValueError(
                 f"expected {1 + self.num_wires} wire levels, got {len(driven)}"
             )
-        if self._last_driven is None:
-            toggled = np.zeros(1 + self.num_wires, dtype=bool)
-        else:
-            toggled = driven != self._last_driven
-        self._last_driven = driven.copy()
-
-        drops = self._drop.sample() & toggled
-        if drops.any():
-            self._mask[drops] ^= 1
-            self.dropped_toggles += int(drops.sum())
-        glitches = self._glitch.sample()
-        if glitches.any():
-            self._mask[1:][glitches] ^= 1
-            self.spurious_toggles += int(glitches.sum())
-        if self._strobe.sample()[0]:
+        if self._drop is not None:
+            events = self._drop.sample()
+            if self._last_driven is not None:
+                drops = events & (driven != self._last_driven)
+                dropped = int(np.count_nonzero(drops))
+                if dropped:
+                    self._mask ^= drops
+                    self.dropped_toggles += dropped
+            self._last_driven = driven
+        if self._glitch is not None:
+            glitches = self._glitch.sample()
+            glitched = int(np.count_nonzero(glitches))
+            if glitched:
+                self._mask[1:] ^= glitches
+                self.spurious_toggles += glitched
+        if self._strobe is not None and self._strobe.sample()[0]:
             self._mask[0] ^= 1
             self.strobe_glitches += 1
-        if self._desync.sample()[0]:
+        if self._desync is not None and self._desync.sample()[0]:
             self.desync_events += 1
             # Alternate the drift direction so campaigns see both.
             self._pending_desync = 1 if self.desync_events % 2 else -1
@@ -157,8 +174,7 @@ class LinkFaultInjector:
         while the link is stalled.
         """
         delivered = np.asarray(levels, dtype=np.uint8) ^ self._mask
-        for wire in self.config.stuck_wires:
-            delivered[1 + wire] = self.config.stuck_level
+        delivered[self._stuck] = self.config.stuck_level
         return delivered
 
     def take_desync(self) -> int:

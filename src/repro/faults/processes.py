@@ -86,6 +86,8 @@ class FaultConfig:
             raise ValueError(
                 f"burst_gain must be positive, got {self.burst_gain}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not isinstance(self.stuck_wires, tuple):
             # Accept lists for convenience while keeping hashability.
             object.__setattr__(self, "stuck_wires", tuple(self.stuck_wires))

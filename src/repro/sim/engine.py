@@ -53,26 +53,10 @@ __all__ = [
     "simulate_many",
     "set_default_max_workers",
     "get_default_max_workers",
-    "get_pool_fallback_count",
     "fork_available",
 ]
 
 _log = logging.getLogger("repro.sim.engine")
-
-#: Times a batch degraded from the process pool to in-process execution
-#: (fork unavailable, broken pool, refused fork).  Monotonic over the
-#: process lifetime; surfaced by the service's ``/metrics`` endpoint.
-_pool_fallbacks = 0
-
-
-def _record_pool_fallback() -> None:
-    global _pool_fallbacks
-    _pool_fallbacks += 1
-
-
-def get_pool_fallback_count() -> int:
-    """How many batches fell back from the pool to in-process runs."""
-    return _pool_fallbacks
 
 #: Worker count ``simulate_many`` uses when none is given; 1 = serial.
 _default_max_workers = 1
@@ -382,7 +366,6 @@ class StagedEngine:
             raise ValueError(f"retries must be >= 0, got {retries}")
         if max_workers > 1 and not fork_available():
             max_workers = 1  # clean serial fallback (see fork_available)
-            _record_pool_fallback()
         # Serve whatever is already stored; only ship the misses.
         results: list[object | None] = []
         pending: list[tuple[int, object]] = []
@@ -474,12 +457,10 @@ def _pool_outcomes(
             "process pool broke (worker died); recomputing %d job(s) serially",
             len(payloads),
         )
-        _record_pool_fallback()
         return [run_local(payload) for payload in payloads]
     except (OSError, PermissionError):
         # Sandboxes can advertise fork yet refuse new processes;
         # results are pool-independent, so just run in-process.
-        _record_pool_fallback()
         return [run_local(payload) for payload in payloads]
 
 

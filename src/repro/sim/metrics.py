@@ -87,9 +87,11 @@ class FaultStats:
         resync_cycles: Stall cycles spent on resync strobes.
         total_flips: All wire transitions on the faulty link.
         total_cycles: Busy + resync cycles on the faulty link.
-        baseline_flips: Wire transitions of the fault-free reference
-            link carrying the same data.
-        baseline_cycles: Busy cycles of the reference link.
+        baseline_flips: Wire transitions of a fault-free link carrying
+            the same data, priced by the closed-form ``DescCostModel``
+            (pinned to the cycle-accurate link by the agreement tests).
+        baseline_cycles: Busy cycles of that fault-free transfer, from
+            the same model.
         dropped_toggles / spurious_toggles / strobe_glitches /
             desync_events: Fault events the injector produced.
         watchdog_aborts: Rounds abandoned by the receiver's watchdog.

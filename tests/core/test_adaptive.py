@@ -11,49 +11,58 @@ from repro.core.chunking import ChunkLayout
 from repro.core.link import DescLink
 
 
+def observe(policy: AdaptiveSkipping, *rounds: tuple[int, ...]) -> None:
+    """Feed whole rounds (one value per wire) to the policy."""
+    for values in rounds:
+        policy.observe_round(np.array(values))
+
+
 class TestAdaptivePolicy:
     def test_starts_at_zero(self):
         policy = AdaptiveSkipping(4, 4, window=8)
-        assert all(policy.skip_value(w) == 0 for w in range(4))
+        assert policy.skip_values().tolist() == [0, 0, 0, 0]
 
     def test_elects_most_frequent(self):
         policy = AdaptiveSkipping(1, 4, window=4)
-        for value in (7, 7, 7, 2):
-            policy.observe(0, value)
-        assert policy.skip_value(0) == 7
+        observe(policy, (7,), (7,), (7,), (2,))
+        assert policy.skip_values().tolist() == [7]
 
     def test_tie_resolves_to_smallest(self):
         policy = AdaptiveSkipping(1, 4, window=4)
-        for value in (9, 9, 3, 3):
-            policy.observe(0, value)
-        assert policy.skip_value(0) == 3
+        observe(policy, (9,), (9,), (3,), (3,))
+        assert policy.skip_values().tolist() == [3]
 
     def test_counts_reset_between_windows(self):
         policy = AdaptiveSkipping(1, 4, window=2)
-        for value in (7, 7):  # window 1 elects 7
-            policy.observe(0, value)
-        for value in (5, 5):  # window 2 must not be polluted by the 7s
-            policy.observe(0, value)
-        assert policy.skip_value(0) == 5
+        observe(policy, (7,), (7,))  # window 1 elects 7
+        observe(policy, (5,), (5,))  # window 2 must not be polluted by the 7s
+        assert policy.skip_values().tolist() == [5]
 
     def test_wires_independent(self):
         policy = AdaptiveSkipping(2, 4, window=2)
-        for _ in range(2):
-            policy.observe(0, 9)
-            policy.observe(1, 4)
-        assert policy.skip_value(0) == 9
-        assert policy.skip_value(1) == 4
+        observe(policy, (9, 4), (9, 4))
+        assert policy.skip_values().tolist() == [9, 4]
+
+    def test_masked_wires_keep_their_window(self):
+        """A wire outside ``keep`` (a detected loss) neither counts the
+        value nor advances its window; the other wires elect on time."""
+        policy = AdaptiveSkipping(2, 4, window=2)
+        policy.observe_round(np.array([9, 4]))
+        policy.observe_round(np.array([9, 4]), np.array([True, False]))
+        assert policy.skip_values().tolist() == [9, 0]
+        policy.observe_round(np.array([1, 4]), np.array([False, True]))
+        assert policy.skip_values().tolist() == [9, 4]
 
     def test_reset(self):
         policy = AdaptiveSkipping(1, 4, window=1)
-        policy.observe(0, 9)
+        observe(policy, (9,))
         policy.reset()
-        assert policy.skip_value(0) == 0
+        assert policy.skip_values().tolist() == [0]
 
     def test_clone_is_fresh(self):
         policy = AdaptiveSkipping(1, 4, window=1)
-        policy.observe(0, 9)
-        assert policy.clone().skip_value(0) == 0
+        observe(policy, (9,))
+        assert policy.clone().skip_values().tolist() == [0]
 
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):

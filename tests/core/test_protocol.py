@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.protocol import TransferCost, decode_cycle, fire_cycle, round_duration
+from repro.core.protocol import (
+    TransferCost,
+    decode_cycle,
+    decode_cycles,
+    fire_cycle,
+    fire_cycles,
+    round_duration,
+)
 
 
 class TestFireCycle:
@@ -56,6 +64,37 @@ class TestDecodeCycle:
         cycle = fire_cycle(value, skip)
         if cycle is not None:
             assert decode_cycle(cycle, skip) == value
+
+
+class TestArrayForms:
+    """The wire-bank forms apply the scalar rules wire by wire."""
+
+    @given(
+        st.lists(st.integers(0, 15), min_size=1, max_size=12),
+        st.integers(0, 15),
+    )
+    def test_fire_cycles_match_fire_cycle(self, values, seed):
+        skips = np.random.default_rng(seed).integers(0, 16, len(values))
+        fire = fire_cycles(np.array(values), skips)
+        expected = [fire_cycle(v, int(s)) for v, s in zip(values, skips, strict=True)]
+        assert fire.tolist() == [-1 if c is None else c for c in expected]
+        assert fire_cycles(np.array(values), None).tolist() == values
+
+    def test_shared_skip_value_broadcasts(self):
+        fire = fire_cycles(np.array([0, 3, 0, 1]), np.zeros((), dtype=np.int64))
+        assert fire.tolist() == [-1, 3, -1, 1]
+
+    @given(st.integers(1, 17), st.lists(st.integers(0, 15), min_size=1, max_size=12))
+    def test_decode_cycles_match_decode_cycle(self, cycle, skips):
+        values = decode_cycles(cycle, np.array(skips))
+        assert values.tolist() == [decode_cycle(cycle, s) for s in skips]
+
+    def test_decode_without_skipping_is_the_counter(self):
+        assert decode_cycles(4, None) == 4
+
+    def test_decode_cycle_zero_invalid_when_skipping(self):
+        with pytest.raises(ValueError, match="cycle 0"):
+            decode_cycles(0, np.array([3, 0]))
 
 
 class TestRoundDuration:

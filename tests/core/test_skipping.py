@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.skipping import (
@@ -15,52 +16,58 @@ from repro.core.skipping import (
 class TestNoSkipping:
     def test_never_skips(self):
         policy = NoSkipping()
-        assert policy.skip_value(0) is None
+        assert policy.skip_values() is None
         assert not policy.enables_skipping
 
     def test_observe_is_noop(self):
         policy = NoSkipping()
-        policy.observe(0, 7)
-        assert policy.skip_value(0) is None
+        policy.observe_round(np.array([7]))
+        assert policy.skip_values() is None
 
 
 class TestZeroSkipping:
     def test_skip_value_is_zero_everywhere(self):
         policy = ZeroSkipping()
-        assert policy.skip_value(0) == 0
-        assert policy.skip_value(127) == 0
+        skip = policy.skip_values()
+        assert np.array_equal(np.broadcast_to(skip, 128), np.zeros(128))
 
     def test_history_independent(self):
         policy = ZeroSkipping()
-        policy.observe(3, 9)
-        assert policy.skip_value(3) == 0
+        policy.observe_round(np.array([0, 0, 0, 9]))
+        assert policy.skip_values() == 0
 
 
 class TestLastValueSkipping:
     def test_initial_history_is_zero(self):
         policy = LastValueSkipping(4)
-        assert all(policy.skip_value(w) == 0 for w in range(4))
+        assert policy.skip_values().tolist() == [0, 0, 0, 0]
 
     def test_tracks_per_wire(self):
         policy = LastValueSkipping(4)
-        policy.observe(1, 9)
-        policy.observe(2, 5)
-        assert policy.skip_value(0) == 0
-        assert policy.skip_value(1) == 9
-        assert policy.skip_value(2) == 5
+        keep = np.array([False, True, True, False])
+        policy.observe_round(np.array([3, 9, 5, 6]), keep)
+        assert policy.skip_values().tolist() == [0, 9, 5, 0]
+        policy.observe_round(np.array([3, 1, 5, 6]))
+        assert policy.skip_values().tolist() == [3, 1, 5, 6]
+
+    def test_skip_values_are_a_snapshot(self):
+        policy = LastValueSkipping(2)
+        before = policy.skip_values()
+        policy.observe_round(np.array([4, 7]))
+        assert before.tolist() == [0, 0]
 
     def test_reset_clears_history(self):
         policy = LastValueSkipping(2)
-        policy.observe(0, 7)
+        policy.observe_round(np.array([7, 3]))
         policy.reset()
-        assert policy.skip_value(0) == 0
+        assert policy.skip_values().tolist() == [0, 0]
 
     def test_clone_fresh_history(self):
         policy = LastValueSkipping(2)
-        policy.observe(0, 7)
+        policy.observe_round(np.array([7, 3]))
         clone = policy.clone()
-        assert clone.skip_value(0) == 0
-        assert policy.skip_value(0) == 7
+        assert clone.skip_values().tolist() == [0, 0]
+        assert policy.skip_values().tolist() == [7, 3]
 
     def test_rejects_bad_wire_count(self):
         with pytest.raises(ValueError, match="positive"):

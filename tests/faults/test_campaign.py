@@ -134,3 +134,7 @@ class TestValidation:
     def test_non_positive_block_count_rejected(self):
         with pytest.raises(ValueError, match="num_blocks"):
             FaultCampaignConfig(num_blocks=0)
+
+    def test_negative_data_seed_rejected(self):
+        with pytest.raises(ValueError, match="data_seed must be >= 0"):
+            FaultCampaignConfig(data_seed=-1)

@@ -35,6 +35,10 @@ class TestFaultConfig:
         with pytest.raises(ValueError, match="burst_gain"):
             FaultConfig(burst_gain=0.0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            FaultConfig(seed=-1)
+
     def test_stuck_wire_list_coerced_to_tuple(self):
         config = FaultConfig(stuck_wires=[3, 1])
         assert config.stuck_wires == (3, 1)

@@ -190,6 +190,13 @@ class TestFaultsCommand:
         again = json.loads(capsys.readouterr().out)
         assert one == again  # deterministic in the seed
 
+    @pytest.mark.parametrize("extra", [[], ["--json"], ["--check"]])
+    def test_negative_seed_exits_2(self, capsys, extra):
+        assert main(["faults", "--quick", "--seed", "-1", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == "repro faults: error: --seed must be >= 0"
+        assert captured.out == ""
+
 
 class TestSweepCommand:
     ARGS = ["sweep", "--scheme", "desc-zero", "--sample-blocks", "400"]
