@@ -14,6 +14,11 @@ endpoints need three small circuits:
 
 Each circuit counts the transitions it drives so energy accounting can
 audit flip counts end to end.
+
+The cycle-accurate endpoints (:mod:`repro.core.transmitter`,
+:mod:`repro.core.receiver`) model a whole wire bank of generators or
+detectors as one level array; the objects here serve the H-tree
+regenerators (:mod:`repro.interconnect.regenerator_tree`).
 """
 
 from __future__ import annotations
