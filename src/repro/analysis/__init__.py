@@ -10,10 +10,11 @@ break silently and that ``ruff``/``mypy`` cannot see:
 * **Cost accounting** — every wire flip must be charged through
   :class:`~repro.core.protocol.TransferCost` exactly once, at a known
   charge site (rule ``R002``).
-* **Engine-tier parity** — the reference event loop, the vectorized
-  engine, and the native kernel must stay call-compatible so the
-  fallback chain never silently diverges, and every scheme must have a
-  registered transfer model (rule ``R003``).
+* **Engine-tier parity** — the reference event loop and the native
+  kernel must stay call-compatible so the fallback never silently
+  diverges, the pipeline kernels' native and NumPy twins must keep
+  identical signatures, and every scheme must have a registered
+  transfer model (rule ``R003``).
 * **Float hygiene** — energy/cost comparisons must not use ``==``
   (rule ``R004``), and ordered outputs must not be fed from unordered
   iteration (rule ``R005``).
@@ -27,9 +28,8 @@ break silently and that ``ruff``/``mypy`` cannot see:
 
 The package is a small AST-walking framework (:mod:`.framework`) with a
 rule registry (:mod:`.rules`), a committed baseline so pre-existing
-debt never blocks CI while *new* violations do (:mod:`.baseline`), an
-incremental parallel engine with SARIF output (:mod:`.engine`,
-:mod:`.cache`, :mod:`.sarif`), and a CLI front-end wired into
+debt never blocks CI while *new* violations do (:mod:`.baseline`),
+SARIF output (:mod:`.sarif`), and a CLI front-end wired into
 ``repro lint`` (:mod:`.cli`).
 
 Suppressions: append ``# lint-ok: R001`` (comma-separate several ids)

@@ -4,14 +4,14 @@ Kept separate from :mod:`repro.cli` so the analyzer stays importable
 and testable without the figure registry.  Exit codes: ``0`` clean
 (every finding baselined or none), ``1`` new findings, ``2`` usage or
 environment errors (not inside a checkout, unknown rule, unreadable
-baseline, bad ``--changed`` ref) — always as a clear message, never a
-traceback.
+baseline, unwritable ``--output``) — always as a clear message, never
+a traceback.
 
-The heavy lifting lives in :mod:`repro.analysis.engine` (incremental
-cache, worker processes, ``--changed`` scoping); this module maps
-flags to engine knobs and findings to one of three report formats:
-human text, the JSON payload CI has always consumed, or SARIF 2.1.0
-for annotation publishing (``--format sarif --output lint.sarif``).
+Findings come from :func:`repro.analysis.framework.run_analysis`, the
+same function the rule tests call; this module maps flags to its inputs
+and findings to one of three report formats: human text, the JSON
+payload CI has always consumed, or SARIF 2.1.0 for annotation
+publishing (``--format sarif --output lint.sarif``).
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ import sys
 from pathlib import Path
 
 from repro.analysis.baseline import Baseline
-from repro.analysis.cache import CACHE_DIR_NAME
 from repro.analysis.config import find_repo_root, load_config
-from repro.analysis.engine import EngineReport, analyze, resolve_workers
 from repro.analysis.findings import Finding
-from repro.analysis.rules import known_rule_ids
+from repro.analysis.framework import run_analysis
+from repro.analysis.rules import default_rules, known_rule_ids
 from repro.util.profiling import PROFILER
 
 __all__ = ["add_lint_arguments", "run_lint"]
@@ -59,21 +58,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--check", action="store_true",
         help="CI mode: quiet on success, exit 1 on any non-baselined finding",
-    )
-    parser.add_argument(
-        "--workers", metavar="N|auto", default=None,
-        help="lint files across N worker processes ('auto' = CPU count; "
-             "default: in-process)",
-    )
-    parser.add_argument(
-        "--changed", metavar="REF", default=None,
-        help="only run per-file rules on files that differ from the "
-             "given git ref (project-level rules still see the whole "
-             "tree)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help=f"bypass the incremental result cache ({CACHE_DIR_NAME}/)",
     )
     parser.add_argument(
         "--format", choices=("text", "json", "sarif"), default=None,
@@ -135,24 +119,12 @@ def run_lint(args: argparse.Namespace) -> int:
         from dataclasses import replace
 
         config = replace(config, paths=tuple(args.paths))
-    try:
-        workers = resolve_workers(args.workers)
-    except ValueError as exc:
-        return _fail(str(exc))
-
     format_ = args.format_ or ("json" if args.json else "text")
     if args.profile:
         PROFILER.enable()
     try:
-        findings, report = analyze(
-            root,
-            config,
-            rule_filter,
-            workers=workers,
-            use_cache=not args.no_cache,
-            changed_ref=args.changed,
-        )
-    except ValueError as exc:  # bad --changed ref, unreadable tree
+        findings = run_analysis(root, config, default_rules(), rule_filter)
+    except ValueError as exc:  # a source file that is not UTF-8
         return _fail(str(exc))
 
     baseline_path = root / (args.baseline or config.baseline)
@@ -173,35 +145,31 @@ def run_lint(args: argparse.Namespace) -> int:
     stale = baseline.stale(findings)
 
     active_rules = tuple(rule_filter) if rule_filter else known
-    if format_ == "json":
-        _write_report(
-            _json_payload(root, new, baselined, stale, active_rules, report),
-            args.output,
-        )
-    elif format_ == "sarif":
-        from repro.analysis.sarif import dumps_sarif
+    if format_ == "text":
+        for finding in new:
+            print(finding.format())
+    else:
+        if format_ == "json":
+            payload = _json_payload(root, new, baselined, stale, active_rules)
+            text = json.dumps(payload, indent=2) + "\n"
+        else:
+            from repro.analysis.sarif import dumps_sarif
 
-        text = dumps_sarif(
-            new, active_rules, properties={"engine": report.to_dict()}
-        )
+            text = dumps_sarif(new, active_rules)
         if args.output:
-            Path(args.output).write_text(text, encoding="utf-8")
+            try:
+                Path(args.output).write_text(text, encoding="utf-8")
+            except OSError as exc:
+                return _fail(
+                    f"cannot write {args.output}: {exc.strerror or exc}"
+                )
         else:
             sys.stdout.write(text)
-        _emit_summary(new, baselined, stale, report, check=args.check)
-    else:
-        _emit_human(new, baselined, stale, report, check=args.check)
+    if format_ != "json":
+        _emit_summary(new, baselined, stale, check=args.check)
     if args.profile:
         _emit_profile()
     return 1 if new else 0
-
-
-def _write_report(payload: dict, output: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
 
 
 def _json_payload(
@@ -210,7 +178,6 @@ def _json_payload(
     baselined: list[Finding],
     stale: list[str],
     active_rules: tuple[str, ...],
-    report: EngineReport,
 ) -> dict:
     return {
         "version": 1,
@@ -220,7 +187,6 @@ def _json_payload(
         "baselined": [f.to_dict() for f in baselined],
         "stale_baseline_entries": stale,
         "new_count": len(new),
-        "engine": report.to_dict(),
     }
 
 
@@ -228,7 +194,6 @@ def _emit_summary(
     new: list[Finding],
     baselined: list[Finding],
     stale: list[str],
-    report: EngineReport,
     check: bool,
 ) -> None:
     """The stderr status lines shared by the human and SARIF paths."""
@@ -239,39 +204,19 @@ def _emit_summary(
             "down); retire with --update-baseline",
             file=sys.stderr,
         )
-    cache_note = ""
-    if report.cache_hits or report.cache_misses:
-        cache_note = (
-            f"; cache {report.cache_hits} hit(s) / "
-            f"{report.cache_misses} miss(es)"
-        )
     if new:
         rules = sorted({f.rule for f in new})
         print(
             f"{len(new)} new finding(s) across {', '.join(rules)}"
-            + (f"; {len(baselined)} baselined" if baselined else "")
-            + cache_note,
+            + (f"; {len(baselined)} baselined" if baselined else ""),
             file=sys.stderr,
         )
     elif not check:
         print(
             "clean"
-            + (f" ({len(baselined)} baselined finding(s))" if baselined else "")
-            + cache_note,
+            + (f" ({len(baselined)} baselined finding(s))" if baselined else ""),
             file=sys.stderr,
         )
-
-
-def _emit_human(
-    new: list[Finding],
-    baselined: list[Finding],
-    stale: list[str],
-    report: EngineReport,
-    check: bool,
-) -> None:
-    for finding in new:
-        print(finding.format())
-    _emit_summary(new, baselined, stale, report, check)
 
 
 def _emit_profile() -> None:

@@ -55,14 +55,14 @@ class AnalysisConfig:
             the protocol's whitelisted charge sites.
         float_scope: Where R004 (float equality) applies.
         iteration_scope: Where R005 (unordered iteration) applies.
-        tier_classes: ``path:Class`` engine tiers whose public
-            signatures must match exactly (R003).
-        tier_methods: The methods compared across tiers.
+        tier_classes: ``path:Class`` fast engine tiers; each must exist,
+            and the first one's ``run`` fixes the leading parameter the
+            dispatch facade's methods must take (R003).
         kernel_dispatchers: ``path:function`` compute-kernel dispatch
             functions; each must ship ``<name>_native`` and
             ``<name>_numpy`` twins in the same module with the
             dispatcher's exact signature (R003), so the
-            ``REPRO_NATIVE=0`` fallback chain stays drop-in.
+            ``REPRO_NATIVE=0`` fallback stays drop-in.
         dispatch_class: ``path:Class`` of the engine-dispatch facade
             (the reference event loop's home).
         dispatch_methods: Methods the facade must define, each taking
@@ -119,10 +119,8 @@ class AnalysisConfig:
     )
     iteration_scope: tuple[str, ...] = ("src/repro",)
     tier_classes: tuple[str, ...] = (
-        "src/repro/kernels/multicore.py:VectorizedMulticoreEngine",
         "src/repro/kernels/native.py:NativeMulticoreEngine",
     )
-    tier_methods: tuple[str, ...] = ("__init__", "run", "supports")
     kernel_dispatchers: tuple[str, ...] = (
         "src/repro/kernels/pipeline.py:desc_stream_arrays",
         "src/repro/kernels/pipeline.py:binary_flips",

@@ -5,7 +5,8 @@ two hooks: :meth:`Rule.check_file` (called once per parsed file inside
 the rule's scope) and :meth:`Rule.check_project` (called once with the
 whole file set, for cross-file invariants like engine-tier parity).
 The driver, :func:`run_analysis`, loads files, runs every registered
-rule, drops suppressed findings, and returns them in report order.
+rule, drops suppressed findings, and returns them in report order;
+``repro lint`` and the rule tests both run through it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.findings import Finding, sort_findings
+from repro.util.profiling import timed
 
 __all__ = [
     "Rule",
@@ -131,11 +133,11 @@ def collect_files(root: Path, paths: Iterable[str]) -> list[SourceFile]:
     """Load every ``.py`` file under the configured trees, sorted.
 
     The returned list is **always** in sorted repo-relative path order
-    — an explicit contract, not an accident of ``rglob``: parallel
-    lint workers, the incremental cache, and the baseline fingerprints
-    all assume one canonical file order, so cold, warm, serial, and
-    parallel runs report byte-identical findings
-    (``tests/analysis/test_framework.py`` asserts it).
+    — an explicit contract, not an accident of ``rglob``: the report
+    order and the baseline fingerprints assume one canonical file
+    order, so runs from any working directory or argument order
+    report byte-identical findings (``tests/analysis/test_framework.py``
+    asserts it).
     """
     seen: dict[str, SourceFile] = {}
     for entry in paths:
@@ -172,12 +174,11 @@ def run_file_rules(
 ) -> dict[str, list[Finding]]:
     """One file's per-rule findings, scope-filtered, unsuppressed.
 
-    Returns an entry for **every** rule that applies to the file (empty
-    list = ran clean), so the incremental cache can distinguish "ran
-    and found nothing" from "never ran".  Suppressions are *not*
-    applied here — they are part of presentation, not of the rule
-    result — so cached entries stay waiver-agnostic and
-    :func:`apply_suppressions` filters at assembly time.
+    Returns an entry for every rule that applies to the file (empty
+    list = ran clean).  Suppressions are *not* applied here — they are
+    part of presentation, not of the rule result —
+    :func:`apply_suppressions` filters at assembly time.  Each rule's
+    time lands in the ``lint.<rule>`` profiling section.
     """
     results: dict[str, list[Finding]] = {}
     if file.tree is None:
@@ -186,7 +187,8 @@ def run_file_rules(
         prefixes = rule.scope(config)
         if prefixes and not in_scope(file.rel, prefixes):
             continue
-        results[rule.id] = list(rule.check_file(file, config))
+        with timed(f"lint.{rule.id}"):
+            results[rule.id] = list(rule.check_file(file, config))
     return results
 
 
@@ -196,11 +198,12 @@ def run_project_rules(
     config: AnalysisConfig,
     root: Path,
 ) -> list[Finding]:
-    """Cross-file findings of every rule (never cached — they depend
-    on the whole tree, not one file's content)."""
+    """Cross-file findings of every rule, timed like the per-file
+    hooks under ``lint.<rule>``."""
     findings: list[Finding] = []
     for rule in rules:
-        findings.extend(rule.check_project(files, config, root))
+        with timed(f"lint.{rule.id}"):
+            findings.extend(rule.check_project(files, config, root))
     return findings
 
 
@@ -233,13 +236,10 @@ def run_analysis(
 ) -> list[Finding]:
     """Run ``rules`` over the configured trees; returns sorted findings.
 
-    The simple in-process driver: no cache, no workers — the
-    incremental/parallel engine (:mod:`repro.analysis.engine`) composes
-    the same :func:`run_file_rules` / :func:`run_project_rules` /
-    :func:`apply_suppressions` pieces and must stay byte-identical to
-    this.  ``rule_filter`` restricts to the given rule ids (``R000``
-    parse errors always report).  ``files`` lets tests inject a
-    synthetic file set.
+    The only entry point: ``repro lint`` and the rule tests both call it.
+    ``rule_filter`` restricts to the given rule ids (``R000`` parse
+    errors always report).  ``files`` lets tests inject a synthetic
+    file set.
     """
     wanted = set(rule_filter) if rule_filter is not None else None
     if files is None:

@@ -1,19 +1,16 @@
 """R003: the engine tiers stay call-compatible, and every scheme has a
 registered transfer model.
 
-The multicore substrate runs on a fallback chain — native kernel →
-vectorized engine → reference event loop — that only stays honest if
-the tiers remain drop-in replacements.  Two checks enforce that:
+The multicore substrate runs the native kernel and falls back to the
+reference event loop; the pipeline kernels pair each native entry point
+with a NumPy twin.  The fallbacks only stay honest while the tiers
+remain drop-in replacements.  The checks:
 
-* **Signature parity** — the configured tier classes must define the
-  configured methods with identical parameter names, defaults, and
-  kinds (``self`` excluded).  A keyword default that drifts on one
-  tier silently changes behaviour only on the machines that fall back
-  to it: exactly the bug class a reviewer cannot see in a diff.
-* **Dispatch compatibility** — the dispatch facade (the reference
-  event loop's home) must define its methods with the same leading
-  parameter the tiers' ``run`` takes, so the chain can be rewired
-  without call-site edits.
+* **Dispatch compatibility** — every configured engine tier class must
+  exist, and the dispatch facade (the reference event loop's home)
+  must define its methods with the same leading parameter the tiers'
+  ``run`` takes, so the fallback can be rewired without call-site
+  edits.
 * **Transfer-model coverage** — every scheme name the encoder registry
   exposes must have a registered
   :class:`~repro.encoding.registry.TransferModel`, or the staged
@@ -146,64 +143,11 @@ class TierParityRule(Rule):
     def check_project(
         self, files: Sequence[SourceFile], config: AnalysisConfig, root: Path
     ) -> Iterable[Finding]:
-        yield from self._check_tiers(files, config, root)
         yield from self._check_dispatch(files, config, root)
         yield from self._check_kernel_dispatchers(files, config, root)
         if config.check_transfer_models:
             yield from self._check_models(config)
         yield from self._check_stage_protocol(files, config, root)
-
-    # -- signature parity ----------------------------------------------
-
-    def _check_tiers(
-        self, files: Sequence[SourceFile], config: AnalysisConfig, root: Path
-    ) -> Iterator[Finding]:
-        specs = [_ClassSpec(entry) for entry in config.tier_classes]
-        if len(specs) < 2:
-            return
-        resolved = []
-        for spec in specs:
-            file, cls = spec.resolve(files, root)
-            if cls is None:
-                yield self._missing(file, spec)
-                continue
-            resolved.append((spec, file, cls))
-        if len(resolved) < 2:
-            return
-        anchor_spec, anchor_file, anchor_cls = resolved[0]
-        anchor_methods = _methods(anchor_cls)
-        for method in config.tier_methods:
-            reference = anchor_methods.get(method)
-            for spec, file, cls in resolved[1:]:
-                other = _methods(cls).get(method)
-                if reference is None and other is None:
-                    continue
-                if reference is None or other is None:
-                    present = anchor_spec if other is None else spec
-                    absent = spec if other is None else anchor_spec
-                    where_file = file if other is None else anchor_file
-                    where_node = cls if other is None else anchor_cls
-                    assert where_file is not None
-                    yield self.finding(
-                        where_file, where_node,
-                        f"tier {absent.name} is missing method "
-                        f"'{method}' that tier {present.name} defines; "
-                        "the fallback chain requires call-compatible "
-                        "tiers",
-                    )
-                    continue
-                ref_sig = _signature(reference)
-                other_sig = _signature(other)
-                if ref_sig != other_sig:
-                    assert file is not None
-                    yield self.finding(
-                        file, other,
-                        f"signature of {spec.name}.{method}"
-                        f"{_describe(other_sig)} differs from "
-                        f"{anchor_spec.name}.{method}"
-                        f"{_describe(ref_sig)}; tiers must expose "
-                        "identical parameters and keyword defaults",
-                    )
 
     def _missing(
         self,
@@ -229,6 +173,18 @@ class TierParityRule(Rule):
     def _check_dispatch(
         self, files: Sequence[SourceFile], config: AnalysisConfig, root: Path
     ) -> Iterator[Finding]:
+        leading = None
+        for entry in config.tier_classes:
+            spec = _ClassSpec(entry)
+            file, cls = spec.resolve(files, root)
+            if cls is None:
+                yield self._missing(file, spec)
+                continue
+            run = _methods(cls).get("run")
+            if leading is None and run is not None:
+                positional = _signature(run)["positional"]
+                if positional:
+                    leading = positional[0]
         if not config.dispatch_class:
             return
         spec = _ClassSpec(config.dispatch_class)
@@ -238,7 +194,6 @@ class TierParityRule(Rule):
             return
         assert file is not None
         methods = _methods(cls)
-        leading = self._tier_run_leading_arg(files, config, root)
         for method in config.dispatch_methods:
             node = methods.get(method)
             if node is None:
@@ -260,21 +215,6 @@ class TierParityRule(Rule):
                     "engine tiers' run(); dispatch and tiers must stay "
                     "call-compatible",
                 )
-
-    def _tier_run_leading_arg(
-        self, files: Sequence[SourceFile], config: AnalysisConfig, root: Path
-    ) -> str | None:
-        for entry in config.tier_classes:
-            spec = _ClassSpec(entry)
-            _, cls = spec.resolve(files, root)
-            if cls is None:
-                continue
-            run = _methods(cls).get("run")
-            if run is not None:
-                sig = _signature(run)
-                if sig["positional"]:
-                    return sig["positional"][0]
-        return None
 
     # -- kernel-dispatcher parity --------------------------------------
 

@@ -12,10 +12,7 @@ emitter sticks to the stable core of the 2.1.0 schema:
   column against ``SRCROOT``), and the finding's line-independent
   baseline fingerprint under ``partialFingerprints`` so downstream
   tooling can track findings across edits exactly like the committed
-  baseline does;
-* engine execution stats (cache hits, workers, per-rule wall time)
-  under the run's ``properties`` bag, which is also what the CI
-  cache-warm smoke asserts against.
+  baseline does.
 
 Severity maps 1:1 — ``error``/``warning``/``note`` are SARIF levels
 already.
@@ -88,17 +85,12 @@ def _result(finding: Finding) -> dict:
     }
 
 
-def to_sarif(
-    findings: Sequence[Finding],
-    rule_ids: Sequence[str],
-    properties: dict | None = None,
-) -> dict:
+def to_sarif(findings: Sequence[Finding], rule_ids: Sequence[str]) -> dict:
     """The SARIF log dict for one lint run.
 
     ``rule_ids`` is the active rule set (all of them appear as
     reporting descriptors, found or not — that is how CI knows a rule
-    ran and was clean); ``properties`` lands in the run's property bag
-    (the engine report goes here).
+    ran and was clean).
     """
     rules = [
         {
@@ -133,8 +125,6 @@ def to_sarif(
         "results": [_result(finding) for finding in findings],
         "columnKind": "utf16CodeUnits",
     }
-    if properties:
-        run["properties"] = properties
     return {
         "$schema": SARIF_SCHEMA_URI,
         "version": SARIF_VERSION,
@@ -142,12 +132,8 @@ def to_sarif(
     }
 
 
-def dumps_sarif(
-    findings: Sequence[Finding],
-    rule_ids: Sequence[str],
-    properties: dict | None = None,
-) -> str:
+def dumps_sarif(findings: Sequence[Finding], rule_ids: Sequence[str]) -> str:
     """:func:`to_sarif` as stable, indented JSON text."""
     return json.dumps(
-        to_sarif(findings, rule_ids, properties), indent=2, sort_keys=True
+        to_sarif(findings, rule_ids), indent=2, sort_keys=True
     ) + "\n"

@@ -6,7 +6,8 @@ review diffs rather than in users' wall clocks.  Three tiers:
 
 * **kernels** — throughput of the shared batched primitives
   (:mod:`repro.kernels.batched`) and trace generation.
-* **multicore** — the trace-execution engines on the *parallel16*
+* **multicore** — the trace-execution engines (the reference event
+  loop, plus the native kernel when it builds) on the *parallel16*
   workload: every parallel-suite application's memory trace at the
   default :class:`~repro.cpu.multicore.MulticoreConfig`, one fixed
   reference count and seed per profile.  Reported per engine with
@@ -130,14 +131,14 @@ def _bench_multicore(quick: bool) -> dict:
     from repro.cpu.multicore import MulticoreSimulator
     from repro.kernels.native import native_available
 
-    # Longer quick traces + a second repeat: the fast engines finish a
-    # 4k-reference trace in microseconds, so per-trace setup would
+    # Longer quick traces + a second repeat: the native engine finishes
+    # a 4k-reference trace in microseconds, so per-trace setup would
     # otherwise swamp the rate (see the note in ``_bench_kernels``).
     n = 20_000 if quick else PARALLEL16_REFERENCES
     apps = PARALLEL_PROFILES[:4] if quick else PARALLEL_PROFILES
     traces = [memory_trace(app, n, seed=PARALLEL16_SEED) for app in apps]
     repeats = 2 if quick else 3
-    engines = ["reference", "vectorized"]
+    engines = ["reference"]
     if native_available():
         engines.append("native")
 
@@ -336,11 +337,6 @@ def _rate_metrics(report: dict) -> dict[str, float]:
             rates[f"multicore.{engine}"] = float(rate)
     e2e = report.get("end_to_end", {})
     rate = e2e.get("blocks_per_sec")
-    if not rate and e2e.get("seconds") and e2e.get("sample_blocks"):
-        # Pre-schema-addition baselines recorded only wall seconds; the
-        # fig20 sweep has always covered the same 8 x 16 job grid, so
-        # the rate can be reconstructed.
-        rate = e2e["sample_blocks"] * e2e.get("jobs", 128) / e2e["seconds"]
     if rate:
         rates[f"end_to_end.{e2e.get('experiment', 'fig20')}"] = float(rate)
     return rates

@@ -16,6 +16,10 @@ approximation, and total execution time is the maximum thread clock.
 This captures the first-order contention effects (bank conflicts,
 channel queueing, row-buffer locality, coherence writebacks) without a
 full out-of-order pipeline model.
+
+:class:`MulticoreSimulator` runs a trace on the compiled native kernel
+when it builds and on the per-access reference loop otherwise; the two
+are cycle-exact against each other.
 """
 
 from __future__ import annotations
@@ -40,9 +44,9 @@ __all__ = [
     "desc_transfer_windows",
 ]
 
-#: The native → vectorized → reference fallback chain logs its
-#: decisions here, so a run that silently lands on a slower tier leaves
-#: an explanation in the logs instead of just a different wall-clock.
+#: A run that falls from the native kernel to the reference loop logs
+#: why here, so a slow run leaves an explanation in the logs instead of
+#: just a different wall-clock.
 _kernel_log = logging.getLogger("repro.kernels")
 
 
@@ -167,27 +171,21 @@ class MulticoreStats:
 class MulticoreSimulator:
     """Runs a :class:`~repro.workloads.generator.MemoryTrace` to completion.
 
-    Three interchangeable execution engines produce identical
-    statistics (asserted by the property tests and the golden-run
-    suite):
+    Two interchangeable execution engines produce identical statistics
+    (asserted by the property tests and the golden-run suite):
 
     * ``"native"`` — the compiled scalar kernel in
       :mod:`repro.kernels.native` (built on demand with the system C
       compiler).  Raises at construction if no compiler is available.
-    * ``"vectorized"`` — the epoch-batched array engine in
-      :mod:`repro.kernels.multicore`: NumPy precomputation of every
-      per-access quantity, bulk-committed L1 hit runs, and a lean
-      scalar path that serializes misses and coherence in exact global
-      order.
     * ``"reference"`` — the original per-access event loop over the
       object-model caches (``SetAssociativeCache``, ``MesiDirectory``),
       retained as the executable specification.
 
     The default, ``"auto"``, picks the native kernel when it can be
-    built and the vectorized engine otherwise.  The fast engines
-    require block-aligned addresses (generated traces always are); for
-    other traces ``run`` silently falls back to the reference loop, so
-    results are identical either way.
+    built and the reference loop otherwise.  The native kernel requires
+    block-aligned addresses (generated traces always are); for other
+    traces ``run`` falls back to the reference loop, so results are
+    identical either way.
     """
 
     def __init__(
@@ -195,10 +193,10 @@ class MulticoreSimulator:
         config: MulticoreConfig | None = None,
         engine: str = "auto",
     ) -> None:
-        if engine not in ("auto", "native", "vectorized", "reference"):
+        if engine not in ("auto", "native", "reference"):
             raise ValueError(
-                "engine must be 'auto', 'native', 'vectorized' or "
-                f"'reference', got {engine!r}"
+                "engine must be 'auto', 'native' or 'reference', "
+                f"got {engine!r}"
             )
         self.config = config if config is not None else MulticoreConfig()
         self.engine = engine
@@ -235,9 +233,9 @@ class MulticoreSimulator:
         self._window_index = 0
         self.stats = MulticoreStats()
         self.native = None
-        self.vectorized = None
-        #: Why the last engine selection (construction or dispatch)
-        #: settled below the best tier; ``None`` while on the best tier.
+        #: Why the last run (or, before any run, the construction)
+        #: settled on the reference loop instead of the native kernel;
+        #: ``None`` while the native kernel serves the runs.
         self.fallback_reason: str | None = None
         if engine in ("auto", "native"):
             from repro.kernels.native import (
@@ -253,13 +251,9 @@ class MulticoreSimulator:
             else:
                 self.fallback_reason = (
                     f"native kernel unavailable ({native_error()}); "
-                    "using the vectorized engine"
+                    "using the reference loop"
                 )
                 _kernel_log.warning("%s", self.fallback_reason)
-        if self.native is None and engine in ("auto", "vectorized"):
-            from repro.kernels.multicore import VectorizedMulticoreEngine
-
-            self.vectorized = VectorizedMulticoreEngine(cfg)
 
     def _next_window(self) -> int:
         """Transfer window of the next L2 block move."""
@@ -307,22 +301,12 @@ class MulticoreSimulator:
         """
         if self.native is not None:
             if self.native.supports(trace, self.config):
+                self.fallback_reason = None
                 with timed("kernel.multicore.native"):
                     return self.native.run(trace, self.stats)
             self.fallback_reason = (
                 "trace addresses are not block-aligned; the native kernel "
                 "cannot run it — using the reference loop"
-            )
-            _kernel_log.warning("%s", self.fallback_reason)
-        elif self.vectorized is not None:
-            from repro.kernels.multicore import VectorizedMulticoreEngine
-
-            if VectorizedMulticoreEngine.supports(trace, self.config):
-                with timed("kernel.multicore.vectorized"):
-                    return self.vectorized.run(trace, self.stats)
-            self.fallback_reason = (
-                "trace addresses are not block-aligned; the vectorized "
-                "engine cannot run it — using the reference loop"
             )
             _kernel_log.warning("%s", self.fallback_reason)
         with timed("kernel.multicore.reference"):
@@ -342,8 +326,10 @@ class MulticoreSimulator:
         """
         import heapq
 
+        if len(trace) == 0:
+            return self.stats
         cfg = self.config
-        num_threads = max(int(trace.thread.max()) + 1, 1)
+        num_threads = int(trace.thread.max()) + 1
         clocks = [0] * num_threads
         conflicts_before = self.l2.bank_conflicts
 
@@ -431,6 +417,6 @@ class MulticoreSimulator:
             if positions[thread] < len(per_thread[thread]):
                 heapq.heappush(ready, (clocks[thread], thread))
 
-        self.stats.cycles = max(clocks) if clocks else 0
+        self.stats.cycles = max(clocks)
         self.stats.bank_conflicts = self.l2.bank_conflicts - conflicts_before
         return self.stats

@@ -1,20 +1,21 @@
-"""Compile-on-demand native tier for the multicore trace engine.
+"""Compile-on-demand native library: the multicore trace engine and the
+pipeline kernels.
 
-The scalar event loop is the one hot path that resists NumPy batching:
-misses serialize through shared bank/channel/coherence state, so the
-epoch-batched engine still interprets ~60 bytecodes per miss.  This
-module compiles ``multicore_native.c`` — a direct transliteration of
-the reference loop onto flat int64 arrays — together with the pipeline
-kernels of ``pipeline_native.c`` (see :mod:`repro.kernels.pipeline`)
-into one shared library, built with the system C compiler and driven
-through :mod:`ctypes` (both already present everywhere we run; nothing
-is installed).
+The multicore event loop resists NumPy batching: misses serialize
+through shared bank/channel/coherence state.  This module compiles
+``multicore_native.c`` — a direct transliteration of the reference
+loop onto flat int64 arrays — together with the pipeline kernels of
+``pipeline_native.c`` (see :mod:`repro.kernels.pipeline`) into one
+shared library, built with the system C compiler and driven through
+:mod:`ctypes` (both already present everywhere we run; nothing is
+installed).
 
 Everything degrades gracefully: if no compiler is available, the build
 fails, or ``REPRO_NATIVE=0`` is set, :func:`load_native_kernel` returns
-``None`` and callers fall back to the pure-Python engines.  The
-compiled library lands in a per-user temp directory keyed by source
-hash, so rebuilds only happen when the C source changes.
+``None``; the multicore simulator then runs its reference loop and the
+pipeline kernels their NumPy twins.  The compiled library lands in a
+per-user temp directory keyed by source hash, so rebuilds only happen
+when the C source changes.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def load_native_kernel() -> ctypes.CDLL | None:
 
     The first call attempts the build; the outcome (library or error)
     is cached for the process.  Set ``REPRO_NATIVE=0`` to force the
-    pure-Python engines.
+    pure-Python paths.
     """
     global _kernel, _kernel_error
     if _kernel is not None or _kernel_error is not None:
@@ -189,8 +190,8 @@ def native_error() -> str | None:
     """Why the native kernel is unavailable, or ``None`` if it loaded.
 
     Triggers a load attempt if none happened yet, so callers always get
-    the definitive answer (the engine-selection fallback chain logs
-    this reason).
+    the definitive answer (the multicore simulator logs this reason
+    when it falls back to its reference loop).
     """
     load_native_kernel()
     return _kernel_error
@@ -213,9 +214,14 @@ class NativeMulticoreEngine:
 
     State lives in NumPy int64 arrays owned by this object; the C
     kernel mutates them in place, so state persists across ``run``
-    calls exactly like the reference simulator's.  Cycle-exact under
-    the same condition as the batched engine: block-aligned addresses
-    (see :mod:`repro.kernels.multicore`).
+    calls exactly like the reference simulator's.
+
+    Exactness requires block-aligned addresses: the reference keys its
+    coherence directory by the *raw* address while the kernel's L1
+    arrays use block tags, and the two only agree when every address
+    is block-aligned (all generated traces are).  :meth:`supports`
+    reports this; the simulator falls back to the reference loop
+    otherwise.
     """
 
     def __init__(self, config: MulticoreConfig) -> None:
@@ -275,7 +281,7 @@ class NativeMulticoreEngine:
 
     @staticmethod
     def supports(trace: MemoryTrace, config: MulticoreConfig) -> bool:
-        """Same exactness condition as the batched engine."""
+        """Whether the kernel runs ``trace`` cycle-exactly (aligned)."""
         if len(trace) == 0:
             return True
         addrs = np.asarray(trace.addresses)

@@ -10,12 +10,12 @@ shared library as the multicore engine by :mod:`repro.kernels.native`).
 
 Every native entry point ``X_native`` has a NumPy twin ``X_numpy`` with
 the *identical* signature (lint R003 pins the pairs) and a dispatcher
-``X`` that prefers native and falls back — on ``REPRO_NATIVE=0`` /
-``REPRO_PIPELINE=0``, on a missing compiler, or on unsupported geometry
-(return value ``None`` from the native variant).  The fallback chain
-never changes results: the native kernels are integer-only and
-byte-identical to the NumPy formulations; all float math (latency
-means, energy) stays in NumPy on both tiers.
+``X`` that prefers native and falls back — on ``REPRO_NATIVE=0``, on a
+missing compiler, or on unsupported geometry (return value ``None``
+from the native variant).  The fallback never changes results: the
+native kernels are integer-only and byte-identical to the NumPy
+formulations; all float math (latency means, energy) stays in NumPy on
+both tiers.
 
 Buffer-packing layout (shared with the C side):
 
@@ -33,7 +33,6 @@ Buffer-packing layout (shared with the C side):
 from __future__ import annotations
 
 import ctypes
-import os
 
 import numpy as np
 
@@ -135,9 +134,7 @@ def _prototypes(lib: ctypes.CDLL) -> None:
 
 
 def _lib() -> ctypes.CDLL | None:
-    """The configured native library, or ``None`` (fall back to NumPy)."""
-    if os.environ.get("REPRO_PIPELINE", "1") in ("0", "numpy"):
-        return None
+    """The native library, or ``None`` (fall back to NumPy)."""
     lib = _native.load_native_kernel()
     if lib is None:
         return None
@@ -154,9 +151,6 @@ def pipeline_available() -> bool:
 
 def pipeline_error() -> str | None:
     """Why the native pipeline is unavailable, or ``None`` if it is."""
-    if os.environ.get("REPRO_PIPELINE", "1") in ("0", "numpy"):
-        return "disabled via REPRO_PIPELINE"
-    _native.load_native_kernel()
     return _native.native_error()
 
 

@@ -6,6 +6,10 @@ import argparse
 import json
 from pathlib import Path
 
+import pytest
+
+from repro.analysis.sarif import SARIF_VERSION
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 VIOLATION = {
@@ -15,6 +19,21 @@ VIOLATION = {
     def stamp():
         return time.time()
     """
+}
+
+#: One R007 finding, one R001 finding, and a clean file.
+FIXTURE = {
+    "src/repro/service/eaten.py": """
+    import asyncio
+
+    async def drain(queue):
+        try:
+            await queue.join()
+        except asyncio.CancelledError:
+            pass
+    """,
+    "src/repro/clean.py": "VALUE = 1\n",
+    **VIOLATION,
 }
 
 
@@ -128,6 +147,108 @@ class TestJsonOutput:
         assert lint("--root", str(root), "--rule", "R004", "--json") == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["rules"] == ["R004"]
+
+
+class TestSarifShape:
+    def sarif(self, make_repo, capsys) -> dict:
+        root = make_repo(FIXTURE)
+        assert (
+            lint("--root", str(root), "--rule", "R001,R007",
+                 "--format", "sarif")
+            == 1
+        )
+        return json.loads(capsys.readouterr().out)
+
+    def test_log_envelope(self, make_repo, capsys):
+        log = self.sarif(make_repo, capsys)
+        assert log["version"] == SARIF_VERSION
+        assert log["$schema"].endswith("sarif-schema-2.1.0.json")
+        assert len(log["runs"]) == 1
+
+    def test_driver_rules_and_results(self, make_repo, capsys):
+        log = self.sarif(make_repo, capsys)
+        run_ = log["runs"][0]
+        driver = run_["tool"]["driver"]
+        assert driver["name"] == "repro-lint"
+        assert [r["id"] for r in driver["rules"]] == ["R001", "R007"]
+        for rule in driver["rules"]:
+            assert rule["shortDescription"]["text"]
+            assert rule["defaultConfiguration"]["level"] in (
+                "error", "warning", "note",
+            )
+        assert {r["ruleId"] for r in run_["results"]} == {"R001", "R007"}
+        for result in run_["results"]:
+            assert result["level"] in ("error", "warning", "note")
+            location = result["locations"][0]["physicalLocation"]
+            assert location["artifactLocation"]["uriBaseId"] == "SRCROOT"
+            assert location["region"]["startLine"] >= 1
+            assert location["region"]["startColumn"] >= 1
+            assert result["partialFingerprints"]["reproLintBaseline/v1"]
+
+    def test_round_trips_through_json(self, make_repo, capsys):
+        log = self.sarif(make_repo, capsys)
+        assert json.loads(json.dumps(log)) == log
+
+
+class TestCliIntegration:
+    def test_comma_separated_rules(self, make_repo, capsys):
+        root = make_repo(FIXTURE)
+        assert (
+            lint("--root", str(root), "--rule", "R004,R005", "--json") == 0
+        )
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["rules"] == ["R004", "R005"]
+
+    def test_comma_list_rejects_unknown(self, make_repo, capsys):
+        root = make_repo({})
+        assert lint("--root", str(root), "--rule", "R001,R999") == 2
+        assert "unknown rule 'R999'" in capsys.readouterr().err
+
+    def test_sarif_output_file(self, make_repo, tmp_path, capsys):
+        root = make_repo(FIXTURE)
+        out = tmp_path / "report" / "lint.sarif"
+        out.parent.mkdir()
+        assert (
+            lint("--root", str(root), "--format", "sarif", "--output", str(out))
+            == 1
+        )
+        log = json.loads(out.read_text())
+        assert log["version"] == SARIF_VERSION
+        assert log["runs"][0]["results"]
+
+    @pytest.mark.parametrize(
+        "format_args", [["--json"], ["--format", "sarif"]],
+        ids=["json", "sarif"],
+    )
+    def test_unwritable_output_exits_two(
+        self, make_repo, tmp_path, capsys, format_args
+    ):
+        root = make_repo(VIOLATION)
+        out = tmp_path / "missing" / "report.out"
+        assert (
+            lint("--root", str(root), *format_args, "--output", str(out))
+            == 2
+        )
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro lint: error: cannot write {out}: ")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "flag", [["--workers", "2"], ["--changed", "HEAD"], ["--no-cache"]],
+        ids=["workers", "changed", "no-cache"],
+    )
+    def test_removed_engine_flags_exit_two(self, make_repo, capsys, flag):
+        root = make_repo({})
+        with pytest.raises(SystemExit) as excinfo:
+            lint("--root", str(root), *flag)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_profile_prints_rule_timings(self, make_repo, capsys):
+        root = make_repo(FIXTURE)
+        lint("--root", str(root), "--profile")
+        err = capsys.readouterr().err
+        assert "lint.R001" in err
 
 
 class TestSelfCheck:

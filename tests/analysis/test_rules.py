@@ -279,7 +279,6 @@ class TestCostAccounting:
 _TIER_CONFIG = """
 [tool.repro.analysis]
 tier_classes = ["src/repro/a.py:EngineA", "src/repro/b.py:EngineB"]
-tier_methods = ["__init__", "run", "supports"]
 dispatch_class = "src/repro/d.py:Dispatch"
 dispatch_methods = ["run"]
 kernel_dispatchers = []
@@ -316,50 +315,6 @@ class TestTierParity:
             _TIER_CONFIG,
         )
         assert lint(root, "R003") == []
-
-    def test_drifted_default_is_flagged(self, make_repo):
-        drifted = _ENGINE_A.replace("EngineA", "EngineB").replace(
-            "stats=None", "stats=0"
-        )
-        root = make_repo(
-            {
-                "src/repro/a.py": _ENGINE_A,
-                "src/repro/b.py": drifted,
-                "src/repro/d.py": """
-                class Dispatch:
-                    def run(self, trace):
-                        return trace
-                """,
-            },
-            _TIER_CONFIG,
-        )
-        findings = lint(root, "R003")
-        assert len(findings) == 1
-        assert "EngineB.run" in findings[0].message
-        assert findings[0].path == "src/repro/b.py"
-
-    def test_missing_method_is_flagged(self, make_repo):
-        stripped = "\n".join(
-            line
-            for line in _ENGINE_A.replace("EngineA", "EngineB").splitlines()
-            if "supports" not in line and "return True" not in line
-            and "@staticmethod" not in line
-        )
-        root = make_repo(
-            {
-                "src/repro/a.py": _ENGINE_A,
-                "src/repro/b.py": stripped,
-                "src/repro/d.py": """
-                class Dispatch:
-                    def run(self, trace):
-                        return trace
-                """,
-            },
-            _TIER_CONFIG,
-        )
-        findings = lint(root, "R003")
-        assert len(findings) == 1
-        assert "missing method 'supports'" in findings[0].message
 
     def test_dispatch_leading_arg_mismatch(self, make_repo):
         root = make_repo(

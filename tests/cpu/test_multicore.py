@@ -27,7 +27,7 @@ class TestSimulation:
 
     def test_mesi_invariants_hold_after_run(self, trace):
         # The reference engine drives the object-model directory; the
-        # fast engines carry their own mirrored state (checked in
+        # native engine carries its own flat state (checked in
         # tests/kernels/test_multicore_engines.py).
         sim = MulticoreSimulator(engine="reference")
         sim.run(trace)

@@ -1,8 +1,8 @@
-"""Engine-tier fallback tests: native → vectorized → reference.
+"""Engine-tier fallback tests: native → reference.
 
-The hardened pipeline never fails over silently — every step down the
-tier ladder records a structured reason on the simulator and logs a
-warning on the ``repro.kernels`` logger.
+The hardened pipeline never fails over silently — every fall from the
+native kernel to the reference loop records a structured reason on the
+simulator and logs a warning on the ``repro.kernels`` logger.
 """
 
 from __future__ import annotations
@@ -13,6 +13,10 @@ import pytest
 from repro.cpu.multicore import MulticoreConfig, MulticoreSimulator
 from repro.kernels import native as native_mod
 from repro.workloads.generator import MemoryTrace
+
+needs_native = pytest.mark.skipif(
+    not native_mod.native_available(), reason="native kernel unavailable"
+)
 
 
 def _misaligned_trace() -> MemoryTrace:
@@ -108,11 +112,14 @@ class TestConstructionFallback:
             with caplog.at_level("WARNING", logger="repro.kernels"):
                 sim = MulticoreSimulator(MulticoreConfig(), engine="auto")
             assert sim.native is None
-            assert sim.vectorized is not None
             assert "native kernel unavailable" in sim.fallback_reason
             assert "REPRO_NATIVE=0" in sim.fallback_reason
+            assert "using the reference loop" in sim.fallback_reason
             assert any("native kernel unavailable" in rec.message
                        for rec in caplog.records)
+            # Every run now uses the reference loop, so the reason stays.
+            sim.run(_aligned_trace())
+            assert "native kernel unavailable" in sim.fallback_reason
         finally:
             native_mod.reset_native_kernel_cache()
 
@@ -125,8 +132,9 @@ class TestConstructionFallback:
         finally:
             native_mod.reset_native_kernel_cache()
 
+    @needs_native
     def test_best_tier_leaves_no_reason(self):
-        sim = MulticoreSimulator(MulticoreConfig(), engine="vectorized")
+        sim = MulticoreSimulator(MulticoreConfig(), engine="native")
         assert sim.fallback_reason is None
 
     def test_unknown_engine_rejected(self):
@@ -134,9 +142,10 @@ class TestConstructionFallback:
             MulticoreSimulator(MulticoreConfig(), engine="turbo")
 
 
+@needs_native
 class TestDispatchFallback:
     def test_misaligned_trace_falls_back_with_reason(self, caplog):
-        sim = MulticoreSimulator(MulticoreConfig(), engine="vectorized")
+        sim = MulticoreSimulator(MulticoreConfig(), engine="auto")
         with caplog.at_level("WARNING", logger="repro.kernels"):
             stats = sim.run(_misaligned_trace())
         assert stats.references == 16
@@ -145,7 +154,7 @@ class TestDispatchFallback:
                    for rec in caplog.records)
 
     def test_aligned_trace_stays_on_fast_tier(self, caplog):
-        sim = MulticoreSimulator(MulticoreConfig(), engine="vectorized")
+        sim = MulticoreSimulator(MulticoreConfig(), engine="native")
         with caplog.at_level("WARNING", logger="repro.kernels"):
             sim.run(_aligned_trace())
         assert sim.fallback_reason is None
@@ -153,16 +162,20 @@ class TestDispatchFallback:
 
     def test_fallback_results_match_reference_engine(self):
         trace = _misaligned_trace()
-        fast = MulticoreSimulator(MulticoreConfig(), engine="vectorized")
+        fast = MulticoreSimulator(MulticoreConfig(), engine="native")
         reference = MulticoreSimulator(MulticoreConfig(), engine="reference")
         assert fast.run(trace) == reference.run(trace)
 
-    @pytest.mark.skipif(
-        not native_mod.native_available(), reason="no C compiler"
-    )
     def test_native_tier_reports_dispatch_fallback_too(self, caplog):
         sim = MulticoreSimulator(MulticoreConfig(), engine="native")
         with caplog.at_level("WARNING", logger="repro.kernels"):
             stats = sim.run(_misaligned_trace())
         assert stats.references == 16
         assert "native kernel" in sim.fallback_reason
+
+    def test_aligned_run_clears_a_dispatch_reason(self):
+        sim = MulticoreSimulator(MulticoreConfig(), engine="native")
+        sim.run(_misaligned_trace())
+        assert "not block-aligned" in sim.fallback_reason
+        sim.run(_aligned_trace())
+        assert sim.fallback_reason is None

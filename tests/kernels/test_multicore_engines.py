@@ -1,11 +1,11 @@
-"""Equivalence and unit tests for the fast multicore engines.
+"""Equivalence and unit tests for the fast multicore engine.
 
-The batched NumPy engine and the compiled native kernel must be
-*cycle-exact* against the reference event loop — every statistic
-identical, not approximately equal.  The property tests here drive all
-engines over randomized traces and configurations; the golden-run suite
-(tests/sim/test_golden_runs.py) covers the paper's actual
-configurations.
+The compiled native kernel must be *cycle-exact* against the reference
+event loop — every statistic identical, not approximately equal.  The
+property tests here drive both engines over randomized traces and
+configurations; the golden-run suite (tests/sim/test_golden_runs.py)
+covers the paper's actual configurations.  Without a C compiler there
+is no fast engine, and the comparisons skip.
 """
 
 from __future__ import annotations
@@ -21,13 +21,14 @@ from hypothesis import strategies as st
 
 from repro.cpu.multicore import MulticoreConfig, MulticoreSimulator
 from repro.kernels import native as native_mod
-from repro.kernels.multicore import VectorizedMulticoreEngine
+from repro.kernels.native import NativeMulticoreEngine
 from repro.workloads.generator import MemoryTrace, memory_trace
 from repro.workloads.profiles import profile
 
-FAST_ENGINES = ["vectorized"] + (
-    ["native"] if native_mod.native_available() else []
+needs_native = pytest.mark.skipif(
+    not native_mod.native_available(), reason="native kernel unavailable"
 )
+FAST_ENGINES = [pytest.param("native", marks=needs_native)]
 
 
 def synthetic_trace(
@@ -127,20 +128,14 @@ class TestEquivalenceProperty:
         assert stats_of(fast) == stats_of(ref)
         assert fast.stats.l1_hits > 0.8 * fast.stats.references
 
+    @needs_native
     def test_real_workload_trace_matches(self):
         trace = memory_trace(profile("Ocean"), 8000, seed=9)
         ref = run_engine("reference", trace)
-        for engine in FAST_ENGINES:
-            assert stats_of(run_engine(engine, trace)) == stats_of(ref)
+        assert stats_of(run_engine("native", trace)) == stats_of(ref)
 
 
-class TestVectorizedEngine:
-    def test_invariants_after_run(self):
-        rng = np.random.default_rng(5)
-        trace = synthetic_trace(rng, 2000, 8, 300)
-        sim = run_engine("vectorized", trace)
-        sim.vectorized.check_invariants()
-
+class TestFastEngineDispatch:
     def test_supports_rejects_unaligned(self):
         trace = MemoryTrace(
             addresses=np.array([64, 130]),
@@ -148,9 +143,10 @@ class TestVectorizedEngine:
             thread=np.array([0, 0]),
             instructions_between=np.array([0, 0]),
         )
-        assert not VectorizedMulticoreEngine.supports(trace, MulticoreConfig())
+        assert not NativeMulticoreEngine.supports(trace, MulticoreConfig())
 
-    def test_unaligned_trace_falls_back_to_reference(self):
+    @pytest.mark.parametrize("engine", FAST_ENGINES)
+    def test_unaligned_trace_falls_back_to_reference(self, engine):
         rng = np.random.default_rng(12)
         trace = synthetic_trace(rng, 400, 4, 100)
         trace = MemoryTrace(
@@ -160,19 +156,19 @@ class TestVectorizedEngine:
             instructions_between=trace.instructions_between,
         )
         ref = run_engine("reference", trace)
-        fast = run_engine("vectorized", trace)
+        fast = run_engine(engine, trace)
         assert stats_of(fast) == stats_of(ref)
 
-    def test_empty_trace(self):
+    @pytest.mark.parametrize("engine", ["reference", *FAST_ENGINES])
+    def test_empty_trace(self, engine):
         trace = MemoryTrace(
             addresses=np.zeros(0, dtype=np.int64),
             is_write=np.zeros(0, dtype=bool),
             thread=np.zeros(0, dtype=np.int64),
             instructions_between=np.zeros(0, dtype=np.int64),
         )
-        sim = run_engine("vectorized", trace)
-        assert sim.stats.references == 0
-        assert sim.stats.cycles == 0
+        sim = run_engine(engine, trace, runs=2)
+        assert stats_of(sim) == stats_of(MulticoreSimulator(engine="reference"))
 
 
 GOLDEN_PATH = (
@@ -211,27 +207,31 @@ class TestGoldenRunEquivalence:
             f"{e['app']}-{e['scheme_config']['name']}" for e in GOLDEN_RUNS
         ],
     )
+    @needs_native
     def test_engines_agree_on_golden_configuration(self, entry):
         window = round(entry["result"]["transfer_stats"]["transfer_cycles"])
         config = MulticoreConfig(l2_transfer_cycles=int(window))
         trace = self._trace(entry["app"])
         ref = run_engine("reference", trace, config)
-        for engine in FAST_ENGINES:
-            fast = run_engine(engine, trace, config)
-            assert stats_of(fast) == stats_of(ref), engine
+        fast = run_engine("native", trace, config)
+        assert stats_of(fast) == stats_of(ref)
 
 
 class TestEngineSelection:
     def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="engine"):
-            MulticoreSimulator(engine="warp-drive")
+        # "vectorized" named a deleted tier; it is as unknown as any other.
+        for engine in ("warp-drive", "vectorized"):
+            with pytest.raises(
+                ValueError, match="'auto', 'native' or 'reference'"
+            ):
+                MulticoreSimulator(engine=engine)
 
     def test_auto_falls_back_without_native(self, monkeypatch):
         monkeypatch.setattr(native_mod, "_kernel", None)
         monkeypatch.setattr(native_mod, "_kernel_error", "forced by test")
         sim = MulticoreSimulator(engine="auto")
         assert sim.native is None
-        assert sim.vectorized is not None
+        assert "using the reference loop" in sim.fallback_reason
 
     def test_explicit_native_raises_without_compiler(self, monkeypatch):
         monkeypatch.setattr(native_mod, "_kernel", None)
@@ -239,9 +239,7 @@ class TestEngineSelection:
         with pytest.raises(RuntimeError, match="native kernel unavailable"):
             MulticoreSimulator(engine="native")
 
-    @pytest.mark.skipif(
-        not native_mod.native_available(), reason="no C compiler"
-    )
+    @needs_native
     def test_native_selected_by_default(self):
         sim = MulticoreSimulator()
         assert sim.native is not None

@@ -7,9 +7,10 @@ the packed/unpacked payload forms, at the generator level, and — for
 the 24 golden configurations — at the full-simulation level with the
 native pipeline disabled.
 
-The NumPy tier is selected per call via ``REPRO_PIPELINE=0`` (read by
-``pipeline._lib()`` on every dispatch), so both tiers run in one
-process and compare directly.
+A test switches to the NumPy tier mid-way with the ``numpy_tier``
+fixture (``REPRO_NATIVE=0`` plus a reset of the cached native load,
+both undone afterwards), so both tiers run in one process and compare
+directly.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.kernels import pipeline
+from repro.kernels import native, pipeline
 
 requires_native = pytest.mark.skipif(
     not pipeline.pipeline_available(),
@@ -29,6 +30,19 @@ requires_native = pytest.mark.skipif(
 )
 
 GOLDEN_PATH = Path(__file__).parent.parent / "sim" / "golden_runs.json"
+
+
+@pytest.fixture
+def numpy_tier(monkeypatch):
+    """A switch that turns the native library off for the rest of the test."""
+
+    def switch() -> None:
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        native.reset_native_kernel_cache()
+
+    yield switch
+    monkeypatch.undo()
+    native.reset_native_kernel_cache()
 
 
 def _random_bits(rng, num_blocks: int, block_bits: int) -> np.ndarray:
@@ -251,13 +265,13 @@ class TestTraceTierEquivalence:
             for got, want in zip(native, twin):
                 np.testing.assert_array_equal(got, want)
 
-    def test_memory_trace_identical_across_tiers(self, monkeypatch):
+    def test_memory_trace_identical_across_tiers(self, numpy_tier):
         from repro.workloads.generator import memory_trace
         from repro.workloads.profiles import profile
 
         app = profile("Ocean")
         native = memory_trace(app, 5000, seed=11)
-        monkeypatch.setenv("REPRO_PIPELINE", "0")
+        numpy_tier()
         fallback = memory_trace(app, 5000, seed=11)
         np.testing.assert_array_equal(native.addresses, fallback.addresses)
         np.testing.assert_array_equal(native.is_write, fallback.is_write)
@@ -266,13 +280,13 @@ class TestTraceTierEquivalence:
             native.instructions_between, fallback.instructions_between
         )
 
-    def test_block_sample_identical_across_tiers(self, monkeypatch):
+    def test_block_sample_identical_across_tiers(self, numpy_tier):
         from repro.workloads.generator import block_sample
         from repro.workloads.profiles import profile
 
         app = profile("Radix")
         chunks, packed = block_sample(app, 300, seed=4)
-        monkeypatch.setenv("REPRO_PIPELINE", "0")
+        numpy_tier()
         chunks2, packed2 = block_sample(app, 300, seed=4)
         np.testing.assert_array_equal(chunks, chunks2)
         np.testing.assert_array_equal(packed.words, packed2.words)
@@ -301,10 +315,10 @@ class TestGroupRankTiers:
 
 
 class TestDispatcherFallback:
-    def test_env_kill_switch_forces_numpy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PIPELINE", "0")
+    def test_env_kill_switch_forces_numpy(self, numpy_tier):
+        numpy_tier()
         assert not pipeline.pipeline_available()
-        assert "REPRO_PIPELINE" in pipeline.pipeline_error()
+        assert "REPRO_NATIVE=0" in pipeline.pipeline_error()
         rng = np.random.default_rng(9)
         bits = _random_bits(rng, 8, 512)
         assert pipeline.binary_flips_native(bits, 64) is None
@@ -346,13 +360,13 @@ class TestGoldenCrossTier:
         }
 
     def test_all_golden_configs_byte_identical_without_native(
-        self, monkeypatch
+        self, numpy_tier
     ):
         from repro.sim.config import SchemeConfig, SystemConfig
         from repro.sim.system import simulate
 
         golden = self._golden()
-        monkeypatch.setenv("REPRO_PIPELINE", "0")
+        numpy_tier()
         system = SystemConfig(
             sample_blocks=golden["system"]["sample_blocks"]
         )
@@ -367,7 +381,7 @@ class TestGoldenCrossTier:
 
 @requires_native
 class TestFaultCampaignParity:
-    def test_faulty_campaign_identical_across_tiers(self, monkeypatch):
+    def test_faulty_campaign_identical_across_tiers(self, numpy_tier):
         from repro.faults.campaign import FaultCampaignConfig, run_campaign
         from repro.faults.processes import FaultConfig
 
@@ -377,6 +391,6 @@ class TestFaultCampaignParity:
             resync_interval=4,
         )
         native = asdict(run_campaign(config).stats)
-        monkeypatch.setenv("REPRO_PIPELINE", "0")
+        numpy_tier()
         fallback = asdict(run_campaign(config).stats)
         assert native == fallback

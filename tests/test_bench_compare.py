@@ -67,18 +67,6 @@ class TestCompareReports:
         _, regressions = compare_reports(current, _report(), 0.0)
         assert regressions == []
 
-    def test_legacy_baseline_rate_reconstructed_from_seconds(self):
-        # Pre-blocks_per_sec snapshots recorded only wall seconds.
-        legacy = _report()
-        legacy["end_to_end"] = {
-            "experiment": "fig20", "sample_blocks": 1500, "seconds": 1.5,
-        }
-        current = _report(blocks=150_000.0)
-        rows, regressions = compare_reports(current, legacy, 0.5)
-        e2e = next(r for r in rows if r["metric"] == "end_to_end.fig20")
-        assert e2e["baseline"] == pytest.approx(1500 * 128 / 1.5)
-        assert regressions == []
-
     def test_metrics_missing_on_either_side_are_skipped(self):
         baseline = _report()
         baseline["kernels"]["gone"] = {
