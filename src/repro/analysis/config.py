@@ -1,7 +1,7 @@
 """Analysis configuration: built-in defaults + ``[tool.repro.analysis]``.
 
 The defaults below describe *this* repository (scopes, charge sites,
-engine tiers), so the analyzer works out of the box on a checkout even
+kernel twins), so the analyzer works out of the box on a checkout even
 when no TOML parser is available.  A ``[tool.repro.analysis]`` block in
 ``pyproject.toml`` overrides any field — the committed block mirrors
 the defaults to keep the policy reviewable next to the other tool
@@ -55,18 +55,11 @@ class AnalysisConfig:
             the protocol's whitelisted charge sites.
         float_scope: Where R004 (float equality) applies.
         iteration_scope: Where R005 (unordered iteration) applies.
-        tier_classes: ``path:Class`` fast engine tiers; each must exist,
-            and the first one's ``run`` fixes the leading parameter the
-            dispatch facade's methods must take (R003).
         kernel_dispatchers: ``path:function`` compute-kernel dispatch
             functions; each must ship ``<name>_native`` and
             ``<name>_numpy`` twins in the same module with the
             dispatcher's exact signature (R003), so the
             ``REPRO_NATIVE=0`` fallback stays drop-in.
-        dispatch_class: ``path:Class`` of the engine-dispatch facade
-            (the reference event loop's home).
-        dispatch_methods: Methods the facade must define, each taking
-            the same leading argument as the tiers' ``run``.
         check_transfer_models: Verify every registered scheme name has
             a transfer model (imports the registry; fixture trees turn
             this off).
@@ -118,9 +111,6 @@ class AnalysisConfig:
         "src/repro/reporting",
     )
     iteration_scope: tuple[str, ...] = ("src/repro",)
-    tier_classes: tuple[str, ...] = (
-        "src/repro/kernels/native.py:NativeMulticoreEngine",
-    )
     kernel_dispatchers: tuple[str, ...] = (
         "src/repro/kernels/pipeline.py:desc_stream_arrays",
         "src/repro/kernels/pipeline.py:binary_flips",
@@ -130,8 +120,6 @@ class AnalysisConfig:
         "src/repro/kernels/pipeline.py:trace_assemble",
         "src/repro/kernels/pipeline.py:group_rank",
     )
-    dispatch_class: str = "src/repro/cpu/multicore.py:MulticoreSimulator"
-    dispatch_methods: tuple[str, ...] = ("run", "_run_reference")
     check_transfer_models: bool = True
     registry_file: str = "src/repro/encoding/registry.py"
     stage_protocol: str = "src/repro/service/stages.py:PipelineStage"
@@ -164,14 +152,8 @@ class AnalysisConfig:
         "http.client.HTTPSConnection",
     )
     async_lock_names: tuple[str, ...] = ("lock", "mutex", "sem")
-    ffi_sources: tuple[str, ...] = (
-        "src/repro/kernels/multicore_native.c",
-        "src/repro/kernels/pipeline_native.c",
-    )
-    ffi_bindings: tuple[str, ...] = (
-        "src/repro/kernels/native.py",
-        "src/repro/kernels/pipeline.py",
-    )
+    ffi_sources: tuple[str, ...] = ("src/repro/kernels/pipeline_native.c",)
+    ffi_bindings: tuple[str, ...] = ("src/repro/kernels/pipeline.py",)
 
 
 def find_repo_root(start: Path | None = None) -> Path | None:

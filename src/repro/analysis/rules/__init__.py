@@ -7,8 +7,9 @@ R001      error     all randomness is explicitly seeded; no
                     wall-clock values in deterministic scope
 R002      error     TransferCost fields are written only at the
                     whitelisted charge sites
-R003      error     engine tiers expose matching public signatures;
-                    every scheme has a registered transfer model
+R003      error     kernel twins and service stages expose matching
+                    signatures; every scheme has a registered
+                    transfer model
 R004      warning   no ``==``/``!=`` on energy/cost floats
 R005      warning   no iteration over unordered sets feeding
                     ordered outputs

@@ -9,7 +9,7 @@ gap statically:
 
 * a small C-declaration parser reads every **exported** (non-static)
   function definition out of the configured ``ffi_sources``
-  (``multicore_native.c`` / ``pipeline_native.c``): return type plus
+  (``pipeline_native.c``): return type plus
   each parameter's base type and pointer-ness, with ``typedef``
   aliases (``i64``, ``u64``, ``u8``, ``f64``) resolved;
 * a symbolic evaluator walks the configured ``ffi_bindings`` modules'

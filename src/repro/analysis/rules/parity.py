@@ -1,16 +1,10 @@
-"""R003: the engine tiers stay call-compatible, and every scheme has a
-registered transfer model.
+"""R003: the kernel tiers stay call-compatible, every scheme has a
+registered transfer model, and every service stage fits the protocol.
 
-The multicore substrate runs the native kernel and falls back to the
-reference event loop; the pipeline kernels pair each native entry point
-with a NumPy twin.  The fallbacks only stay honest while the tiers
-remain drop-in replacements.  The checks:
+The pipeline kernels pair each native entry point with a NumPy twin.
+The fallback only stays honest while the twins remain drop-in
+replacements.  The checks:
 
-* **Dispatch compatibility** — every configured engine tier class must
-  exist, and the dispatch facade (the reference event loop's home)
-  must define its methods with the same leading parameter the tiers'
-  ``run`` takes, so the fallback can be rewired without call-site
-  edits.
 * **Transfer-model coverage** — every scheme name the encoder registry
   exposes must have a registered
   :class:`~repro.encoding.registry.TransferModel`, or the staged
@@ -89,7 +83,7 @@ class _ClassSpec:
         path, _, name = entry.rpartition(":")
         if not path or not name:
             raise ValueError(
-                f"tier entry {entry!r} must look like 'path/to/file.py:Class'"
+                f"entry {entry!r} must look like 'path/to/file.py:Name'"
             )
         self.path = path
         self.name = name
@@ -134,7 +128,8 @@ def _class_attrs(cls: ast.ClassDef) -> set[str]:
 
 
 class TierParityRule(Rule):
-    """R003: engine tiers and the scheme registry stay in lock-step."""
+    """R003: kernel tiers, the scheme registry and the service stages
+    stay in lock-step."""
 
     id = "R003"
     severity = "error"
@@ -143,7 +138,6 @@ class TierParityRule(Rule):
     def check_project(
         self, files: Sequence[SourceFile], config: AnalysisConfig, root: Path
     ) -> Iterable[Finding]:
-        yield from self._check_dispatch(files, config, root)
         yield from self._check_kernel_dispatchers(files, config, root)
         if config.check_transfer_models:
             yield from self._check_models(config)
@@ -153,8 +147,8 @@ class TierParityRule(Rule):
         self,
         file: SourceFile | None,
         spec: _ClassSpec,
-        what: str = "engine tier",
-        key: str = "tier_classes",
+        what: str,
+        key: str,
     ) -> Finding:
         return Finding(
             rule=self.id,
@@ -167,54 +161,6 @@ class TierParityRule(Rule):
                 f"update [tool.repro.analysis] {key} if it moved"
             ),
         )
-
-    # -- dispatch compatibility ----------------------------------------
-
-    def _check_dispatch(
-        self, files: Sequence[SourceFile], config: AnalysisConfig, root: Path
-    ) -> Iterator[Finding]:
-        leading = None
-        for entry in config.tier_classes:
-            spec = _ClassSpec(entry)
-            file, cls = spec.resolve(files, root)
-            if cls is None:
-                yield self._missing(file, spec)
-                continue
-            run = _methods(cls).get("run")
-            if leading is None and run is not None:
-                positional = _signature(run)["positional"]
-                if positional:
-                    leading = positional[0]
-        if not config.dispatch_class:
-            return
-        spec = _ClassSpec(config.dispatch_class)
-        file, cls = spec.resolve(files, root)
-        if cls is None:
-            yield self._missing(file, spec)
-            return
-        assert file is not None
-        methods = _methods(cls)
-        for method in config.dispatch_methods:
-            node = methods.get(method)
-            if node is None:
-                yield self.finding(
-                    file, cls,
-                    f"dispatch facade {spec.name} is missing method "
-                    f"'{method}'; the reference tier must stay "
-                    "reachable through it",
-                )
-                continue
-            sig = _signature(node)
-            if leading and (
-                not sig["positional"] or sig["positional"][0] != leading
-            ):
-                yield self.finding(
-                    file, node,
-                    f"{spec.name}.{method}{_describe(sig)} does not "
-                    f"take '{leading}' as its first parameter like the "
-                    "engine tiers' run(); dispatch and tiers must stay "
-                    "call-compatible",
-                )
 
     # -- kernel-dispatcher parity --------------------------------------
 

@@ -10,7 +10,6 @@ Usage::
     python -m repro run fig20 --profile      # per-stage wall-clock table
     python -m repro all --json results.json  # run everything, save JSON
     python -m repro cache-stats              # result-store hit/miss/size
-    python -m repro bench --quick            # tracked kernel benchmarks
     python -m repro faults --quick           # fault-injection sweep
     python -m repro faults --quick --check   # CI smoke assertions
     python -m repro sweep --scheme desc-zero --field num_banks=2,8,32
@@ -39,10 +38,37 @@ import json
 import pickle
 import sys
 from collections.abc import Callable
+from typing import IO
 
 from repro.sim.config import SystemConfig
 
 __all__ = ["main", "FIGURES"]
+
+
+def _int_type(low: int, high: int | None = None) -> Callable[[str], int]:
+    """An argparse ``type`` for integers in ``[low, high]``.
+
+    Out-of-range values become a usage error (exit 2) at parse time,
+    before any command runs.
+    """
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        if value < low or (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"in {low}-{high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_type(1)
+_port = _int_type(0, 65535)
 
 
 def _system_runner(module) -> Callable[[argparse.Namespace], dict]:
@@ -160,6 +186,11 @@ def _cache_stats(
 
     if warehouse_path is None:
         warehouse_path = os.environ.get(WAREHOUSE_ENV) or None
+    # Only report on a warehouse that exists: opening one creates it.
+    if warehouse_path and not os.path.isdir(warehouse_path):
+        print(f"repro cache-stats: error: no warehouse at {warehouse_path}",
+              file=sys.stderr)
+        return 2
     if store_path or warehouse_path:
         store = ResultStore(store_path, warehouse=warehouse_path)
     else:
@@ -182,6 +213,16 @@ def _cache_stats(
         print(f"  promotions: {stats.promotions}")
         print(f"  segments:  {wh.segment_count} ({wh.segment_bytes} bytes)")
     return 0
+
+
+def _open_output(
+    path: str, mode: str, parser: argparse.ArgumentParser
+) -> IO[str]:
+    """Open an output file, turning an OSError into a usage error."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        parser.error(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _print_profile(args: argparse.Namespace) -> None:
@@ -501,10 +542,13 @@ def _run_explore(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         from repro.explore.check import run_check
 
         spec = None
-        if args.study:
-            spec = load_spec(args.study)
-        elif args.preset:
-            spec = preset_spec(args.preset)
+        try:
+            if args.study:
+                spec = load_spec(args.study)
+            elif args.preset:
+                spec = preset_spec(args.preset)
+        except ValueError as exc:
+            parser.error(str(exc))
         code, summary = run_check(
             spec=spec,
             quick=args.quick,
@@ -591,7 +635,8 @@ def main(argv: list[str] | None = None) -> int:
 
     run_parser = sub.add_parser("run", help="run one figure experiment")
     run_parser.add_argument("figure", help="figure name, e.g. fig16")
-    run_parser.add_argument("--sample-blocks", type=int, default=3000,
+    run_parser.add_argument("--sample-blocks", type=_positive_int,
+                            default=3000,
                             help="value-sample size per application")
     run_parser.add_argument("--json", action="store_true",
                             help="emit JSON instead of pretty text")
@@ -603,7 +648,8 @@ def main(argv: list[str] | None = None) -> int:
                                  "to stderr after the run")
 
     all_parser = sub.add_parser("all", help="run every figure experiment")
-    all_parser.add_argument("--sample-blocks", type=int, default=3000)
+    all_parser.add_argument("--sample-blocks", type=_positive_int,
+                            default=3000)
     all_parser.add_argument("--json", metavar="PATH", default=None,
                             help="write all results to a JSON file")
     all_parser.add_argument("--workers", type=int, default=1,
@@ -611,29 +657,6 @@ def main(argv: list[str] | None = None) -> int:
     all_parser.add_argument("--profile", action="store_true",
                             help="print per-stage wall-clock timings "
                                  "to stderr after the run")
-
-    bench_parser = sub.add_parser(
-        "bench",
-        help="run the tracked performance benchmarks",
-        description="Benchmark the hot kernels and the end-to-end "
-                    "pipeline; writes BENCH_<rev>.json for tracking.",
-    )
-    bench_parser.add_argument("--quick", action="store_true",
-                              help="smaller traces and a single timing "
-                                   "repeat (CI smoke mode)")
-    bench_parser.add_argument("--out", metavar="PATH", default=None,
-                              help="output JSON path (default "
-                                   "BENCH_<git-rev>.json in the cwd)")
-    bench_parser.add_argument("--against", metavar="BASELINE", default=None,
-                              help="compare throughput against a committed "
-                                   "BENCH_<rev>.json (or a directory, which "
-                                   "selects its newest snapshot); exit 1 on "
-                                   "regression past --tolerance")
-    bench_parser.add_argument("--tolerance", type=float, default=0.5,
-                              metavar="FRACTION",
-                              help="allowed fractional rate drop before "
-                                   "--against fails (default 0.5; shared "
-                                   "runners jitter by tens of percent)")
 
     lint_parser = sub.add_parser(
         "lint",
@@ -666,7 +689,8 @@ def main(argv: list[str] | None = None) -> int:
     validate_parser = sub.add_parser(
         "validate", help="check headline results against the paper"
     )
-    validate_parser.add_argument("--sample-blocks", type=int, default=2500)
+    validate_parser.add_argument("--sample-blocks", type=_positive_int,
+                                 default=2500)
 
     faults_parser = sub.add_parser(
         "faults",
@@ -705,7 +729,8 @@ def main(argv: list[str] | None = None) -> int:
                               metavar="NAME=V1,V2,...", dest="fields",
                               help="config field and its values (repeatable), "
                                    "e.g. --field num_banks=2,8,32")
-    sweep_parser.add_argument("--sample-blocks", type=int, default=2000,
+    sweep_parser.add_argument("--sample-blocks", type=_positive_int,
+                              default=2000,
                               help="value-sample size per application")
     sweep_parser.add_argument("--workers", type=int, default=1,
                               help="process-pool width for the grid")
@@ -722,7 +747,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve_parser.add_argument("--host", default="127.0.0.1",
                               help="bind address (default 127.0.0.1)")
-    serve_parser.add_argument("--port", type=int, default=8765,
+    serve_parser.add_argument("--port", type=_port, default=8765,
                               help="TCP port (0 = ephemeral)")
     serve_parser.add_argument("--warehouse", metavar="DIR", default=None,
                               help="directory for the disk-backed result "
@@ -808,7 +833,7 @@ def main(argv: list[str] | None = None) -> int:
                                      "instance (service)")
     explore_parser.add_argument("--host", default="127.0.0.1",
                                 help="service host for --backend service")
-    explore_parser.add_argument("--port", type=int, default=8765,
+    explore_parser.add_argument("--port", type=_port, default=8765,
                                 help="service port for --backend service")
     explore_parser.add_argument("--max-in-flight", type=int, default=8,
                                 help="concurrent service requests per "
@@ -853,55 +878,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.analysis.cli import run_lint
 
         return run_lint(args)
-
-    if args.command == "bench":
-        if args.out is None:
-            from repro.analysis.config import find_repo_root
-
-            if find_repo_root() is None:
-                print(
-                    "repro bench: error: not inside a repro checkout, so "
-                    "the default BENCH_<rev>.json location is unavailable; "
-                    "run from the repository or pass --out PATH",
-                    file=sys.stderr,
-                )
-                return 2
-        from repro.bench import (
-            compare_reports,
-            format_comparison,
-            resolve_baseline,
-            run_benchmarks,
-            write_report,
-        )
-
-        baseline = None
-        if args.against is not None:
-            if not 0.0 <= args.tolerance < 1.0:
-                parser.error(
-                    f"--tolerance must be in [0, 1), got {args.tolerance}"
-                )
-            try:
-                baseline_path = resolve_baseline(args.against)
-                baseline = json.loads(baseline_path.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                print(f"repro bench: error: cannot read baseline: {exc}",
-                      file=sys.stderr)
-                return 2
-        report = run_benchmarks(quick=args.quick)
-        path = write_report(report, args.out)
-        print(f"wrote {path}", file=sys.stderr)
-        if baseline is not None:
-            rows, regressions = compare_reports(
-                report, baseline, args.tolerance
-            )
-            print(f"against {baseline_path} "
-                  f"(tolerance {args.tolerance:.0%}):")
-            print(format_comparison(rows, regressions))
-            if regressions:
-                print(f"{len(regressions)} metric(s) regressed past "
-                      f"tolerance", file=sys.stderr)
-                return 1
-        return 0
 
     if getattr(args, "workers", 1) != 1:
         from repro.sim.engine import fork_available, set_default_max_workers
@@ -972,6 +948,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if failures else 0
 
     # command == "all"
+    if args.json:
+        # Fail before the figures run; appending truncates nothing.
+        _open_output(args.json, "a", parser).close()
     results = {}
     for name, (description, runner) in figures.items():
         print(f"running {name}: {description} ...", file=sys.stderr)
@@ -979,7 +958,7 @@ def main(argv: list[str] | None = None) -> int:
     _save_store()
     _print_profile(args)
     if args.json:
-        with open(args.json, "w") as handle:
+        with _open_output(args.json, "w", parser) as handle:
             json.dump(results, handle, indent=2, default=str)
         print(f"wrote {args.json}", file=sys.stderr)
     else:

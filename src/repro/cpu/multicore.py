@@ -16,15 +16,10 @@ approximation, and total execution time is the maximum thread clock.
 This captures the first-order contention effects (bank conflicts,
 channel queueing, row-buffer locality, coherence writebacks) without a
 full out-of-order pipeline model.
-
-:class:`MulticoreSimulator` runs a trace on the compiled native kernel
-when it builds and on the per-access reference loop otherwise; the two
-are cycle-exact against each other.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +28,6 @@ from repro.cache.l2 import BankedL2Cache
 from repro.cache.mesi import MesiDirectory
 from repro.cache.nuca import SNuca1Mapping
 from repro.cache.sets import SetAssociativeCache
-from repro.util.profiling import timed
 from repro.util.validation import require_positive
 from repro.workloads.generator import MemoryTrace
 
@@ -43,11 +37,6 @@ __all__ = [
     "MulticoreSimulator",
     "desc_transfer_windows",
 ]
-
-#: A run that falls from the native kernel to the reference loop logs
-#: why here, so a slow run leaves an explanation in the logs instead of
-#: just a different wall-clock.
-_kernel_log = logging.getLogger("repro.kernels")
 
 
 def desc_transfer_windows(
@@ -171,35 +160,14 @@ class MulticoreStats:
 class MulticoreSimulator:
     """Runs a :class:`~repro.workloads.generator.MemoryTrace` to completion.
 
-    Two interchangeable execution engines produce identical statistics
-    (asserted by the property tests and the golden-run suite):
-
-    * ``"native"`` — the compiled scalar kernel in
-      :mod:`repro.kernels.native` (built on demand with the system C
-      compiler).  Raises at construction if no compiler is available.
-    * ``"reference"`` — the original per-access event loop over the
-      object-model caches (``SetAssociativeCache``, ``MesiDirectory``),
-      retained as the executable specification.
-
-    The default, ``"auto"``, picks the native kernel when it can be
-    built and the reference loop otherwise.  The native kernel requires
-    block-aligned addresses (generated traces always are); for other
-    traces ``run`` falls back to the reference loop, so results are
-    identical either way.
+    A per-access event loop over the object-model caches
+    (``SetAssociativeCache``, ``MesiDirectory``, ``BankedL2Cache``).
+    State persists across :meth:`run` calls: counters accumulate, and
+    ``cycles`` and ``bank_conflicts`` describe the latest run.
     """
 
-    def __init__(
-        self,
-        config: MulticoreConfig | None = None,
-        engine: str = "auto",
-    ) -> None:
-        if engine not in ("auto", "native", "reference"):
-            raise ValueError(
-                "engine must be 'auto', 'native' or 'reference', "
-                f"got {engine!r}"
-            )
+    def __init__(self, config: MulticoreConfig | None = None) -> None:
         self.config = config if config is not None else MulticoreConfig()
-        self.engine = engine
         cfg = self.config
         self.l1s = [
             SetAssociativeCache(cfg.l1_size_bytes, cfg.block_bytes, cfg.l1_associativity)
@@ -232,28 +200,6 @@ class MulticoreSimulator:
         ]
         self._window_index = 0
         self.stats = MulticoreStats()
-        self.native = None
-        #: Why the last run (or, before any run, the construction)
-        #: settled on the reference loop instead of the native kernel;
-        #: ``None`` while the native kernel serves the runs.
-        self.fallback_reason: str | None = None
-        if engine in ("auto", "native"):
-            from repro.kernels.native import (
-                NativeMulticoreEngine,
-                native_available,
-                native_error,
-            )
-
-            if native_available():
-                self.native = NativeMulticoreEngine(cfg)
-            elif engine == "native":
-                NativeMulticoreEngine(cfg)  # raises with the build error
-            else:
-                self.fallback_reason = (
-                    f"native kernel unavailable ({native_error()}); "
-                    "using the reference loop"
-                )
-                _kernel_log.warning("%s", self.fallback_reason)
 
     def _next_window(self) -> int:
         """Transfer window of the next L2 block move."""
@@ -296,24 +242,6 @@ class MulticoreSimulator:
 
     def run(self, trace: MemoryTrace) -> MulticoreStats:
         """Process the whole trace; returns the accumulated statistics.
-
-        Dispatches to the configured engine; see the class docstring.
-        """
-        if self.native is not None:
-            if self.native.supports(trace, self.config):
-                self.fallback_reason = None
-                with timed("kernel.multicore.native"):
-                    return self.native.run(trace, self.stats)
-            self.fallback_reason = (
-                "trace addresses are not block-aligned; the native kernel "
-                "cannot run it — using the reference loop"
-            )
-            _kernel_log.warning("%s", self.fallback_reason)
-        with timed("kernel.multicore.reference"):
-            return self._run_reference(trace)
-
-    def _run_reference(self, trace: MemoryTrace) -> MulticoreStats:
-        """The original per-access event loop (executable specification).
 
         Event-driven scheduling: references stay in program order within
         each thread, but across threads the simulator always advances

@@ -376,7 +376,10 @@ def load_spec(path: str | Path) -> StudySpec:
     The file holds the shape :meth:`StudySpec.to_payload` emits; see
     ``docs/explore.md`` for the format reference.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

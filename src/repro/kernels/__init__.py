@@ -8,13 +8,8 @@ Three layers:
   and the workload generator build on.
 * :mod:`repro.kernels.pipeline` — one-call-per-epoch pipeline kernels,
   each a native entry point with a byte-identical NumPy twin.
-* :mod:`repro.kernels.native` — the compile-on-demand C library behind
-  the pipeline kernels and the trace engine of
-  :class:`repro.cpu.multicore.MulticoreSimulator`, cycle-exact against
-  the retained per-access reference loop.
-
-``repro bench`` (see ``docs/performance.md``) tracks the throughput of
-everything exported here.
+* :mod:`repro.kernels.native` — the loader of the compile-on-demand C
+  library behind the pipeline kernels.
 """
 
 from repro.kernels.batched import (

@@ -5,8 +5,8 @@ detection, trace generation, and the DESC cost tally — historically
 crossed the Python↔C boundary once per NumPy *primitive* (a gather
 here, a ``maximum.accumulate`` there).  This module packs each epoch
 into contiguous buffers and crosses the boundary **once per stage**,
-through the kernels of ``pipeline_native.c`` (compiled into the same
-shared library as the multicore engine by :mod:`repro.kernels.native`).
+through the kernels of ``pipeline_native.c`` (compiled into a shared
+library by :mod:`repro.kernels.native`).
 
 Every native entry point ``X_native`` has a NumPy twin ``X_numpy`` with
 the *identical* signature (lint R003 pins the pairs) and a dispatcher

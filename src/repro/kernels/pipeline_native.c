@@ -1,4 +1,4 @@
-/* Native end-to-end pipeline kernels (compiled next to multicore_native.c).
+/* Native end-to-end pipeline kernels (compiled by repro.kernels.native).
  *
  * One call per epoch: each entry point walks a whole sample's packed
  * buffers sequentially, so the Python<->C boundary is crossed once per

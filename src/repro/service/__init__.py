@@ -30,7 +30,7 @@ Layers (each its own module, composable in-process without HTTP):
   429/503-aware retries, deadline stamping, and optional hedged
   requests (:class:`ServiceClient`);
 * :mod:`repro.service.metrics` — the counters/gauges/histograms
-  registry behind ``/metrics`` (also reused by ``repro bench``);
+  registry behind ``/metrics``;
 * :mod:`repro.service.codec` — request canonicalization and canonical
   result encoding;
 * :mod:`repro.service.clock` — injectable monotonic time;

@@ -3,10 +3,9 @@
 The service pipeline records its operational signals — queue depth,
 coalesce and store hit rates, batch sizes, service latency percentiles,
 failure counts — in one :class:`MetricsRegistry`, which
-the HTTP layer serializes at ``/metrics`` and ``repro bench`` reuses
-for its live-traffic tier.  Plain data structures, no external
-dependencies, thread-safe: the event loop, executor threads, and the
-bench harness all write concurrently.
+the HTTP layer serializes at ``/metrics``.  Plain data structures, no
+external dependencies, thread-safe: the event loop and the executor
+threads write concurrently.
 
 Histograms keep a bounded ring of recent observations (plus exact
 count/sum over all of them), so percentile queries stay cheap and the

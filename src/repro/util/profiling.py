@@ -1,14 +1,14 @@
 """Lightweight named-timer registry for hot-path profiling.
 
-The simulation pipeline and the kernels layer wrap their hot sections
-in :func:`timed` blocks.  Profiling is off by default and the disabled
+The staged simulation engine wraps each stage in a :func:`timed`
+block.  Profiling is off by default and the disabled
 path is a single attribute check, so instrumented code pays nothing in
 normal runs; ``repro run figNN --profile`` (or
 :meth:`TimerRegistry.enable`) turns collection on and prints a
 per-section table afterwards.
 
 Sections are named hierarchically with dots (``stage.workload``,
-``kernel.multicore``) so reports group naturally.  Timers nest and
+``stage.timing``) so reports group naturally.  Timers nest and
 re-enter freely; each ``timed`` block adds its own wall-clock span to
 its section, so a section's total can exceed the run's wall time when
 blocks overlap on the stack.

@@ -3,9 +3,8 @@
 Installed checkouts report the distribution metadata (what ``pip``
 actually installed, wheels included); source-tree runs fall back to
 ``repro.__version__``.  Every surface that stamps a version — the
-``repro --version`` flag, the service's ``/healthz`` response, the
-``BENCH_<rev>.json`` reports — goes through :func:`package_version`
-so they can never disagree.
+``repro --version`` flag and the service's ``/healthz`` response —
+goes through :func:`package_version` so they can never disagree.
 """
 
 from __future__ import annotations

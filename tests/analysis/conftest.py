@@ -13,12 +13,10 @@ from pathlib import Path
 import pytest
 
 # A [tool.repro.analysis] block that disables the project-level checks
-# (engine tiers, transfer models, stage protocol, FFI contracts) so
+# (kernel twins, transfer models, stage protocol, FFI contracts) so
 # file-rule fixtures stay minimal.
 FILE_RULES_ONLY = """
 [tool.repro.analysis]
-tier_classes = []
-dispatch_class = ""
 kernel_dispatchers = []
 check_transfer_models = false
 stage_protocol = ""

@@ -386,8 +386,6 @@ def _prototypes(lib):
 
 FFI_CONFIG = """
 [tool.repro.analysis]
-tier_classes = []
-dispatch_class = ""
 kernel_dispatchers = []
 check_transfer_models = false
 stage_protocol = ""

@@ -273,81 +273,10 @@ class TestCostAccounting:
         assert lint(root, "R002") == []
 
 
-# -- R003: engine-tier parity ------------------------------------------
-
-
-_TIER_CONFIG = """
-[tool.repro.analysis]
-tier_classes = ["src/repro/a.py:EngineA", "src/repro/b.py:EngineB"]
-dispatch_class = "src/repro/d.py:Dispatch"
-dispatch_methods = ["run"]
-kernel_dispatchers = []
-check_transfer_models = false
-stage_protocol = ""
-"""
-
-_ENGINE_A = """
-class EngineA:
-    def __init__(self, config):
-        self.config = config
-
-    @staticmethod
-    def supports(trace, config):
-        return True
-
-    def run(self, trace, stats=None):
-        return stats
-"""
+# -- R003: transfer-model coverage -------------------------------------
 
 
 class TestTierParity:
-    def test_matching_tiers_pass(self, make_repo):
-        root = make_repo(
-            {
-                "src/repro/a.py": _ENGINE_A,
-                "src/repro/b.py": _ENGINE_A.replace("EngineA", "EngineB"),
-                "src/repro/d.py": """
-                class Dispatch:
-                    def run(self, trace):
-                        return trace
-                """,
-            },
-            _TIER_CONFIG,
-        )
-        assert lint(root, "R003") == []
-
-    def test_dispatch_leading_arg_mismatch(self, make_repo):
-        root = make_repo(
-            {
-                "src/repro/a.py": _ENGINE_A,
-                "src/repro/b.py": _ENGINE_A.replace("EngineA", "EngineB"),
-                "src/repro/d.py": """
-                class Dispatch:
-                    def run(self, job):
-                        return job
-                """,
-            },
-            _TIER_CONFIG,
-        )
-        findings = lint(root, "R003")
-        assert len(findings) == 1
-        assert "first parameter" in findings[0].message
-
-    def test_missing_tier_class_is_flagged(self, make_repo):
-        root = make_repo(
-            {
-                "src/repro/a.py": _ENGINE_A,
-                "src/repro/d.py": """
-                class Dispatch:
-                    def run(self, trace):
-                        return trace
-                """,
-            },
-            _TIER_CONFIG,
-        )
-        findings = lint(root, "R003")
-        assert any("not found" in f.message for f in findings)
-
     def test_real_registry_has_full_model_coverage(self):
         # The live invariant on this checkout: every scheme the encoder
         # registry exposes has a registered TransferModel.
@@ -361,8 +290,6 @@ class TestTierParity:
 
 _KERNEL_CONFIG = """
 [tool.repro.analysis]
-tier_classes = []
-dispatch_class = ""
 kernel_dispatchers = ["src/repro/kern.py:encode"]
 check_transfer_models = false
 stage_protocol = ""
@@ -436,8 +363,6 @@ class TestKernelDispatcherParity:
 
 _STAGE_CONFIG = """
 [tool.repro.analysis]
-tier_classes = []
-dispatch_class = ""
 kernel_dispatchers = []
 check_transfer_models = false
 stage_protocol = "src/repro/stages.py:Stage"

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
+import numpy as np
 import pytest
 
 from repro.cpu.multicore import MulticoreConfig, MulticoreSimulator
-from repro.workloads.generator import memory_trace
+from repro.workloads.generator import MemoryTrace, memory_trace
 from repro.workloads.profiles import profile
 
 
@@ -26,12 +29,26 @@ class TestSimulation:
         assert stats.l2_hits + stats.l2_misses == stats.l1_misses
 
     def test_mesi_invariants_hold_after_run(self, trace):
-        # The reference engine drives the object-model directory; the
-        # native engine carries its own flat state (checked in
-        # tests/kernels/test_multicore_engines.py).
-        sim = MulticoreSimulator(engine="reference")
+        sim = MulticoreSimulator()
         sim.run(trace)
         sim.directory.check_invariants()
+
+    def test_empty_trace(self):
+        trace = MemoryTrace(
+            addresses=np.zeros(0, dtype=np.int64),
+            is_write=np.zeros(0, dtype=bool),
+            thread=np.zeros(0, dtype=np.int64),
+            instructions_between=np.zeros(0, dtype=np.int64),
+        )
+        sim = MulticoreSimulator()
+        for _ in range(2):
+            sim.run(trace)
+        assert asdict(sim.stats) == asdict(MulticoreSimulator().stats)
+
+    def test_rejects_engine_argument(self):
+        # One event loop: there is no engine to choose.
+        with pytest.raises(TypeError):
+            MulticoreSimulator(engine="native")
 
     def test_sharing_produces_coherence_traffic(self, trace):
         stats = MulticoreSimulator().run(trace)

@@ -31,7 +31,6 @@ from repro.cpu.multicore import (
     MulticoreSimulator,
     desc_transfer_windows,
 )
-from repro.kernels import native as native_mod
 from repro.workloads.generator import MemoryTrace, memory_trace
 from repro.workloads.profiles import profile
 
@@ -65,11 +64,9 @@ def _trace(app: str) -> MemoryTrace:
     return memory_trace(profile(app), TRACE_REFERENCES, seed=TRACE_SEED)
 
 
-def measure(
-    apps: tuple[str, ...], config: MulticoreConfig, engine: str = "reference"
-) -> list[dict]:
+def measure(apps: tuple[str, ...], config: MulticoreConfig) -> list[dict]:
     """The statistics after each run of ``apps`` on one simulator."""
-    sim = MulticoreSimulator(config, engine=engine)
+    sim = MulticoreSimulator(config)
     return [asdict(sim.run(_trace(app))) for app in apps]
 
 
@@ -80,38 +77,15 @@ def _load() -> dict[str, list[dict]]:
 
 CASES = golden_cases()
 
-needs_native = pytest.mark.skipif(
-    not native_mod.native_available(), reason="native kernel unavailable"
-)
-#: The native kernel keys LRU recency by thread clock, and clocks
-#: restart at zero every run, so lines an earlier run touched outrank
-#: the new run's lines and the wrong victims get evicted.
-native_accumulates_wrongly = pytest.mark.xfail(
-    strict=True, reason="native LRU stamps restart with each run's clocks"
-)
-
-
-def _engine_params() -> list:
-    params = []
-    for name in CASES:
-        params.append(pytest.param(name, "reference", id=f"{name}-reference"))
-        marks = [needs_native]
-        if len(CASES[name][0]) > 1:
-            marks.append(native_accumulates_wrongly)
-        params.append(
-            pytest.param(name, "native", marks=marks, id=f"{name}-native")
-        )
-    return params
-
 
 def test_cases_match_the_recorded_names():
     assert list(_load()) == list(CASES)
 
 
-@pytest.mark.parametrize("name, engine", _engine_params())
-def test_engine_reproduces_the_golden(name, engine):
+@pytest.mark.parametrize("name", list(CASES))
+def test_simulator_reproduces_the_golden(name):
     apps, config = CASES[name]
-    assert measure(apps, config, engine) == _load()[name]
+    assert measure(apps, config) == _load()[name]
 
 
 if __name__ == "__main__":

@@ -298,27 +298,9 @@ class TestServeCommand:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-class TestBenchCommand:
-    def test_quick_bench_writes_report(self, capsys, tmp_path):
-        from repro.kernels.native import native_available
-
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--quick", "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
-        assert report["quick"] is True
-        assert "popcount" in report["kernels"]
-        engines = report["multicore"]["engines"]
-        expected = {"reference"} | ({"native"} if native_available() else set())
-        assert set(engines) == expected
-        for row in engines.values():
-            assert row["seconds"] > 0
-            assert row["speedup_vs_reference"] > 0
-        assert report["end_to_end"]["seconds"] > 0
-
-
 class TestOutsideCheckout:
-    """``repro lint``/``repro bench`` away from a checkout: clear error,
-    exit code 2, never a traceback."""
+    """``repro lint`` away from a checkout: clear error, exit code 2,
+    never a traceback."""
 
     @staticmethod
     def _run_away_from_repo(args, tmp_path):
@@ -341,20 +323,6 @@ class TestOutsideCheckout:
         assert "not inside a repro checkout" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_bench_outside_checkout_without_out(self, tmp_path):
-        proc = self._run_away_from_repo(["bench", "--quick"], tmp_path)
-        assert proc.returncode == 2
-        assert "checkout" in proc.stderr
-        assert "Traceback" not in proc.stderr
-
-    def test_bench_outside_checkout_with_out_succeeds(self, tmp_path):
-        out = tmp_path / "bench.json"
-        proc = self._run_away_from_repo(
-            ["bench", "--quick", "--out", str(out)], tmp_path
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert out.is_file()
-
     def test_lint_inside_checkout_via_subprocess(self, tmp_path):
         import os
         import subprocess
@@ -369,3 +337,76 @@ class TestOutsideCheckout:
             timeout=300,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+class TestBadArguments:
+    """Bad numbers and paths: a usage error and exit code 2 before any
+    work starts, never a traceback."""
+
+    @staticmethod
+    def _run(args, cwd):
+        import os
+        import subprocess
+        import sys as _sys
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        return subprocess.run(
+            [_sys.executable, "-m", "repro", *args],
+            env=env, capture_output=True, text=True, cwd=cwd, timeout=120,
+        )
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["run", "fig20", "--sample-blocks", "0"],
+            ["all", "--sample-blocks", "0"],
+            ["validate", "--sample-blocks", "-1"],
+            ["sweep", "--field", "l2_banks=1,2", "--sample-blocks", "0"],
+            ["serve", "--port", "70000"],
+            ["serve", "--port", "-1"],
+        ],
+        ids=["run", "all", "validate", "sweep", "serve-high", "serve-low"],
+    )
+    def test_out_of_range_number_exits_2(self, tmp_path, args):
+        proc = self._run(args, tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"argument {args[-2]}: must be" in proc.stderr
+
+    @pytest.mark.parametrize("extra", [[], ["--check"]])
+    def test_missing_study_file_exits_2(self, tmp_path, capsys, extra):
+        missing = tmp_path / "missing.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["explore", "--study", str(missing), *extra])
+        assert excinfo.value.code == 2
+        assert f"{missing}: cannot read: " in capsys.readouterr().err
+
+    def test_unwritable_json_output_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "out.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["all", "--sample-blocks", "200", "--json", str(out)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro: error: cannot write {out}: " in err
+        assert "running fig01" not in err  # failed before the figures ran
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_missing_warehouse_exits_2_and_creates_nothing(
+        self, tmp_path, capsys, monkeypatch, via_env
+    ):
+        from repro.sim.store import WAREHOUSE_ENV
+
+        missing = tmp_path / "typo" / "dir"
+        if via_env:
+            monkeypatch.setenv(WAREHOUSE_ENV, str(missing))
+            args = ["cache-stats"]
+        else:
+            monkeypatch.delenv(WAREHOUSE_ENV, raising=False)
+            args = ["cache-stats", "--warehouse", str(missing)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == f"repro cache-stats: error: no warehouse at {missing}\n"
+        assert not (tmp_path / "typo").exists()
