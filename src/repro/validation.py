@@ -93,6 +93,14 @@ def build_checks(sample_blocks: int = 2500) -> list[Check]:
         best = ex.fig26_chunk_size.run(system)["best_edp_point"]
         return float(best["chunk_bits"] * 1000 + best["wires"])
 
+    def fig28() -> float:
+        return ex.fig28_ecc_time.run(system)[
+            "execution_time_normalized"]["128-128 DESC"]
+
+    def fig29(code: str) -> Callable[[], float]:
+        return lambda: ex.fig29_ecc_energy.run(system)[
+            "desc_improvement"][code]
+
     def fig30() -> float:
         return ex.fig30_single_thread.run(system)[
             "execution_time_normalized"]["Geomean"]
@@ -108,6 +116,14 @@ def build_checks(sample_blocks: int = 2500) -> list[Check]:
         Check("fig20 DESC execution-time overhead", 1.02, 1.00, 1.04, fig20),
         Check("fig24 S-NUCA-1 energy reduction (x)", 1.62, 1.40, 1.90, fig24),
         Check("fig26 best (chunk*1000+wires)", 4128, 4128, 4128, fig26),
+        # The ECC bands are the seed-1 value ± its spread over seeds 1-5
+        # at 1500 and 2500 sample blocks (EXPERIMENTS.md, Figs. 28/29).
+        Check("fig28 128-128 DESC time vs 64-64 binary", 1.01,
+              1.0175, 1.0182, fig28),
+        Check("fig29 (72,64) ECC energy gain (x)", 1.82,
+              1.6330, 1.6365, fig29("(72,64)")),
+        Check("fig29 (137,128) ECC energy gain (x)", 1.92,
+              1.6991, 1.7034, fig29("(137,128)")),
         Check("fig30 OoO execution-time overhead", 1.06, 1.02, 1.10, fig30),
     ]
 
