@@ -11,9 +11,12 @@ For 64 data bits this yields 7 + 1 = 8 check bits — the (72, 64) code —
 and for 128 data bits 8 + 1 = 9 — the (137, 128) code the DESC ECC
 layout of Figure 9 uses.
 
-Encode/decode are vectorized over whole matrices of words, which the
-fault-injection campaigns in the tests and the ECC figure harnesses
-rely on.
+:meth:`HammingSecded.encode` and :meth:`HammingSecded.decode` work on
+0/1 matrices of whole codewords; they are the per-word specification.
+The ECC stream paths (:mod:`repro.ecc.layout`) take their check bits
+from :meth:`HammingSecded.check_bits` instead, which computes them on
+packed data words, one popcount parity per Hamming row.  The tests
+hold the two equal.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
+from repro.kernels.batched import popcount
 from repro.util.validation import require_positive
 
 __all__ = ["DecodeStatus", "DecodeResult", "HammingSecded"]
@@ -107,9 +111,48 @@ class HammingSecded:
         ]
         return np.stack(rows)
 
+    @cached_property
+    def _row_masks(self) -> np.ndarray:
+        """``(hamming_parity_bits, data_words)`` uint64 masks.
+
+        Bit ``k`` of row ``i`` (word ``k // 64``, bit ``k % 64``) is set
+        when data bit ``k``'s codeword position has bit ``i`` set, i.e.
+        when Hamming parity ``2**i`` covers it.
+        """
+        covered = (self._data_positions[None, :] >> np.arange(
+            self.hamming_parity_bits, dtype=np.int64)[:, None]) & 1
+        words = -(-self.data_bits // 64)
+        padded = np.zeros((self.hamming_parity_bits, words * 64), dtype=np.uint8)
+        padded[:, : self.data_bits] = covered
+        return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
     # ------------------------------------------------------------------
     # Encode / decode
     # ------------------------------------------------------------------
+
+    def check_bits(self, data_words: np.ndarray) -> np.ndarray:
+        """Check bits of packed data, in wire order.
+
+        ``data_words`` is ``(words, ceil(data_bits / 64))`` uint64: data
+        bit ``k`` at bit ``k % 64`` of word ``k // 64``, zero above
+        ``data_bits``.  Returns ``(words, parity_bits)`` uint8 — Hamming
+        parities ``2**0, 2**1, ...`` then the overall parity, the same
+        bits :meth:`encode` puts at those positions.  Hamming parity
+        ``i`` is the parity of ``popcount(data & mask_i)``; the overall
+        parity covers the data and the Hamming parities.
+        """
+        data_words = np.asarray(data_words, dtype=np.uint64)
+        masks = self._row_masks
+        # XOR-fold the words first: parity is linear, so one popcount
+        # per (segment, row) suffices.
+        covered = data_words[:, :1] & masks[:, 0]
+        folded = data_words[:, 0].copy()
+        for word in range(1, data_words.shape[1]):
+            covered ^= data_words[:, word : word + 1] & masks[:, word]
+            folded ^= data_words[:, word]
+        hamming = popcount(covered) & 1
+        overall = (popcount(folded) + hamming.sum(axis=1)) & 1
+        return np.concatenate([hamming, overall[:, None]], axis=1).astype(np.uint8)
 
     def encode(self, data: np.ndarray) -> np.ndarray:
         """Encode ``(words, data_bits)`` (or a single word) to codewords.

@@ -25,37 +25,62 @@ from functools import cached_property
 import numpy as np
 
 from repro.ecc.hamming import DecodeStatus, HammingSecded
-from repro.util.validation import require_multiple, require_positive
+from repro.kernels.pipeline import PackedBits
+from repro.util.validation import (
+    require_in_range,
+    require_multiple,
+    require_positive,
+)
 
 __all__ = ["EccBlockResult", "DescEccLayout", "secded_extend_stream"]
 
 
-def secded_extend_stream(blocks_bits: np.ndarray, segment_bits: int) -> np.ndarray:
+def _bit_matrix(blocks_bits) -> np.ndarray:
+    """The ``(n, block_bits)`` 0/1 matrix of a :class:`PackedBits` or
+    an array-like."""
+    if isinstance(blocks_bits, PackedBits):
+        return blocks_bits.bits
+    bits = np.asarray(blocks_bits, dtype=np.uint8)
+    if bits.ndim != 2:
+        raise ValueError(f"expected a 2-D bit matrix, got shape {bits.shape}")
+    return bits
+
+
+def _check_bits(code: HammingSecded, segments: np.ndarray) -> np.ndarray:
+    """Wire-order check bits of ``(words, data_bits)`` 0/1 segments.
+
+    Each segment is packed once into whole uint64 words, the input of
+    :meth:`HammingSecded.check_bits`.
+    """
+    packed = np.packbits(segments, axis=1, bitorder="little")
+    if packed.shape[1] % 8:
+        packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
+    return code.check_bits(packed.view("<u8"))
+
+
+def secded_extend_stream(blocks_bits, segment_bits: int) -> np.ndarray:
     """Append SECDED check bits for a *binary* bus (Figures 28/29).
 
     Under binary encoding each bus beat carries one ``segment_bits``
     data segment plus its check bits on dedicated parity wires (the
     ``W-S`` configurations with ``W == S``).  This helper widens a
-    ``(n, block_bits)`` stream to ``(n, nseg * (segment_bits + p))``
-    with each segment's bits followed by its check bits, ready for
+    ``(n, block_bits)`` stream — a :class:`PackedBits` or a 0/1 matrix
+    — to a ``(n, nseg * (segment_bits + p))`` 0/1 matrix with each
+    segment's bits followed by its check bits, ready for
     :class:`~repro.encoding.binary.BinaryEncoder` at width
     ``segment_bits + p``.
     """
-    blocks_bits = np.asarray(blocks_bits, dtype=np.uint8)
-    if blocks_bits.ndim != 2 or blocks_bits.shape[1] % segment_bits:
+    bits = _bit_matrix(blocks_bits)
+    n, block_bits = bits.shape
+    if block_bits % segment_bits:
         raise ValueError(
-            f"blocks of shape {blocks_bits.shape} cannot be cut into "
+            f"blocks of shape {bits.shape} cannot be cut into "
             f"{segment_bits}-bit segments"
         )
-    n, block_bits = blocks_bits.shape
     nseg = block_bits // segment_bits
     code = HammingSecded(segment_bits)
-    segments = blocks_bits.reshape(n * nseg, segment_bits)
-    codewords = code.encode(segments)
-    parity = np.concatenate(
-        [codewords[:, code._parity_positions - 1], codewords[:, -1:]], axis=1
-    )
-    beats = np.concatenate([segments, parity], axis=1)
+    segments = bits.reshape(n * nseg, segment_bits)
+    beats = np.concatenate([segments, _check_bits(code, segments)], axis=1)
     return beats.reshape(n, nseg * (segment_bits + code.parity_bits))
 
 
@@ -85,7 +110,7 @@ class DescEccLayout:
     ) -> None:
         require_positive("block_bits", block_bits)
         require_positive("segment_bits", segment_bits)
-        require_positive("chunk_bits", chunk_bits)
+        require_in_range("chunk_bits", chunk_bits, 1, 63)  # int64 chunk values
         require_multiple("block_bits", block_bits, segment_bits)
         self.block_bits = block_bits
         self.segment_bits = segment_bits
@@ -129,22 +154,8 @@ class DescEccLayout:
     def _groups_per_lane(self) -> int:
         return self.num_segments // self.chunk_bits
 
-    def _interleave(self, per_segment: np.ndarray) -> np.ndarray:
-        """``(num_segments, bits)`` → chunk values, one segment bit per lane."""
-        bits = per_segment.shape[1]
-        g = self._groups_per_lane
-        # chunk index = p * g + s // chunk_bits ; lane = s % chunk_bits
-        chunks_bits = np.zeros((bits * g, self.chunk_bits), dtype=np.uint8)
-        for s in range(self.num_segments):
-            lane = s % self.chunk_bits
-            group = s // self.chunk_bits
-            chunk_index = np.arange(bits) * g + group
-            chunks_bits[chunk_index, lane] = per_segment[s]
-        weights = 1 << np.arange(self.chunk_bits, dtype=np.int64)
-        return chunks_bits.astype(np.int64) @ weights
-
     def _deinterleave(self, chunks: np.ndarray, bits: int) -> np.ndarray:
-        """Inverse of :meth:`_interleave`."""
+        """Inverse of :meth:`_interleave_stream` for one block."""
         g = self._groups_per_lane
         shifts = np.arange(self.chunk_bits, dtype=np.int64)
         lanes = ((np.asarray(chunks, dtype=np.int64)[:, None] >> shifts) & 1).astype(
@@ -173,43 +184,31 @@ class DescEccLayout:
             raise ValueError(
                 f"expected {self.block_bits} data bits, got {data_bits.shape}"
             )
-        segments = data_bits.reshape(self.num_segments, self.segment_bits)
-        codewords = self.code.encode(segments)
-        # The Hamming construction scatters data bits over the
-        # non-power-of-two codeword positions; on the wires we keep the
-        # segments in natural order and ship the check bits (Hamming
-        # parities + overall parity) separately, re-assembling
-        # position-ordered codewords at decode.
-        parity = np.concatenate(
-            [codewords[:, self.code._parity_positions - 1], codewords[:, -1:]],
-            axis=1,
-        )
-        data_chunks = self._interleave(segments)
-        parity_chunks = self._interleave(parity)
-        return np.concatenate([data_chunks, parity_chunks])
+        return self.encode_stream(data_bits[None])[0]
 
-    def encode_stream(self, blocks_bits: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`encode_block` over ``(n, block_bits)`` blocks.
+    def encode_stream(self, blocks_bits) -> np.ndarray:
+        """Protect ``(n, block_bits)`` blocks: a :class:`PackedBits` or a
+        0/1 matrix.
 
         Returns ``(n, num_chunks)`` chunk values (data chunks first,
         then parity chunks) — the wire stream the ECC benchmarks feed
-        to the DESC cost model.
+        to the DESC cost model.  The Hamming construction scatters data
+        bits over the non-power-of-two codeword positions; on the wires
+        the segments keep their natural order and the check bits
+        (Hamming parities, then the overall parity) ride separately,
+        re-assembled into position-ordered codewords at decode.
         """
-        blocks_bits = np.asarray(blocks_bits, dtype=np.uint8)
-        if blocks_bits.ndim != 2 or blocks_bits.shape[1] != self.block_bits:
+        bits = _bit_matrix(blocks_bits)
+        if bits.shape[1] != self.block_bits:
             raise ValueError(
                 f"expected blocks of shape (n, {self.block_bits}), "
-                f"got {blocks_bits.shape}"
+                f"got {bits.shape}"
             )
-        n = blocks_bits.shape[0]
-        segments = blocks_bits.reshape(n * self.num_segments, self.segment_bits)
-        codewords = self.code.encode(segments)
-        parity = np.concatenate(
-            [codewords[:, self.code._parity_positions - 1], codewords[:, -1:]],
-            axis=1,
-        )
-        data3 = segments.reshape(n, self.num_segments, self.segment_bits)
-        parity3 = parity.reshape(n, self.num_segments, self.parity_bits_per_segment)
+        n = bits.shape[0]
+        segments = bits.reshape(n * self.num_segments, self.segment_bits)
+        check = _check_bits(self.code, segments)
+        data3 = bits.reshape(n, self.num_segments, self.segment_bits)
+        parity3 = check.reshape(n, self.num_segments, self.parity_bits_per_segment)
         return np.concatenate(
             [self._interleave_stream(data3), self._interleave_stream(parity3)],
             axis=1,
@@ -219,15 +218,19 @@ class DescEccLayout:
         """``(n, num_segments, bits)`` → ``(n, bits * groups)`` chunk values.
 
         Segment ``s = group * chunk_bits + lane`` contributes its bit
-        ``p`` to lane ``lane`` of chunk ``p * groups + group`` — the same
-        mapping as :meth:`_interleave`, fully vectorized.
+        ``p`` to lane ``lane`` of chunk ``p * groups + group``; each
+        lane is shifted into place and OR-ed in.
         """
         n, _, bits = per_segment.shape
         g = self._groups_per_lane
         lanes = per_segment.reshape(n, g, self.chunk_bits, bits)
-        lanes = lanes.transpose(0, 3, 1, 2).reshape(n, bits * g, self.chunk_bits)
-        weights = 1 << np.arange(self.chunk_bits, dtype=np.int64)
-        return lanes.astype(np.int64) @ weights
+        # The narrowest unsigned type that holds a chunk keeps the OR
+        # passes small; the result widens to int64 once.
+        dtype = np.min_scalar_type((1 << self.chunk_bits) - 1)
+        chunks = lanes[:, :, 0, :].astype(dtype)
+        for lane in range(1, self.chunk_bits):
+            chunks |= lanes[:, :, lane, :].astype(dtype) << dtype.type(lane)
+        return chunks.transpose(0, 2, 1).astype(np.int64).reshape(n, bits * g)
 
     def decode_block(self, chunks: np.ndarray) -> EccBlockResult:
         """Recover (and correct) a block from possibly corrupted chunks."""

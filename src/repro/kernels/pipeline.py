@@ -174,12 +174,12 @@ class PackedBits:
     """A validated bit matrix carried in the packed word layout.
 
     The per-epoch bit stream is packed **once** (by ``block_assemble``
-    or :meth:`from_bits`) and every encoder kernel consumes the same
-    words, instead of each encoder re-validating and re-packing the
-    identical ``(n, block_bits)`` matrix.  The unpacked view stays
-    available through :attr:`bits` for the NumPy twins and the ECC
-    layouts; it is materialized lazily when the native path produced
-    only words.
+    or :meth:`from_bits`) and every consumer reads the same words: the
+    encoder kernels, and the DESC transfer model at every chunk width
+    (:meth:`chunks`).  The unpacked view stays available through
+    :attr:`bits` for the NumPy twins and the SECDED layouts, which
+    interleave or widen individual bits; it is materialized lazily when
+    the native path produced only words.
     """
 
     def __init__(
@@ -213,6 +213,39 @@ class PackedBits:
             )
             self._bits = flat.reshape(self.num_blocks, self.block_bits)
         return self._bits
+
+    def chunks(self, chunk_bits: int) -> np.ndarray:
+        """``(n, block_bits // chunk_bits)`` int64 chunk values.
+
+        Chunk 0 of a block holds its least-significant bits, as in
+        :func:`repro.util.bitops.bit_matrix_to_chunks`, but nothing is
+        unpacked: 1-, 2- and 4-bit chunks are shifts of the byte view,
+        8-, 16- and 32-bit chunks are little-endian integer views.
+        """
+        if chunk_bits not in _PACKED_CHUNK_BITS or self.block_bits % max(
+            chunk_bits, 8
+        ):
+            raise ValueError(
+                f"cannot cut {self.block_bits}-bit packed blocks into "
+                f"{chunk_bits}-bit chunks; chunk widths are "
+                f"{_PACKED_CHUNK_BITS}"
+            )
+        data = self.words.view(np.uint8)[: self.num_blocks * self.block_bits // 8]
+        if chunk_bits >= 8:
+            values = data.view(f"<u{chunk_bits // 8}")
+        else:
+            # One whole-stream pass per chunk of a byte, into uint8
+            # widened once: a broadcast over the few chunks of each
+            # byte runs several times slower.
+            values = np.empty((data.size, 8 // chunk_bits), dtype=np.uint8)
+            mask = (1 << chunk_bits) - 1
+            for j in range(values.shape[1]):
+                values[:, j] = (data >> (j * chunk_bits)) & mask
+        return values.astype(np.int64).reshape(self.num_blocks, -1)
+
+
+#: Chunk widths :meth:`PackedBits.chunks` cuts straight from the words.
+_PACKED_CHUNK_BITS = (1, 2, 4, 8, 16, 32)
 
 
 def _payload_words(payload) -> np.ndarray:

@@ -21,6 +21,7 @@ import dataclasses
 import json
 from typing import Any, Mapping
 
+from repro.encoding.registry import make_transfer_model
 from repro.sim.config import SchemeConfig, SystemConfig
 from repro.sim.engine import SimJob
 from repro.sim.metrics import RunResult
@@ -67,8 +68,20 @@ def _config_from_payload(
 
 
 def scheme_from_payload(payload: Mapping[str, Any]) -> SchemeConfig:
-    """A :class:`SchemeConfig` from its JSON object (strict keys)."""
-    return _config_from_payload(payload, SchemeConfig, "scheme")
+    """A :class:`SchemeConfig` from its JSON object (strict keys).
+
+    The scheme must also have a transfer model that accepts it: an
+    unknown name or a geometry the 512-bit sample block cannot take
+    (a chunk width that does not divide it, more wires than chunks, an
+    ECC segment that does not interleave) is a bad request, not a job
+    that fails in the engine.
+    """
+    scheme = _config_from_payload(payload, SchemeConfig, "scheme")
+    try:
+        make_transfer_model(scheme)
+    except ValueError as exc:
+        raise BadRequest(f"invalid scheme: {exc}") from exc
+    return scheme
 
 
 def system_from_payload(payload: Mapping[str, Any]) -> SystemConfig:

@@ -77,12 +77,15 @@ class WorkloadSample:
         chunks: ``(num_blocks, 128)`` matrix of 4-bit chunk values.
         bits: ``(num_blocks, 512)`` 0/1 matrix of the same sample, or
             ``None`` when ``packed`` carries the stream (the matrix is
-            then available lazily via ``packed.bits``).
+            then available lazily via ``packed.bits``, which only the
+            SECDED layouts read).
         null_fraction: Fraction of blocks that are entirely zero.
         packed: The same bits as little-endian packed uint64 words
-            (``pipeline.PackedBits``), so encoder kernels can consume
-            the sample without re-packing per scheme.  ``None`` on
-            samples deserialized from older stores.
+            (``pipeline.PackedBits``).  The encoder kernels, the DESC
+            chunk values of every width and the null-block filter all
+            read these words, with no re-packing or unpacking per
+            scheme.  ``None`` on samples deserialized from older
+            stores; the transfer models pack ``bits`` for those.
     """
 
     app: AppProfile
@@ -112,8 +115,10 @@ def sample_workload(app: AppProfile, num_blocks: int, seed: int) -> WorkloadSamp
     stage crosses the Python↔C boundary once when the native library is
     loaded and the bit stream is packed once for every scheme that
     consumes it.  The unpacked matrix materializes lazily (and is then
-    cached on the sample's ``packed``) only for the paths that walk
-    individual bits — ECC layouts and null-excluded streams.
+    cached on the sample's ``packed``) only for the SECDED layouts,
+    which interleave or widen individual data bits; their check bits,
+    every DESC chunk width and the null-block filter work on the
+    packed words.
     """
     chunks, packed = block_sample(app, num_blocks, seed)
     null_fraction = float((chunks == 0).all(axis=1).mean())

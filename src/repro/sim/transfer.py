@@ -25,13 +25,15 @@ import numpy as np
 
 from repro.core.analysis import DescCostModel
 from repro.core.chunking import ChunkLayout
+from repro.ecc.hamming import HammingSecded
 from repro.ecc.layout import DescEccLayout, secded_extend_stream
 from repro.encoding.registry import make_encoder, register_transfer_model
 from repro.energy.synthesis import DescSynthesisModel
+from repro.kernels.pipeline import PackedBits
 from repro.sim.config import SchemeConfig, SystemConfig
 from repro.sim.metrics import TransferStats
 from repro.sim.stages import WorkloadSample
-from repro.util.bitops import bit_matrix_to_chunks
+from repro.util.validation import require_multiple
 
 __all__ = [
     "BaselineTransferModel",
@@ -54,12 +56,13 @@ BASELINE_SCHEME_NAMES = (
 # last-value tracking requires at the cache controller (Section 5.2).
 _LAST_VALUE_BROADCAST_ACTIVITY = 0.16
 
+#: Every workload sample holds 512-bit blocks (64-byte cache lines).
+_SAMPLE_BLOCK_BITS = 512
 
-def _sample_bits(sample: WorkloadSample) -> np.ndarray:
-    """The sample's unpacked bit matrix, whichever field carries it."""
-    if sample.bits is not None:
-        return sample.bits
-    return sample.packed.bits
+#: Widest DESC chunk the transfer models accept.  A chunk's value is
+#: its transfer time in cycles, and the packed sample is cut into
+#: 1- to 32-bit chunks (``PackedBits.chunks``).
+_MAX_DESC_CHUNK_BITS = 32
 
 
 def _drop_null_rows(blocks: np.ndarray) -> np.ndarray:
@@ -73,49 +76,72 @@ def _drop_null_rows(blocks: np.ndarray) -> np.ndarray:
     return filtered
 
 
+def _sample_packed(sample: WorkloadSample, exclude_null: bool) -> PackedBits:
+    """The sample's packed words, without its null blocks if asked.
+
+    Samples from older stores carry only the bit matrix; they are
+    packed here.  A 512-bit block is exactly 8 words, so the null
+    filter drops whole rows of the word matrix.
+    """
+    packed = sample.packed
+    if packed is None:
+        packed = PackedBits.from_bits(sample.bits)
+    if not exclude_null:
+        return packed
+    words = _drop_null_rows(packed.words.reshape(packed.num_blocks, -1))
+    return PackedBits(words.reshape(-1), len(words), packed.block_bits)
+
+
 class DescTransferModel:
-    """System-level behaviour of the DESC variants."""
+    """System-level behaviour of the DESC variants.
+
+    The constructor checks the scheme's geometry against the 512-bit
+    sample block by building the layout it will use, so an impossible
+    chunk width, wire count or ECC segment raises ``ValueError`` before
+    any sample is touched.
+    """
 
     def __init__(self, scheme: SchemeConfig) -> None:
         self.scheme = scheme
+        if scheme.chunk_bits > _MAX_DESC_CHUNK_BITS:
+            raise ValueError(
+                f"DESC chunks are at most {_MAX_DESC_CHUNK_BITS} bits wide, "
+                f"got chunk_bits={scheme.chunk_bits}"
+            )
+        self._ecc: DescEccLayout | None = None
+        if scheme.ecc_segment_bits:
+            self._ecc = DescEccLayout(
+                block_bits=_SAMPLE_BLOCK_BITS,
+                segment_bits=scheme.ecc_segment_bits,
+                chunk_bits=scheme.chunk_bits,
+            )
+            self._layout = ChunkLayout(
+                block_bits=self._ecc.codeword_bits_total,
+                chunk_bits=scheme.chunk_bits,
+                num_wires=self._ecc.num_chunks,
+            )
+        else:
+            self._layout = ChunkLayout(
+                block_bits=_SAMPLE_BLOCK_BITS,
+                chunk_bits=scheme.chunk_bits,
+                num_wires=scheme.data_wires,
+            )
 
     def transfer_stats(
         self, sample: WorkloadSample, exclude_null: bool = False
     ) -> TransferStats:
         """Closed-form DESC costs, with the Figure 9 layout under ECC."""
         scheme = self.scheme
-        if scheme.ecc_segment_bits:
-            bits = _sample_bits(sample)
-            if exclude_null:
-                bits = _drop_null_rows(bits)
-            ecc = DescEccLayout(
-                block_bits=bits.shape[1],
-                segment_bits=scheme.ecc_segment_bits,
-                chunk_bits=scheme.chunk_bits,
-            )
-            chunks = ecc.encode_stream(bits)
-            layout = ChunkLayout(
-                block_bits=ecc.codeword_bits_total,
-                chunk_bits=scheme.chunk_bits,
-                num_wires=ecc.num_chunks,
-            )
+        if self._ecc is not None:
+            chunks = self._ecc.encode_stream(_sample_packed(sample, exclude_null))
         elif scheme.chunk_bits == 4 and scheme.data_wires in (128, 64, 32):
             chunks = sample.chunks
             if exclude_null:
                 chunks = _drop_null_rows(chunks)
-            layout = ChunkLayout(
-                block_bits=512, chunk_bits=4, num_wires=scheme.data_wires
-            )
         else:
-            bits = _sample_bits(sample)
-            if exclude_null:
-                bits = _drop_null_rows(bits)
-            chunks = bit_matrix_to_chunks(bits, scheme.chunk_bits)
-            layout = ChunkLayout(
-                block_bits=bits.shape[1],
-                chunk_bits=scheme.chunk_bits,
-                num_wires=scheme.data_wires,
-            )
+            packed = _sample_packed(sample, exclude_null)
+            chunks = packed.chunks(scheme.chunk_bits)
+        layout = self._layout
         model = DescCostModel(layout, skip_policy=scheme.skip_policy)
         stream = model.stream_cost(chunks)
         n = stream.num_blocks
@@ -154,35 +180,17 @@ class DescTransferModel:
 
 
 class BaselineTransferModel:
-    """System-level behaviour of the binary-style baseline encoders."""
+    """System-level behaviour of the binary-style baseline encoders.
+
+    The constructor builds the encoder the scheme streams through, so
+    an impossible bus width, segment or ECC pairing raises
+    ``ValueError`` before any sample is touched.
+    """
 
     def __init__(self, scheme: SchemeConfig) -> None:
         self.scheme = scheme
-
-    def transfer_stats(
-        self, sample: WorkloadSample, exclude_null: bool = False
-    ) -> TransferStats:
-        """Stream the sample through the configured ``BusEncoder``."""
-        scheme = self.scheme
-        if not exclude_null and not scheme.ecc_segment_bits and (
-            sample.packed is not None
-        ):
-            # Fast path: the unmodified full sample streams as its
-            # pre-packed word form — the encoder kernels then skip
-            # re-validating and re-packing the bit matrix per scheme,
-            # and the unpacked matrix never materializes.
-            encoder = make_encoder(
-                scheme.name,
-                block_bits=sample.packed.block_bits,
-                data_wires=scheme.data_wires,
-                segment_bits=scheme.segment_bits,
-            )
-            return self._stats_from_stream(
-                encoder, encoder.stream_cost(sample.packed)
-            )
-        bits = _sample_bits(sample)
-        if exclude_null:
-            bits = _drop_null_rows(bits)
+        block_bits = _SAMPLE_BLOCK_BITS
+        data_wires = scheme.data_wires
         if scheme.ecc_segment_bits:
             if scheme.ecc_segment_bits != scheme.data_wires:
                 raise ValueError(
@@ -190,24 +198,32 @@ class BaselineTransferModel:
                     "segment to equal the bus width (the paper's W-S configs "
                     f"have W == S); got {scheme.data_wires}-{scheme.ecc_segment_bits}"
                 )
-            beats = bits.shape[1] // scheme.data_wires  # before extension: 512/W
-            bits = secded_extend_stream(bits, scheme.ecc_segment_bits)
-            # Each beat now carries one segment codeword: W data + p parity.
-            widened_bus = bits.shape[1] // beats
-            encoder = make_encoder(
-                scheme.name,
-                block_bits=bits.shape[1],
-                data_wires=widened_bus,
-                segment_bits=scheme.segment_bits,
-            )
-        else:
-            encoder = make_encoder(
-                scheme.name,
-                block_bits=bits.shape[1],
-                data_wires=scheme.data_wires,
-                segment_bits=scheme.segment_bits,
-            )
-        return self._stats_from_stream(encoder, encoder.stream_cost(bits))
+            require_multiple("block_bits", block_bits, scheme.ecc_segment_bits)
+            # Each beat carries one segment codeword: W data + p parity.
+            beats = block_bits // scheme.ecc_segment_bits
+            data_wires += HammingSecded(scheme.ecc_segment_bits).parity_bits
+            block_bits = beats * data_wires
+        self._encoder = make_encoder(
+            scheme.name,
+            block_bits=block_bits,
+            data_wires=data_wires,
+            segment_bits=scheme.segment_bits,
+        )
+
+    def transfer_stats(
+        self, sample: WorkloadSample, exclude_null: bool = False
+    ) -> TransferStats:
+        """Stream the sample through the configured ``BusEncoder``.
+
+        The packed sample streams as is — the encoder kernels skip
+        re-validating and re-packing it per scheme — or, under ECC,
+        widened by its check bits.
+        """
+        payload = _sample_packed(sample, exclude_null)
+        if self.scheme.ecc_segment_bits:
+            payload = secded_extend_stream(payload, self.scheme.ecc_segment_bits)
+        encoder = self._encoder
+        return self._stats_from_stream(encoder, encoder.stream_cost(payload))
 
     @staticmethod
     def _stats_from_stream(encoder, stream) -> TransferStats:

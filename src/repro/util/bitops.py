@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.batched import popcount
+from repro.util.validation import require_in_range
 
 __all__ = [
     "int_to_bits",
@@ -110,13 +111,16 @@ def bit_matrix_to_chunks(bits: np.ndarray, chunk_bits: int) -> np.ndarray:
 
     The vectorized batch form of :func:`bits_to_chunks`: row ``i`` of the
     result holds the chunk values of block ``i``, chunk 0 taking the
-    least-significant bits.  This is the one bit→chunk implementation in
-    the codebase; the simulation stages and the single-block helpers all
-    delegate here.
+    least-significant bits.  This is the one bit→chunk implementation on
+    bit matrices; the single-block helpers delegate here, and
+    :meth:`repro.kernels.pipeline.PackedBits.chunks` computes the same
+    values from packed words.  Chunks of 64 bits or more do not fit an
+    int64 value and are rejected.
     """
     bits = np.asarray(bits)
     if bits.ndim != 2:
         raise ValueError(f"expected a 2-D bit matrix, got shape {bits.shape}")
+    require_in_range("chunk_bits", chunk_bits, 1, 63)
     n, width = bits.shape
     if width % chunk_bits:
         raise ValueError(

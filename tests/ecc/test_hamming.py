@@ -94,3 +94,43 @@ class TestDoubleErrorDetection:
                 corrupted[0, j] ^= 1
                 result = code.decode(corrupted)
                 assert result.status[0] is DecodeStatus.DETECTED, (i, j)
+
+
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """``(words, data_bits)`` 0/1 → ``(words, ceil(data_bits / 64))`` uint64."""
+    words = -(-bits.shape[1] // 64)
+    padded = np.zeros((bits.shape[0], words * 64), dtype=np.uint8)
+    padded[:, : bits.shape[1]] = bits
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
+class TestPackedCheckBits:
+    """``check_bits`` on packed words equals ``encode``'s check columns."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        data_bits=st.sampled_from([8, 16, 32, 64, 128, 256]),
+        seed=st.integers(0, 2**32 - 1),
+        density=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+    )
+    def test_matches_encode(self, data_bits, seed, density):
+        rng = np.random.default_rng(seed)
+        code = HammingSecded(data_bits)
+        data = (rng.random((40, data_bits)) < density).astype(np.uint8)
+        codewords = code.encode(data)
+        # Wire order: Hamming parities at positions 2**i, then overall.
+        expected = codewords[:, [(1 << i) - 1 for i in range(code.hamming_parity_bits)] + [-1]]
+        got = code.check_bits(_pack_rows(data))
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, expected)
+
+    def test_single_data_bit_sets_its_covering_rows(self):
+        code = HammingSecded(64)
+        for k in range(64):
+            data = np.zeros((1, 64), dtype=np.uint8)
+            data[0, k] = 1
+            position = int(code._data_positions[k])
+            expected = [(position >> i) & 1 for i in range(code.hamming_parity_bits)]
+            # One data bit plus its odd or even number of parities.
+            expected.append((1 + sum(expected)) & 1)
+            assert code.check_bits(_pack_rows(data))[0].tolist() == expected

@@ -6,9 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ecc.hamming import DecodeStatus
+from repro.ecc.hamming import DecodeStatus, HammingSecded
 from repro.ecc.injection import inject_chunk_errors
 from repro.ecc.layout import DescEccLayout, secded_extend_stream
+from repro.kernels.pipeline import PackedBits
+
+#: Every (segment_bits, chunk_bits) pair that interleaves a 512-bit
+#: block evenly into chunks with int64 values.
+EVEN_PAIRS = [
+    (segment_bits, chunk_bits)
+    for segment_bits in (1 << k for k in range(10))
+    for chunk_bits in (1 << j for j in range(6))
+    if (512 // segment_bits) % chunk_bits == 0
+]
 
 
 class TestLayoutGeometry:
@@ -25,6 +35,10 @@ class TestLayoutGeometry:
     def test_rejects_uneven_interleave(self):
         with pytest.raises(ValueError, match="interleave"):
             DescEccLayout(512, 256, 4)  # 2 segments cannot fill 4 lanes
+
+    def test_rejects_chunks_wider_than_int64(self):
+        with pytest.raises(ValueError, match="chunk_bits"):
+            DescEccLayout(512, 1, 64)  # 512 segments would fill 64 lanes
 
 
 class TestInterleaveGuarantee:
@@ -60,6 +74,108 @@ class TestRoundTrip:
         stream = layout.encode_stream(blocks)
         for i in range(10):
             assert np.array_equal(stream[i], layout.encode_block(blocks[i]))
+
+
+def _reference_stream(layout: DescEccLayout, blocks: np.ndarray) -> np.ndarray:
+    """The module docstring's mapping, bit by bit, with ``encode``'s checks.
+
+    Data bit ``p`` of segment ``s`` rides in lane ``s % chunk_bits`` of
+    chunk ``p * (num_segments // chunk_bits) + s // chunk_bits``; the
+    check bits (Hamming parities at positions ``2**i``, then the overall
+    parity) fill the parity chunks by the same rule.
+    """
+    code = HammingSecded(layout.segment_bits)
+    columns = [(1 << i) - 1 for i in range(code.hamming_parity_bits)] + [-1]
+    groups = layout.num_segments // layout.chunk_bits
+
+    def interleave(per_segment: np.ndarray) -> list[int]:
+        chunks = [0] * (per_segment.shape[1] * groups)
+        for s, row in enumerate(per_segment):
+            for p in np.flatnonzero(row):
+                chunks[p * groups + s // layout.chunk_bits] |= 1 << (
+                    s % layout.chunk_bits
+                )
+        return chunks
+
+    rows = []
+    for block in blocks:
+        segments = block.reshape(layout.num_segments, layout.segment_bits)
+        check = code.encode(segments)[:, columns]
+        rows.append(interleave(segments) + interleave(check))
+    return np.asarray(rows, dtype=np.int64)
+
+
+def _mixed_blocks(seed: int) -> np.ndarray:
+    """Random, all-ones, all-zero and sparse 512-bit blocks."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([
+        rng.integers(0, 2, size=(2, 512), dtype=np.uint8),
+        np.ones((1, 512), dtype=np.uint8),
+        np.zeros((1, 512), dtype=np.uint8),
+        (rng.random((1, 512)) < 0.05).astype(np.uint8),
+    ])
+
+
+class TestStreamSpec:
+    """``encode_stream`` against a reference that shares none of its code."""
+
+    def test_pairs_cover_the_paper_layouts(self):
+        assert (128, 4) in EVEN_PAIRS and (64, 4) in EVEN_PAIRS
+        assert len(EVEN_PAIRS) == 45
+
+    @pytest.mark.parametrize(
+        "segment_bits,chunk_bits", EVEN_PAIRS,
+        ids=[f"S{s}-c{c}" for s, c in EVEN_PAIRS],
+    )
+    def test_matches_reference(self, segment_bits, chunk_bits):
+        layout = DescEccLayout(512, segment_bits, chunk_bits)
+        blocks = _mixed_blocks(segment_bits * 64 + chunk_bits)
+        stream = layout.encode_stream(blocks)
+        assert stream.shape == (len(blocks), layout.num_chunks)
+        np.testing.assert_array_equal(stream, _reference_stream(layout, blocks))
+
+
+class TestPackedInput:
+    """A bit matrix and its ``PackedBits`` give identical output."""
+
+    @staticmethod
+    def _forms(bits: np.ndarray) -> list:
+        eager = PackedBits.from_bits(bits)
+        # Words only, as the workload stage produces them.
+        lazy = PackedBits(eager.words, bits.shape[0], bits.shape[1])
+        return [bits, bits.tolist(), eager, lazy]
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        pair=st.sampled_from([(128, 4), (64, 4), (64, 8), (32, 2), (8, 1)]),
+    )
+    def test_encode_stream(self, seed, pair):
+        layout = DescEccLayout(512, *pair)
+        bits = _mixed_blocks(seed)
+        outputs = [layout.encode_stream(form) for form in self._forms(bits)]
+        for output in outputs[1:]:
+            np.testing.assert_array_equal(output, outputs[0])
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        segment_bits=st.sampled_from([8, 16, 32, 64, 128, 256]),
+    )
+    def test_secded_extend_stream(self, seed, segment_bits):
+        bits = _mixed_blocks(seed)
+        outputs = [
+            secded_extend_stream(form, segment_bits)
+            for form in self._forms(bits)
+        ]
+        for output in outputs[1:]:
+            np.testing.assert_array_equal(output, outputs[0])
+
+    def test_rejects_packed_blocks_of_the_wrong_size(self):
+        layout = DescEccLayout(512, 128, 4)
+        packed = PackedBits.from_bits(np.zeros((2, 256), dtype=np.uint8))
+        with pytest.raises(ValueError, match="shape"):
+            layout.encode_stream(packed)
 
 
 class TestErrorCorrection:

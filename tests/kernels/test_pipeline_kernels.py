@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.kernels import native, pipeline
 
@@ -79,6 +80,39 @@ class TestPackedBits:
         packed = pipeline.PackedBits.from_bits(bits)
         assert packed.words.dtype == np.uint64
         np.testing.assert_array_equal(packed.bits, bits)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_blocks=st.integers(1, 12),
+        chunk_bits=st.sampled_from([1, 2, 4, 8, 16, 32]),
+        block_bits=st.sampled_from([64, 128, 512]),
+    )
+    def test_chunks_match_bit_matrix_to_chunks(
+        self, seed, num_blocks, chunk_bits, block_bits
+    ):
+        from repro.util.bitops import bit_matrix_to_chunks
+
+        bits = _random_bits(np.random.default_rng(seed), num_blocks, block_bits)
+        words_only = pipeline.PackedBits(
+            pipeline.PackedBits.from_bits(bits).words, num_blocks, block_bits
+        )
+        chunks = words_only.chunks(chunk_bits)
+        assert chunks.dtype == np.int64
+        np.testing.assert_array_equal(chunks, bit_matrix_to_chunks(bits, chunk_bits))
+        assert words_only._bits is None  # nothing was unpacked
+
+    def test_chunks_keep_the_top_bit_of_32_bit_chunks(self):
+        bits = np.zeros((1, 64), dtype=np.uint8)
+        bits[0, 31] = bits[0, 63] = 1
+        chunks = pipeline.PackedBits.from_bits(bits).chunks(32)
+        assert chunks.tolist() == [[2**31, 2**31]]
+
+    @pytest.mark.parametrize("chunk_bits", [3, 64, 512])
+    def test_chunks_reject_other_widths(self, chunk_bits):
+        packed = pipeline.PackedBits.from_bits(np.zeros((2, 512), dtype=np.uint8))
+        with pytest.raises(ValueError, match="chunk widths"):
+            packed.chunks(chunk_bits)
 
     def test_as_bit_payload_checks_block_bits(self):
         from repro.encoding.base import as_bit_payload

@@ -191,6 +191,52 @@ class TestErrorMapping:
             assert body["error"]["type"] == "bad-request", value
 
 
+#: Scheme payloads no 512-bit sample block can carry.  Each used to
+#: reach the engine: a 500 retried inside the service (or, for the
+#: 512-bit chunk, a 200 with an int64-wrapped cycle count), and enough
+#: of them opened the breaker for the valid requests behind them.
+INVALID_SCHEMES = {
+    "chunk-width-3": {"name": "desc+zero-skip", "chunk_bits": 3},
+    "chunk-width-64": {"name": "desc+zero-skip", "chunk_bits": 64, "data_wires": 8},
+    "ecc-segment-100": {"name": "desc+zero-skip", "ecc_segment_bits": 100},
+    "unknown-scheme": {"name": "nope"},
+    "chunk-width-512": {"name": "desc+zero-skip", "chunk_bits": 512, "data_wires": 1},
+}
+
+
+class TestInvalidGeometry:
+    @pytest.fixture(scope="class")
+    def fresh(self):
+        """A server of its own, so its breaker sees only these requests."""
+        with ServerHarness() as running:
+            yield running
+
+    @pytest.mark.parametrize(
+        "scheme", list(INVALID_SCHEMES.values()), ids=list(INVALID_SCHEMES)
+    )
+    def test_is_400_and_leaves_the_breaker_closed(self, fresh, scheme):
+        payload = {"app": "Ocean", "scheme": scheme, "system": {"sample_blocks": 200}}
+        with fresh.client() as client:
+            with pytest.raises(ServiceRequestError) as excinfo:
+                client.simulate_payload(payload)
+            assert excinfo.value.status == 400
+            assert excinfo.value.error["type"] == "bad-request"
+            assert "invalid scheme" in excinfo.value.error["message"]
+            assert client.metrics()["gauges"]["breaker_state"] == 0  # closed
+            result = client.simulate("Ocean", system={"sample_blocks": 200})
+        assert result["app"] == "Ocean"
+
+    def test_sweep_rejects_an_invalid_scheme(self, fresh):
+        with fresh.client() as client:
+            with pytest.raises(ServiceRequestError) as excinfo:
+                client.sweep(
+                    {"num_banks": [2, 8]},
+                    scheme=INVALID_SCHEMES["chunk-width-3"],
+                    system=SYSTEM,
+                )
+        assert excinfo.value.status == 400
+
+
 class TestConcurrentClients:
     def test_duplicate_heavy_traffic_zero_drops(self, harness):
         """Eight threads, each requesting the same config: every

@@ -110,6 +110,51 @@ class TestDispatch:
         with pytest.raises(ValueError, match="no transfer model"):
             make_transfer_model(bogus)
 
+    @pytest.mark.parametrize(
+        "scheme,message",
+        [
+            (desc_scheme(chunk_bits=3), "multiple of 3"),
+            (desc_scheme(chunk_bits=4, data_wires=256), "spread evenly"),
+            (desc_scheme(chunk_bits=64, data_wires=8), "at most 32"),
+            (desc_scheme(chunk_bits=512, data_wires=1), "at most 32"),
+            (desc_scheme(ecc_segment_bits=100), "multiple of 100"),
+            (desc_scheme(ecc_segment_bits=256), "interleave"),
+            (SchemeConfig(name="binary", data_wires=100), "multiple of 100"),
+            (SchemeConfig(ecc_segment_bits=128), "W == S"),
+            (SchemeConfig(data_wires=100, ecc_segment_bits=100), "multiple of 100"),
+        ],
+        ids=lambda value: getattr(value, "name", None) and value.label(),
+    )
+    def test_invalid_geometry_rejected_at_construction(self, scheme, message):
+        """No sample is needed to tell that a 512-bit block cannot take it."""
+        with pytest.raises(ValueError, match=message):
+            make_transfer_model(scheme)
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [
+            desc_scheme(chunk_bits=2, data_wires=64),
+            desc_scheme(ecc_segment_bits=128),
+            SchemeConfig(name="binary", data_wires=64, ecc_segment_bits=64),
+            SchemeConfig(name="bus-invert"),
+        ],
+        ids=lambda scheme: scheme.label(),
+    )
+    @pytest.mark.parametrize("exclude_null", [False, True])
+    def test_sample_from_an_older_store(self, scheme, exclude_null):
+        """Samples stored before packing carry only the bit matrix."""
+        from dataclasses import replace
+
+        from repro.sim.stages import sample_workload
+        from repro.workloads.profiles import profile
+
+        sample = sample_workload(profile("Radix"), 300, 1)
+        older = replace(sample, bits=sample.packed.bits.copy(), packed=None)
+        model = make_transfer_model(scheme)
+        assert model.transfer_stats(older, exclude_null) == model.transfer_stats(
+            sample, exclude_null
+        )
+
 
 class TestStoreIntegration:
     def test_repeated_run_hits_store(self):

@@ -162,6 +162,20 @@ class TestMatrixConverters:
         with pytest.raises(ValueError, match="not a multiple"):
             bitops.bit_matrix_to_chunks(np.zeros((2, 10), dtype=np.uint8), 4)
 
+    @pytest.mark.parametrize("chunk_bits", [64, 128, 512])
+    def test_chunks_wider_than_int64_rejected(self, chunk_bits):
+        """A 64-bit chunk with bit 63 set used to read -2**63, and a
+        128-bit chunk read 0."""
+        bits = np.zeros((1, 512), dtype=np.uint8)
+        bits[0, 63] = 1
+        with pytest.raises(ValueError, match="chunk_bits"):
+            bitops.bit_matrix_to_chunks(bits, chunk_bits)
+
+    def test_widest_int64_chunk_keeps_its_top_bit(self):
+        bits = np.zeros((1, 63), dtype=np.uint8)
+        bits[0, 62] = 1
+        assert bitops.bit_matrix_to_chunks(bits, 63)[0, 0] == 2**62
+
     def test_one_dimensional_input_rejected(self):
         with pytest.raises(ValueError, match="2-D"):
             bitops.bit_matrix_to_chunks(np.zeros(8, dtype=np.uint8), 4)
