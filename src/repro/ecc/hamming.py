@@ -115,20 +115,26 @@ class HammingSecded:
     def _row_masks(self) -> np.ndarray:
         """``(hamming_parity_bits, data_words)`` uint64 masks.
 
-        Bit ``k`` of row ``i`` (word ``k // 64``, bit ``k % 64``) is set
-        when data bit ``k``'s codeword position has bit ``i`` set, i.e.
-        when Hamming parity ``2**i`` covers it.
+        Row ``i`` marks the data bits whose codeword position has bit
+        ``i`` set, i.e. the data bits Hamming parity ``2**i`` covers.
         """
-        covered = (self._data_positions[None, :] >> np.arange(
-            self.hamming_parity_bits, dtype=np.int64)[:, None]) & 1
-        words = -(-self.data_bits // 64)
-        padded = np.zeros((self.hamming_parity_bits, words * 64), dtype=np.uint8)
-        padded[:, : self.data_bits] = covered
-        return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+        return self.pack_data(self._coverage[:, self._data_positions - 1])
 
     # ------------------------------------------------------------------
     # Encode / decode
     # ------------------------------------------------------------------
+
+    @staticmethod
+    def pack_data(data: np.ndarray) -> np.ndarray:
+        """``(words, bits)`` 0/1 → ``(words, ceil(bits / 64))`` uint64.
+
+        Bit ``k`` of a row lands at bit ``k % 64`` of word ``k // 64``,
+        zero-padded: the layout :meth:`check_bits` reads.
+        """
+        packed = np.packbits(data, axis=1, bitorder="little")
+        if packed.shape[1] % 8:
+            packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
+        return np.ascontiguousarray(packed).view("<u8")
 
     def check_bits(self, data_words: np.ndarray) -> np.ndarray:
         """Check bits of packed data, in wire order.

@@ -46,18 +46,6 @@ def _bit_matrix(blocks_bits) -> np.ndarray:
     return bits
 
 
-def _check_bits(code: HammingSecded, segments: np.ndarray) -> np.ndarray:
-    """Wire-order check bits of ``(words, data_bits)`` 0/1 segments.
-
-    Each segment is packed once into whole uint64 words, the input of
-    :meth:`HammingSecded.check_bits`.
-    """
-    packed = np.packbits(segments, axis=1, bitorder="little")
-    if packed.shape[1] % 8:
-        packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
-    return code.check_bits(packed.view("<u8"))
-
-
 def secded_extend_stream(blocks_bits, segment_bits: int) -> np.ndarray:
     """Append SECDED check bits for a *binary* bus (Figures 28/29).
 
@@ -80,7 +68,8 @@ def secded_extend_stream(blocks_bits, segment_bits: int) -> np.ndarray:
     nseg = block_bits // segment_bits
     code = HammingSecded(segment_bits)
     segments = bits.reshape(n * nseg, segment_bits)
-    beats = np.concatenate([segments, _check_bits(code, segments)], axis=1)
+    check = code.check_bits(code.pack_data(segments))
+    beats = np.concatenate([segments, check], axis=1)
     return beats.reshape(n, nseg * (segment_bits + code.parity_bits))
 
 
@@ -206,7 +195,7 @@ class DescEccLayout:
             )
         n = bits.shape[0]
         segments = bits.reshape(n * self.num_segments, self.segment_bits)
-        check = _check_bits(self.code, segments)
+        check = self.code.check_bits(self.code.pack_data(segments))
         data3 = bits.reshape(n, self.num_segments, self.segment_bits)
         parity3 = check.reshape(n, self.num_segments, self.parity_bits_per_segment)
         return np.concatenate(
