@@ -149,8 +149,8 @@ class HammingSecded:
         """
         data_words = np.asarray(data_words, dtype=np.uint64)
         masks = self._row_masks
-        # XOR-fold the words first: parity is linear, so one popcount
-        # per (segment, row) suffices.
+        # Parity is linear: XOR-fold a row's uint64 words first, then
+        # one popcount per (row, Hamming row) suffices.
         covered = data_words[:, :1] & masks[:, 0]
         folded = data_words[:, 0].copy()
         for word in range(1, data_words.shape[1]):
