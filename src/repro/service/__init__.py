@@ -7,7 +7,9 @@ configurations, serves repeats from the
 :class:`~repro.sim.store.ResultStore`, and keeps the hardened engine
 saturated with adaptively sized batches — all with explicit
 backpressure instead of unbounded queues, and structured error
-responses instead of hung connections.
+responses instead of hung connections (even when the drain task dies:
+every waiter fails with a ``ServiceError`` and ``/healthz`` answers
+503, so a process manager restarts the process).
 
 Layers (each its own module, composable in-process without HTTP):
 
@@ -19,13 +21,6 @@ Layers (each its own module, composable in-process without HTTP):
 * :mod:`repro.service.server` — the HTTP front-end
   (:class:`ServiceServer`: ``/simulate``, ``/sweep``, ``/healthz``,
   ``/metrics``);
-* :mod:`repro.service.breaker` — the circuit breaker
-  (:class:`~repro.service.breaker.CircuitBreaker`): a sick engine sheds
-  load with 503 + Retry-After instead of queueing doomed work;
-* :mod:`repro.service.supervisor` — drain-task health checks, crash
-  recovery with bounded backoff, re-submission of stranded work, and
-  the warehouse scrubber
-  (:class:`~repro.service.supervisor.ShardSupervisor`);
 * :mod:`repro.service.client` — the in-repo client with full-jitter
   429/503-aware retries, deadline stamping, and optional hedged
   requests (:class:`ServiceClient`);
@@ -36,15 +31,14 @@ Layers (each its own module, composable in-process without HTTP):
 * :mod:`repro.service.clock` — injectable monotonic time;
 * :mod:`repro.service.check` — the end-to-end self-check behind
   ``repro serve --check``;
-* :mod:`repro.service.chaos` — the seeded chaos campaign behind
-  ``repro chaos`` (crash storms, failure bursts, byte flips, floods —
-  golden traffic must stay byte-identical throughout).
+* :mod:`repro.service.chaos` — the chaos campaign behind
+  ``repro chaos`` (warehouse byte flips, tight deadlines, a queue
+  flood — golden traffic must stay byte-identical throughout).
 
 See ``docs/service.md`` for the API schema, the metrics glossary, and
 operational notes.
 """
 
-from repro.service.breaker import BreakerConfig, CircuitBreaker
 from repro.service.client import (
     ServiceClient,
     ServiceClientError,
@@ -58,34 +52,26 @@ from repro.service.pipeline import (
     DeadlineExceeded,
     ServiceConfig,
     ServiceError,
-    ShardUnavailable,
     SimulationFailed,
     SimulationService,
 )
 from repro.service.server import ServiceServer
 from repro.service.stages import (
     Admission,
-    BatchCrash,
     Batcher,
     Coalescer,
     Executor,
     PipelineStage,
 )
-from repro.service.supervisor import ShardSupervisor
 
 __all__ = [
     "Admission",
     "Backpressure",
-    "BatchCrash",
     "Batcher",
-    "BreakerConfig",
-    "CircuitBreaker",
     "Coalescer",
     "DeadlineExceeded",
     "Executor",
     "PipelineStage",
-    "ShardSupervisor",
-    "ShardUnavailable",
     "Clock",
     "Counter",
     "FakeClock",

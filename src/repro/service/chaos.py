@@ -1,166 +1,65 @@
 """Chaos harness: ``repro chaos`` — prove the service survives faults.
 
-Boots a real service (HTTP listener, pipeline, supervisor, breaker,
-disk warehouse) through the same :class:`ServerHarness` the
-``--check`` smoke test uses, then drives duplicate-heavy golden traffic
-while a **seeded chaos schedule** injects faults phase by phase:
+Boots a real service (HTTP listener, pipeline, disk warehouse) through
+the same :class:`ServerHarness` the ``--check`` smoke test uses, then
+injects faults phase by phase:
 
-1. **crash storm** — batches are killed mid-flight with
-   :class:`~repro.service.stages.BatchCrash` (Bernoulli schedule) and
-   slowed by bursty latency (Gilbert–Elliott schedule) while golden
-   clients hammer the service; the supervisor must fence, drain,
-   restart, and re-submit, and every client must still get
-   byte-identical answers;
-2. **failure burst** — every batch on the wire fails, driving the
-   circuit breaker open; once chaos stops, cold probes must walk the
-   breaker half-open → closed again;
-3. **corruption + scrub** — bytes are flipped inside flushed warehouse
-   segments on disk, then a supervisor scrub pass must detect the CRC
+1. **corruption + scrub** — golden traffic fills the warehouse, bytes
+   are flipped inside its flushed segments on disk, then a
+   :meth:`~repro.sim.store.ResultStore.scrub` pass must detect the CRC
    damage and repair the records from the in-memory tier;
-4. **tight deadlines** — latency injection plus near-zero client
+2. **tight deadlines** — latency injection plus near-zero client
    budgets must produce structured 504s (never hangs) and count
    ``deadline_expirations``;
-5. **queue flood** — a burst of cold distinct configurations against a
+3. **queue flood** — a burst of cold distinct configurations against a
    tiny admission queue; backpressured clients must retry and converge
    with zero silent drops.
 
-The chaos *schedules* reuse the repository's seeded fault processes
-(:mod:`repro.faults.processes`) on a single "wire", so a run is
-reproducible event-for-event from ``--seed`` — the same machinery that
-perturbs wires in the link-level campaigns here decides which batch
-dies when (see ``docs/faults.md``).
-
 The run fails loudly unless: every verified response is byte-identical
 to a direct :class:`~repro.sim.engine.StagedEngine` run, no request is
-silently dropped, recovery actually happened (``supervisor_restarts``,
-breaker opens *and* closes, ``scrub_repairs``, and
-``deadline_expirations`` all > 0 in ``/metrics``), recovery latency
-stayed bounded, and shutdown leaves no orphaned tasks.
+silently dropped, the scrub repaired every damaged record,
+``deadline_expirations`` moved in ``/metrics``, and shutdown leaves no
+drain task running.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import random
 import sys
 import threading
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
-from repro.faults.processes import FaultConfig, make_process
 from repro.service import codec
-from repro.service.breaker import BreakerConfig
 from repro.service.check import ServerHarness, golden_jobs
 from repro.service.client import ServiceClientError, ServiceRequestError
 from repro.service.pipeline import ServiceConfig
-from repro.service.stages import BatchCrash
 from repro.sim import stages as sim_stages
 from repro.sim.config import SystemConfig
 from repro.sim.engine import SimJob, StagedEngine
 from repro.sim.store import ResultStore
 from repro.sim.warehouse import _RECORD
 
-__all__ = ["ChaosController", "ChaosSchedule", "run_chaos"]
-
-#: Recovery must complete within this many seconds (detect → restart).
-RECOVERY_LATENCY_BOUND_S = 5.0
-
-
-class ChaosSchedule:
-    """A seeded chaos event source.
-
-    Reuses the fault-process machinery — one "wire", one tick per
-    consultation — so chaos events flow from the same reproducible
-    generators as the link-level fault campaigns.  An optional budget
-    caps total events so a storm always quiets down.
-
-    Args:
-        rate: Per-consultation event probability.
-        rng: The seeded generator every draw flows from.
-        burst: Use the bursty Gilbert–Elliott chain instead of
-            memoryless Bernoulli draws.
-        budget: Maximum events ever fired, or None for unlimited.
-    """
-
-    def __init__(
-        self,
-        rate: float,
-        rng: np.random.Generator,
-        burst: bool = False,
-        budget: int | None = None,
-    ) -> None:
-        self._process = make_process(rate, 1, FaultConfig(burst=burst), rng)
-        self._budget = budget
-        self.fired = 0
-
-    def fire(self) -> bool:
-        """Tick the schedule; True when this tick is an event."""
-        events = self._process.sample()
-        if self._budget is not None and self.fired >= self._budget:
-            return False
-        if bool(events[0]):
-            self.fired += 1
-            return True
-        return False
+__all__ = ["ChaosController", "run_chaos"]
 
 
 class ChaosController:
     """The switchboard the batch interceptor consults.
 
-    The runner thread flips :attr:`mode`; :meth:`intercept` (running on
-    the service's event loop) acts on whatever mode it observes:
-
-    * ``"kill"`` — the kill schedule decides which batches die with a
-      :class:`BatchCrash`; the jitter schedule injects small bursty
-      delays to widen the race windows around the crash;
-    * ``"fail"`` — every batch raises, failing its jobs (the breaker
-      fuel);
-    * ``"slow"`` — every batch stalls ``latency_s`` before dispatch
-      (the deadline fuel);
-    * ``"off"`` — batches pass through untouched.
+    The runner thread flips :attr:`mode` between ``"off"`` (batches pass
+    through untouched) and ``"slow"`` (every batch stalls ``latency_s``
+    before dispatch — the deadline fuel); :meth:`intercept`, running on
+    the service's event loop, acts on whatever mode it observes.
     """
 
-    def __init__(
-        self,
-        seed: int,
-        kill_rate: float = 0.5,
-        kill_budget: int = 4,
-        jitter_rate: float = 0.3,
-        jitter_s: float = 0.01,
-        latency_s: float = 0.3,
-    ) -> None:
-        rng = np.random.default_rng(seed)
+    def __init__(self, latency_s: float = 0.3) -> None:
         self.mode = "off"
-        self.kill_schedule = ChaosSchedule(
-            kill_rate, rng, burst=False, budget=kill_budget
-        )
-        self.jitter_schedule = ChaosSchedule(jitter_rate, rng, burst=True)
-        self.jitter_s = jitter_s
         self.latency_s = latency_s
-        self.kills = 0
-        self.failures = 0
         self.delays = 0
 
     async def intercept(self, jobs: list[SimJob]) -> None:
         """The batch interceptor (the service's plug point)."""
-        mode = self.mode
-        if mode == "off":
-            return
-        if mode == "kill":
-            if self.jitter_schedule.fire():
-                self.delays += 1
-                await asyncio.sleep(self.jitter_s)
-            if self.kill_schedule.fire():
-                self.kills += 1
-                raise BatchCrash(
-                    f"chaos kill ({len(jobs)} job(s) in flight)"
-                )
-        elif mode == "fail":
-            self.failures += 1
-            raise RuntimeError("chaos failure injection")
-        elif mode == "slow":
+        if self.mode == "slow":
             # Monotone stats counter: += is atomic between awaits on
             # the single event loop, and no reader couples delays to
             # other state, so interleaved increments are benign.
@@ -169,11 +68,7 @@ class ChaosController:
 
     def snapshot(self) -> dict:
         """Injected-event totals, JSON-ready."""
-        return {
-            "kills": self.kills,
-            "failures": self.failures,
-            "delays": self.delays,
-        }
+        return {"delays": self.delays}
 
 
 @dataclass
@@ -215,14 +110,13 @@ def _drive(
     payloads: list[dict],
     outcome: _Outcome,
     barrier: threading.Barrier,
-    hedge_after_s: float | None = None,
-    jitter_seed: int | None = None,
+    jitter_seed: int,
 ) -> None:
     """One golden-traffic client: every request must converge."""
     try:
         with harness.client(
             timeout=120.0, max_attempts=12, backoff_s=0.05,
-            jitter_seed=jitter_seed, hedge_after_s=hedge_after_s,
+            jitter_seed=jitter_seed,
         ) as client:
             barrier.wait(timeout=60)
             for config_index in indices:
@@ -236,7 +130,6 @@ def _run_phase(
     harness: ServerHarness,
     schedules: list[list[int]],
     payloads: list[dict],
-    hedge_clients: int = 0,
 ) -> list[_Outcome]:
     """Drive one thread per schedule; join them all."""
     outcomes = [_Outcome() for _ in schedules]
@@ -244,11 +137,8 @@ def _run_phase(
     threads = [
         threading.Thread(
             target=_drive,
-            args=(harness, schedule, payloads, outcomes[i], barrier),
-            kwargs={
-                "hedge_after_s": 2.0 if i < hedge_clients else None,
-                "jitter_seed": 9000 + i,
-            },
+            args=(harness, schedule, payloads, outcomes[i], barrier,
+                  9000 + i),
             name=f"repro-chaos-client-{i}",
         )
         for i, schedule in enumerate(schedules)
@@ -315,9 +205,7 @@ def _corrupt_segment_records(store: ResultStore, count: int) -> int:
 
 def run_chaos(
     quick: bool = False,
-    seed: int = 0,
     num_clients: int | None = None,
-    requests_per_client: int | None = None,
     sample_blocks: int | None = None,
     warehouse: str | None = None,
     report_out: str | None = None,
@@ -325,7 +213,7 @@ def run_chaos(
     """Run the chaos campaign; returns (exit code, report).
 
     One service instance lives through every phase, so the final
-    ``/metrics`` scrape carries the whole campaign's recovery counters.
+    ``/metrics`` scrape carries the whole campaign's counters.
     ``quick`` shrinks the simulation cost and traffic volume, not the
     fault classes: every phase still runs.
     """
@@ -333,17 +221,13 @@ def run_chaos(
         sample_blocks = 200 if quick else 800
     if num_clients is None:
         num_clients = 8 if quick else 16
-    if requests_per_client is None:
-        requests_per_client = 3 if quick else 5
 
     import tempfile
 
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
         return _run_chaos_inner(
             quick=quick,
-            seed=seed,
             num_clients=num_clients,
-            requests_per_client=requests_per_client,
             sample_blocks=sample_blocks,
             warehouse=warehouse if warehouse is not None else tmp,
             report_out=report_out,
@@ -352,9 +236,7 @@ def run_chaos(
 
 def _run_chaos_inner(
     quick: bool,
-    seed: int,
     num_clients: int,
-    requests_per_client: int,
     sample_blocks: int,
     warehouse: str,
     report_out: str | None,
@@ -362,113 +244,35 @@ def _run_chaos_inner(
     system = SystemConfig(sample_blocks=sample_blocks)
     jobs = golden_jobs(system)
     oracle = _Oracle()
-    controller = ChaosController(seed=seed, kill_budget=3 if quick else 6)
-    config = ServiceConfig(
-        max_queue=8,
-        breaker=BreakerConfig(
-            window=8, failure_threshold=0.5, min_samples=2,
-            cooldown_s=0.2, max_cooldown_s=1.0, probes=1,
-        ),
-        supervisor_interval_s=0.02,
-        restart_backoff_s=0.02,
-        restart_max_backoff_s=0.5,
-    )
+    controller = ChaosController()
     engine = StagedEngine(ResultStore(warehouse=warehouse))
     problems: list[str] = []
     report: dict = {
         "quick": quick,
-        "seed": seed,
         "clients": num_clients,
         "sample_blocks": sample_blocks,
         "phases": {},
     }
 
     with ServerHarness(
-        service_config=config,
+        service_config=ServiceConfig(max_queue=8),
         engine=engine,
         interceptor=controller.intercept,
     ) as harness:
-        # -- phase 1: crash storm under golden duplicate-heavy traffic.
-        controller.mode = "kill"
-        golden_payloads = [_payload(job) for job in jobs]
-        rng = random.Random(seed)
-        schedules = [
-            [rng.randrange(len(jobs))]
-            + [rng.randrange(len(jobs))
-               for _ in range(requests_per_client - 1)]
-            for _ in range(num_clients)
-        ]
-        outcomes = _run_phase(
-            harness, schedules, golden_payloads,
-            hedge_clients=num_clients // 2,
+        # -- phase 1: golden traffic fills the warehouse; flip bytes in
+        # the flushed segments, and a scrub repairs them from the
+        # in-memory tier.
+        golden = _run_phase(
+            harness, [list(range(len(jobs)))],
+            [_payload(job) for job in jobs],
         )
-        controller.mode = "off"
-        expected = sum(len(schedule) for schedule in schedules)
-        report["phases"]["crash_storm"] = _verify(
-            outcomes, jobs, oracle, expected, "crash-storm", problems
-        )
-        report["phases"]["crash_storm"]["kills"] = controller.kills
-        if controller.kills == 0:
-            problems.append(
-                "[crash-storm] the seeded schedule never killed a batch"
-            )
-
-        # -- phase 2: failure burst opens the breaker, probes close
-        # it.  Sacrificial cold configs; errors here are the point.
-        controller.mode = "fail"
-        burn_jobs = [
-            SimJob.of(job.app.name, job.scheme,
-                      system.with_(sample_blocks=sample_blocks + 1))
-            for job in jobs[:8]
-        ]
-        burned = 0
-        with harness.client(max_attempts=1, backoff_s=0.01) as torch:
-            for job in burn_jobs:
-                try:
-                    torch.simulate_payload(_payload(job))
-                except ServiceClientError:
-                    burned += 1
-        controller.mode = "off"
-        metrics_mid = harness.run_in_loop(
-            lambda: harness.service.metrics.snapshot()
-        )
-        opens = metrics_mid["counters"].get("breaker_opens_total", 0)
-        if opens == 0:
-            problems.append(
-                "[failure-burst] no breaker opened under a 100% "
-                "failure rate"
-            )
-        # Cold probes walk the breaker half-open -> closed; the client
-        # honours Retry-After on 503, so converged probes prove closure.
-        probe_jobs = [
-            SimJob.of(job.app.name, job.scheme,
-                      system.with_(sample_blocks=sample_blocks + 2))
-            for job in jobs[:8]
-        ]
-        with harness.client(
-            max_attempts=12, backoff_s=0.05, jitter_seed=seed,
-        ) as probe:
-            for job in probe_jobs:
-                try:
-                    probe.simulate_payload(_payload(job))
-                except ServiceClientError as exc:
-                    problems.append(
-                        f"[failure-burst] recovery probe failed: {exc!r}"
-                    )
-        report["phases"]["failure_burst"] = {
-            "burned": burned,
-            "injected_failures": controller.failures,
-            "breaker_opens": opens,
-        }
-
-        # -- phase 3: flip bytes in flushed segments, scrub repairs
-        # them from the in-memory tier.
+        served = _verify(golden, jobs, oracle, len(jobs), "scrub", problems)
         harness.run_in_loop(engine.store.flush)
         damaged = _corrupt_segment_records(engine.store, count=3)
-        scrub = harness.run_in_loop(
-            harness.service.supervisor.scrub_now, timeout=60.0
-        )
-        report["phases"]["scrub"] = {"damaged": damaged, **scrub}
+        scrub = harness.run_in_loop(engine.store.scrub, timeout=60.0)
+        report["phases"]["scrub"] = {
+            "golden": served, "damaged": damaged, **scrub,
+        }
         if damaged == 0:
             problems.append(
                 "[scrub] nothing was flushed to the warehouse to corrupt"
@@ -483,8 +287,8 @@ def _run_chaos_inner(
                 f"[scrub] {scrub['lost']} record(s) lost outright"
             )
 
-        # -- phase 4: bursty latency + near-zero budgets -> structured
-        # 504s, never hangs.  Sacrificial cold configs again.
+        # -- phase 2: injected latency + near-zero budgets -> structured
+        # 504s, never hangs.  Sacrificial cold configs.
         controller.mode = "slow"
         slow_jobs = [
             SimJob.of(job.app.name, job.scheme,
@@ -510,7 +314,7 @@ def _run_chaos_inner(
                 "[deadlines] no request expired under injected latency"
             )
 
-        # -- phase 5: flood a tiny queue with cold distinct configs;
+        # -- phase 3: flood a tiny queue with cold distinct configs;
         # backpressured clients retry and converge, zero drops.
         flood_jobs = [
             SimJob.of(job.app.name, job.scheme,
@@ -535,44 +339,18 @@ def _run_chaos_inner(
             metrics = probe.metrics()
         service = harness.service
     # Harness stopped: nothing may linger.
-    supervisor_snap = service.supervisor.snapshot()
-    if supervisor_snap["resubmits_inflight"]:
-        problems.append(
-            f"{supervisor_snap['resubmits_inflight']} re-submit task(s) "
-            "orphaned after shutdown"
-        )
-    if supervisor_snap["running"]:
-        problems.append("supervisor health loop survived shutdown")
     if service.batcher.running:
         problems.append("drain task survived shutdown")
 
     counters = metrics.get("counters", {})
-    gauges = metrics.get("gauges", {})
-    histograms = metrics.get("histograms", {})
-    for name in ("supervisor_restarts", "breaker_opens_total",
-                 "breaker_closes_total", "scrub_repairs",
-                 "deadline_expirations"):
-        if counters.get(name, 0) <= 0:
-            problems.append(f"/metrics counter {name} never moved")
-    if "breaker_state" not in gauges:
-        problems.append("/metrics exports no breaker_state gauge")
-    recovery = histograms.get("supervisor_recovery_latency_s") or {}
-    worst = recovery.get("max")
-    if worst is not None and worst > RECOVERY_LATENCY_BOUND_S:
-        problems.append(
-            f"worst recovery latency {worst:.2f}s exceeds the "
-            f"{RECOVERY_LATENCY_BOUND_S}s bound"
-        )
+    if counters.get("deadline_expirations", 0) <= 0:
+        problems.append("/metrics counter deadline_expirations never moved")
 
     report["chaos"] = controller.snapshot()
-    report["supervisor"] = supervisor_snap
-    report["recovery_latency"] = recovery
     report["counters"] = {
         name: counters.get(name, 0)
-        for name in ("supervisor_restarts", "breaker_opens_total",
-                     "breaker_closes_total", "scrub_repairs",
-                     "scrub_passes_total", "deadline_expirations",
-                     "rejected_total", "coalesced_total")
+        for name in ("deadline_expirations", "rejected_total",
+                     "coalesced_total")
     }
     report["problems"] = problems
     report["ok"] = not problems

@@ -131,8 +131,8 @@ class ServerHarness:
     def run_in_loop(self, func, timeout: float = 30.0):
         """Call ``func()`` on the service's event loop thread.
 
-        The chaos harness uses this to poke service internals (a
-        supervisor scrub, a snapshot) without racing the loop.
+        The chaos harness uses this to reach the store (a flush, a
+        scrub) without racing the loop.
         """
         assert self._loop is not None, "harness is not started"
         import concurrent.futures

@@ -5,8 +5,7 @@ the retry discipline the service's error contract asks for:
 
 * **429 backpressure / 503 unavailable** — honoured, not fought: the
   client sleeps for the server's ``Retry-After`` hint (bounded) and
-  retries, up to its attempt budget (an open circuit breaker answers
-  503, so clients naturally pace a recovering service);
+  retries, up to its attempt budget;
 * **connection errors / timeouts** — simulation requests are pure and
   idempotent, so the client reconnects and retries with **full-jitter**
   exponential backoff: each sleep is drawn uniformly from
@@ -375,9 +374,9 @@ class ServiceClient:
                 ceiling *= 2
                 continue
             if status in (429, 503):
-                # Backpressure and open breakers are both "come back
-                # later": honour the server's pacing hint, jittered so
-                # synchronized clients spread out.
+                # Backpressure and an unavailable service are both
+                # "come back later": honour the server's pacing hint,
+                # jittered so synchronized clients spread out.
                 last_error = ServiceRequestError(
                     status, reply.get("error", {})
                 )

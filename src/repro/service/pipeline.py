@@ -2,8 +2,7 @@
 
 One :class:`SimulationService` owns one wired stack of the composable
 stages from :mod:`repro.service.stages` — Admission, Coalescer,
-Batcher, Executor — plus one circuit breaker and one supervisor.  The
-full request path:
+Batcher, Executor.  The full request path:
 
 1. **read-through cache** — a request whose canonical
    :func:`~repro.sim.stages.run_key` is already in the engine's
@@ -28,6 +27,12 @@ full request path:
    as :class:`~repro.service.stages.SimulationFailed` — a structured
    error response, never a hung connection.
 
+If the batcher's drain task ever dies, every waiter fails with
+:class:`~repro.service.stages.ServiceError` (see
+:mod:`repro.service.stages`); from then on the service still answers
+store hits, refuses engine work with ``ServiceError``, and reports
+itself unhealthy, so the process is restarted rather than the stack.
+
 Batches run in-process on one worker thread: a job costs about a
 millisecond, so a process pool per batch costs more than it saves, and
 extra stacks in one process would share the one event loop, GIL, and
@@ -44,13 +49,12 @@ engine — results are the engine's, bit-for-bit, no matter which tier
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Awaitable, Callable, Iterable
 
 from repro.sim import stages as sim_stages
 from repro.sim.engine import FailedJob, SimJob, StagedEngine
 from repro.sim.metrics import RunResult
-from repro.service.breaker import HALF_OPEN, BreakerConfig, CircuitBreaker
 from repro.service.clock import MONOTONIC_CLOCK, Clock
 from repro.service.metrics import MetricsRegistry
 from repro.service.stages import (
@@ -62,18 +66,15 @@ from repro.service.stages import (
     Executor,
     Pending,
     ServiceError,
-    ShardUnavailable,
     SimulationFailed,
 )
 from repro.sim.store import StoreKey
 
 __all__ = [
     "Backpressure",
-    "BreakerConfig",
     "DeadlineExceeded",
     "ServiceConfig",
     "ServiceError",
-    "ShardUnavailable",
     "SimulationFailed",
     "SimulationService",
 ]
@@ -106,16 +107,6 @@ class ServiceConfig:
             to (sweeps self-throttle through the queue rather than
             being rejected, so this bounds their footprint).
         retries: Engine-level re-attempts per job.
-        breaker: Circuit-breaker trip policy; see
-            :class:`~repro.service.breaker.BreakerConfig`.
-        supervisor_interval_s: How often the supervisor health-checks
-            the drain task (also its crash-detection latency).
-        restart_backoff_s: First restart delay after a crash; doubles
-            on repeated crashes, capped at ``restart_max_backoff_s``.
-        restart_max_backoff_s: Upper bound of the restart backoff.
-        scrub_interval_s: Seconds between background warehouse scrub
-            passes (``None`` disables periodic scrubbing; an explicit
-            ``repro scrub``-style call still works).
         default_deadline_s: Deadline budget applied to requests that
             do not carry one (``None`` = unbounded, the default).
     """
@@ -126,11 +117,6 @@ class ServiceConfig:
     retry_after_s: float = 0.25
     max_sweep_jobs: int = 1024
     retries: int = 1
-    breaker: BreakerConfig = field(default_factory=BreakerConfig)
-    supervisor_interval_s: float = 0.1
-    restart_backoff_s: float = 0.05
-    restart_max_backoff_s: float = 2.0
-    scrub_interval_s: float | None = None
     default_deadline_s: float | None = None
 
     def __post_init__(self) -> None:
@@ -141,26 +127,6 @@ class ServiceConfig:
         if self.batch_linger_s < 0:
             raise ValueError(
                 f"batch_linger_s must be >= 0, got {self.batch_linger_s}"
-            )
-        if self.supervisor_interval_s <= 0:
-            raise ValueError(
-                f"supervisor_interval_s must be > 0, "
-                f"got {self.supervisor_interval_s}"
-            )
-        if self.restart_backoff_s <= 0:
-            raise ValueError(
-                f"restart_backoff_s must be > 0, "
-                f"got {self.restart_backoff_s}"
-            )
-        if self.restart_max_backoff_s < self.restart_backoff_s:
-            raise ValueError(
-                f"restart_max_backoff_s ({self.restart_max_backoff_s}) must "
-                f"be >= restart_backoff_s ({self.restart_backoff_s})"
-            )
-        if self.scrub_interval_s is not None and self.scrub_interval_s <= 0:
-            raise ValueError(
-                f"scrub_interval_s must be > 0 when set, "
-                f"got {self.scrub_interval_s}"
             )
         if self.default_deadline_s is not None and self.default_deadline_s <= 0:
             raise ValueError(
@@ -198,39 +164,26 @@ class SimulationService:
         self.config = config if config is not None else ServiceConfig()
         self.clock = clock if clock is not None else MONOTONIC_CLOCK
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.breaker = CircuitBreaker(
-            self.config.breaker, self.clock, self.metrics
-        )
         self.executor = Executor(
             engine=self.engine,
             retries=self.config.retries,
             interceptor=interceptor,
         )
-        self.batcher = self._build_batcher()
-        self.admission = Admission(
-            max_queue=self.config.max_queue,
-            metrics=self.metrics,
-            # A lambda, not a bound method: restart_stack() replaces
-            # the batcher and the hint must follow the live one.
-            retry_after=lambda depth: self.batcher.suggest_retry_after(depth),
-            clock=self.clock,
-        )
-        self.coalescer = Coalescer(metrics=self.metrics)
-        self._started = False
-        # Imported here to break the module cycle: the supervisor
-        # drives the service, the service owns the supervisor.
-        from repro.service.supervisor import ShardSupervisor
-
-        self.supervisor = ShardSupervisor(self)
-
-    def _build_batcher(self) -> Batcher:
-        return Batcher(
+        self.batcher = Batcher(
             max_batch=self.config.max_batch,
             linger_s=self.config.batch_linger_s,
             retry_after_floor=self.config.retry_after_s,
             clock=self.clock,
             metrics=self.metrics,
         )
+        self.admission = Admission(
+            max_queue=self.config.max_queue,
+            metrics=self.metrics,
+            retry_after=self.batcher.suggest_retry_after,
+            clock=self.clock,
+        )
+        self.coalescer = Coalescer(metrics=self.metrics)
+        self._started = False
 
     @property
     def stages(self) -> tuple:
@@ -239,43 +192,24 @@ class SimulationService:
 
     # -- lifecycle -----------------------------------------------------
 
-    def _start_batcher(self) -> None:
-        self.batcher.start(self.admission, self.coalescer, self.executor)
-
     async def start(self) -> None:
-        """Spawn the batcher task and the supervisor; idempotent."""
+        """Spawn the batcher task; idempotent."""
         if self._started:
             return
         self._started = True
-        self._start_batcher()
-        self.supervisor.start()
-
-    def restart_stack(self) -> None:
-        """Rebuild the crashed batcher and respawn its task.
-
-        The supervisor calls this after it has drained the old stack's
-        stranded work.  The batcher is rebuilt (dropping any state the
-        crash poisoned — including the latency EMA, which restarts
-        cold); the stateless executor, the admission queue, and the
-        coalescing map survive, the latter two already emptied by the
-        supervisor.
-        """
-        self.batcher = self._build_batcher()
-        self._start_batcher()
+        self.batcher.start(self.admission, self.coalescer, self.executor)
 
     async def stop(self) -> None:
-        """Stop supervision, drain the stages, flush the warehouse.
+        """Drain the stages, then flush the warehouse.
 
-        The supervisor goes first (its re-submit tasks either finish or
-        fail their futures loudly — no orphaned tasks).  Then the
-        batcher exits (completing its current batch), admission fails
-        anything stranded behind the sentinel, and the coalescing map
-        clears.  Last, the store's write-behind tier flushes.
+        The batcher exits (completing its current batch; a dead drain
+        task has already failed its waiters), admission fails anything
+        stranded behind the sentinel, and the coalescing map clears.
+        Last, the store's write-behind tier flushes.
         """
         if not self._started:
             return
         self._started = False
-        await self.supervisor.stop()
         # Shutdown path, bounded by the sentinel protocol: the batcher
         # exits at the sentinel and the later stages fail-fast anything
         # stranded rather than waiting on it.
@@ -330,9 +264,10 @@ class SimulationService:
 
         Raises:
             Backpressure: Queue full and ``wait`` is false.
-            ShardUnavailable: The breaker is open.
             DeadlineExceeded: The budget ran out before a result.
             SimulationFailed: The engine gave up on the job.
+            ServiceError: The service is stopped, or its drain task
+                died and the job needs the engine.
         """
         if not self._started:
             raise ServiceError("service is not running (call start())")
@@ -351,9 +286,6 @@ class SimulationService:
     ) -> RunResult:
         """Serve one keyed job through the stage stack.
 
-        :meth:`submit` calls this for every request; the supervisor
-        calls it to re-submit work a crashed stack stranded.
-
         Args:
             key: The canonical run_key (the coalescing handle).
             job: The configuration to simulate.
@@ -363,7 +295,7 @@ class SimulationService:
                 unbounded.
 
         Raises:
-            ShardUnavailable: The breaker is open (store hits are still
+            ServiceError: The drain task died (store hits are still
                 served — they never touch the engine).
             DeadlineExceeded: The budget ran out before a result.
         """
@@ -372,28 +304,9 @@ class SimulationService:
         if key in store:
             self.metrics.counter("store_hits_total").inc()
             return store.get(key)
-        if not self.breaker.allow():
-            raise ShardUnavailable(
-                self.breaker.retry_after_s(), self.breaker.state_name
-            )
-        # Read after allow(): an expiring cooldown can move the breaker
-        # to half-open inside allow(), which then admits this request as
-        # a probe whose slot must be released below.
-        probe = self.breaker.state == HALF_OPEN
-        try:
-            result = await self._enqueue(key, job, wait, deadline)
-        except SimulationFailed:
-            self.breaker.record_failure(probe=probe)
-            raise
-        except ServiceError:
-            # Backpressure, deadline expiry, shutdown: load and client
-            # budgets, not engine sickness — no breaker outcome, but a
-            # half-open probe slot must still be released.
-            if probe:
-                self.breaker.release_probe()
-            raise
-        self.breaker.record_success(probe=probe)
-        return result
+        if not self.batcher.running:
+            raise ServiceError("the service's drain task has died")
+        return await self._enqueue(key, job, wait, deadline)
 
     async def _enqueue(
         self,
@@ -501,8 +414,7 @@ class SimulationService:
 
     def snapshot(self) -> dict:
         """The metrics snapshot plus derived rates, store and warehouse
-        statistics, each stage's state, the breaker, and the
-        supervisor."""
+        statistics, and each stage's state."""
         # The batcher updates the gauge only after it assembles a
         # batch; pin it to the true depth at snapshot time.
         self.metrics.gauge("queue_depth").set(self.admission.depth)
@@ -531,6 +443,4 @@ class SimulationService:
             "warehouse_bytes": store_stats.warehouse_bytes,
         }
         snap["stages"] = {stage.name: stage.snapshot() for stage in self.stages}
-        snap["breaker"] = self.breaker.snapshot()
-        snap["supervisor"] = self.supervisor.snapshot()
         return snap

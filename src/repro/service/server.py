@@ -16,11 +16,12 @@ POST      ``/sweep``     a grid sweep, expanded through the pipeline
 Error mapping is structural, never a hung connection: malformed
 requests (including a negative ``Content-Length`` or a non-finite
 deadline) are ``400``, an over-full queue is ``429`` with a
-``Retry-After`` header, an open circuit breaker (a failing or
-restarting stack) is ``503`` with a ``Retry-After`` header, an expired
-request deadline is ``504``, and an engine failure is ``500`` — each
-with a JSON body naming the error type, so clients branch on data
-rather than prose.
+``Retry-After`` header, a service that cannot run the job (stopping,
+or its drain task died) is ``503``, an expired request deadline is
+``504``, and an engine failure is ``500`` — each with a JSON body
+naming the error type, so clients branch on data rather than prose.
+Once the drain task has died, ``/healthz`` answers ``503`` too, so a
+process manager restarts the process.
 
 **Deadline propagation**: a client may stamp an
 ``X-Repro-Deadline-S`` header (remaining budget, seconds) on
@@ -44,7 +45,6 @@ from repro.service.pipeline import (
     Backpressure,
     DeadlineExceeded,
     ServiceError,
-    ShardUnavailable,
     SimulationFailed,
     SimulationService,
 )
@@ -305,6 +305,11 @@ class ServiceServer:
         return await handler()
 
     async def _healthz(self) -> tuple[int, Any]:
+        if not self.service.batcher.running:
+            raise _HttpError(
+                503, "service-unavailable",
+                "the service's drain task has died; restart the process",
+            )
         uptime = (
             self.clock.monotonic() - self._started_at
             if self._started_at is not None
@@ -413,8 +418,6 @@ class ServiceServer:
                 extra={"retry_after_s": exc.retry_after_s,
                        "queue_depth": exc.queue_depth},
             ) from exc
-        except ShardUnavailable as exc:
-            raise _shard_unavailable_error(exc) from exc
         except DeadlineExceeded as exc:
             raise _deadline_exceeded_error(exc) from exc
         except SimulationFailed as exc:
@@ -427,8 +430,6 @@ class ServiceServer:
     ):
         try:
             return await self.service.submit_many(jobs, deadline_s=deadline_s)
-        except ShardUnavailable as exc:
-            raise _shard_unavailable_error(exc) from exc
         except DeadlineExceeded as exc:
             raise _deadline_exceeded_error(exc) from exc
         except SimulationFailed as exc:
@@ -442,14 +443,6 @@ def _simulation_failed_error(exc: SimulationFailed) -> _HttpError:
         500, "simulation-failed", str(exc),
         extra={"reason": exc.reason, "attempts": exc.attempts,
                "detail": exc.detail[-2000:]},
-    )
-
-
-def _shard_unavailable_error(exc: ShardUnavailable) -> _HttpError:
-    return _HttpError(
-        503, "shard-unavailable", str(exc),
-        headers={"Retry-After": f"{exc.retry_after_s:.3f}"},
-        extra={"state": exc.state, "retry_after_s": exc.retry_after_s},
     )
 
 

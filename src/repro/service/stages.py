@@ -35,20 +35,21 @@ that can no longer meet any waiter's deadline instead of burning an
 engine slot on them.  Every cancellation lands on the
 ``deadline_expirations`` counter.
 
+**No hung waiters**: if the batcher's drain task ever dies, a
+done-callback logs the death once and fails every computation in the
+coalescing map with :class:`ServiceError` — queued work, the batch
+that was running, and sweep jobs still waiting for queue space.
+
 **Chaos**: the :class:`Executor` accepts an optional async
 ``interceptor`` invoked before each engine dispatch.  An interceptor
-that sleeps injects stage latency; one that raises
-:data:`CHAOS_FAILURE`-style exceptions produces typed
-:class:`~repro.sim.engine.FailedJob` slots; one that raises a
-:class:`BatchCrash` escapes the batcher loop entirely and kills the
-stack's drain task — the crash the
-:class:`~repro.service.supervisor.ShardSupervisor` exists to recover
-from.  Production stacks leave it ``None``.
+that sleeps injects stage latency; one that raises an ``Exception``
+produces typed :class:`~repro.sim.engine.FailedJob` slots.  Production
+stacks leave it ``None``.
 
 The structured error types (:class:`ServiceError`, :class:`Backpressure`,
-:class:`SimulationFailed`, :class:`DeadlineExceeded`,
-:class:`ShardUnavailable`) live here with the stages that raise them;
-:mod:`repro.service.pipeline` re-exports them unchanged.
+:class:`SimulationFailed`, :class:`DeadlineExceeded`) live here with
+the stages that raise them; :mod:`repro.service.pipeline` re-exports
+them unchanged.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ from repro.sim.store import StoreKey
 __all__ = [
     "Admission",
     "Backpressure",
-    "BatchCrash",
     "Batcher",
     "Coalescer",
     "DeadlineExceeded",
@@ -75,7 +75,6 @@ __all__ = [
     "PipelineStage",
     "SHUTDOWN",
     "ServiceError",
-    "ShardUnavailable",
     "SimulationFailed",
 ]
 
@@ -140,35 +139,6 @@ class DeadlineExceeded(ServiceError):
     def __init__(self, where: str) -> None:
         super().__init__(f"deadline exceeded ({where})")
         self.where = where
-
-
-class ShardUnavailable(ServiceError):
-    """The circuit breaker is open (the engine keeps failing, or the
-    stack is down for restart); retry after ``retry_after_s``.
-
-    The HTTP layer maps this to ``503`` + ``Retry-After`` — the sick
-    stack sheds load while store hits keep being served.
-    """
-
-    def __init__(self, retry_after_s: float, state: str) -> None:
-        super().__init__(
-            f"service is unavailable ({state}); "
-            f"retry in {retry_after_s:.2f}s"
-        )
-        self.retry_after_s = retry_after_s
-        self.state = state
-
-
-class BatchCrash(BaseException):
-    """A deliberate, unhandled crash of the stack's drain task.
-
-    Derives from :class:`BaseException` so the executor's
-    failure-isolation net (which converts ``Exception`` into typed
-    :class:`~repro.sim.engine.FailedJob` slots) does *not* absorb it:
-    the crash escapes the batcher loop and kills the task, exactly the
-    failure mode the supervisor must detect and recover.  Only the
-    chaos harness raises it.
-    """
 
 
 @dataclass
@@ -260,34 +230,31 @@ class Admission:
         ``wait=False`` (external requests) raises :class:`Backpressure`
         when the queue is full; ``wait=True`` (internal fan-outs like
         sweeps) awaits queue space instead, so a large expansion
-        throttles itself rather than being rejected.  A pending whose
-        deadline budget is already spent is refused up front with
-        :class:`DeadlineExceeded` — no queue slot is burned on work
-        nobody can use.
+        throttles itself rather than being rejected.  That wait also
+        ends when the pending settles first (a dead drain task failed
+        it; the caller's await of its future raises the failure).  A
+        pending whose deadline budget is already spent is refused up
+        front with :class:`DeadlineExceeded` — no queue slot is burned
+        on work nobody can use.
         """
-        if (
-            pending.deadline is not None
-            and self._clock is not None
-            and self._clock.monotonic() >= pending.deadline
-        ):
-            self._metrics.counter("deadline_expirations").inc()
-            raise DeadlineExceeded("at admission")
+        remaining = None
+        if pending.deadline is not None and self._clock is not None:
+            remaining = pending.deadline - self._clock.monotonic()
+            if remaining <= 0:
+                self._metrics.counter("deadline_expirations").inc()
+                raise DeadlineExceeded("at admission")
         if wait:
-            if pending.deadline is not None and self._clock is not None:
-                remaining = pending.deadline - self._clock.monotonic()
-                try:
-                    await asyncio.wait_for(
-                        self._queue.put(pending), timeout=remaining
-                    )
-                except asyncio.TimeoutError:
-                    self._metrics.counter("deadline_expirations").inc()
-                    raise DeadlineExceeded(
-                        "waiting for queue space"
-                    ) from None
-            else:
-                # Internal fan-outs (sweeps) self-throttle here by
-                # design; drain() loudly fails anything stranded.
-                await self._queue.put(pending)  # lint-ok: R006
+            put = asyncio.ensure_future(self._queue.put(pending))
+            try:
+                await asyncio.wait(
+                    (put, pending.future), timeout=remaining,
+                    return_when=asyncio.FIRST_COMPLETED,
+                )
+            finally:
+                put.cancel()  # a no-op once the put has landed
+            if not put.done() and not pending.future.done():
+                self._metrics.counter("deadline_expirations").inc()
+                raise DeadlineExceeded("waiting for queue space")
         else:
             try:
                 self._queue.put_nowait(pending)
@@ -378,13 +345,8 @@ class Coalescer:
         return len(self._inflight)
 
     def inflight_items(self) -> list[Pending]:
-        """The tracked computations themselves.
-
-        The supervisor reads these when the stack crashes: the map is
-        the authoritative list of work with live waiters (queued *and*
-        mid-batch), exactly what must be re-submitted rather than
-        dropped.
-        """
+        """The tracked computations themselves: every piece of work
+        with live waiters, queued *and* mid-batch."""
         return list(self._inflight.values())
 
     def snapshot(self) -> dict:
@@ -448,12 +410,8 @@ class Batcher:
         coalescer: Coalescer,
         executor: "Executor",
     ) -> None:
-        """Wire the stack and spawn the drain task.
-
-        Idempotent while the task is alive; a finished (crashed or
-        drained) task may be replaced, which is how the supervisor
-        restarts the stack in place.
-        """
+        """Wire the stack and spawn the drain task (idempotent while
+        the task is alive)."""
         if self._task is not None and not self._task.done():
             return
         self._admission = admission
@@ -462,34 +420,33 @@ class Batcher:
         self._task = asyncio.get_running_loop().create_task(
             self._loop(), name="repro-service-batcher"
         )
+        self._task.add_done_callback(self._on_exit)
+
+    def _on_exit(self, task: asyncio.Task) -> None:
+        """Fail every waiter once the drain task has died.
+
+        The coalescing map is the complete list: queued work, the batch
+        that was running, and sweep jobs still waiting for queue space
+        (they register before their put).  Nothing restarts the task;
+        the service refuses engine work from here on and ``/healthz``
+        answers 503, so a process manager restarts the process.
+        """
+        if task.cancelled() or task.exception() is None:
+            return
+        error = task.exception()
+        _log.error("service drain task died", exc_info=error)
+        assert self._coalescer is not None
+        for pending in self._coalescer.inflight_items():
+            self._coalescer.resolve(pending.key)
+            if not pending.future.done():
+                pending.future.set_exception(
+                    ServiceError(f"service drain task died: {error!r}")
+                )
 
     @property
     def running(self) -> bool:
         """Whether the drain task exists and has not finished."""
         return self._task is not None and not self._task.done()
-
-    @property
-    def crashed(self) -> bool:
-        """Whether the drain task died with an unhandled exception.
-
-        This is the supervisor's health probe: a healthy stack's task
-        is alive, a drained stack's task finished cleanly, a crashed
-        stack's task finished with an exception still attached.
-        """
-        task = self._task
-        return (
-            task is not None
-            and task.done()
-            and not task.cancelled()
-            and task.exception() is not None
-        )
-
-    def crash_exception(self) -> BaseException | None:
-        """The exception that killed the drain task, if any."""
-        task = self._task
-        if task is None or not task.done() or task.cancelled():
-            return None
-        return task.exception()
 
     def suggest_retry_after(self, queue_depth: int) -> float:
         """A retry-after hint scaled to how far behind the stack is."""
@@ -599,30 +556,23 @@ class Batcher:
             "job_latency_ema_s": self._ema,
             "max_batch": self._max_batch,
             "running": self.running,
-            "crashed": self.crashed,
         }
 
     async def drain(self) -> None:
         """Push the shutdown sentinel and wait for the task to exit.
 
-        Robust against a crashed task: the sentinel is skipped when the
-        task is already dead (nothing would consume it, and a full
-        queue would block the push), and the task's own crash is logged
-        rather than re-raised so shutdown always completes.
+        Robust against a dead task: the sentinel is skipped (nothing
+        would consume it, and a full queue would block the push), and
+        the wait never re-raises the task's exception — the
+        done-callback has already logged it and failed its waiters — so
+        shutdown always completes.
         """
         if self._task is None:
             return
         assert self._admission is not None
         if not self._task.done():
             await self._admission.push_shutdown()
-        try:
-            await self._task  # lint-ok: R006 - shutdown must not abandon it
-        except asyncio.CancelledError:
-            raise
-        except BaseException:
-            _log.warning(
-                "batcher task had crashed before drain", exc_info=True
-            )
+            await asyncio.wait((self._task,))  # lint-ok: R006 - shutdown must not abandon it
         self._task = None
 
 
@@ -640,11 +590,10 @@ class Executor:
         engine: The engine to drive.
         retries: Engine-level re-attempts per job.
         interceptor: Optional chaos hook awaited before each engine
-            dispatch, *outside* the failure-isolation net: a sleeping
-            interceptor injects stage latency, an ``Exception`` becomes
-            typed :class:`~repro.sim.engine.FailedJob` slots via the
-            net below it, and a :class:`BatchCrash` escapes and kills
-            the drain task.  Production stacks leave it ``None``.
+            dispatch, inside the failure-isolation net: a sleeping
+            interceptor injects stage latency, and an ``Exception``
+            becomes typed :class:`~repro.sim.engine.FailedJob` slots.
+            Production stacks leave it ``None``.
     """
 
     name = "executor"
@@ -661,21 +610,13 @@ class Executor:
 
     async def execute(self, jobs: list[SimJob]) -> list:
         """Run one batch; one result or :class:`FailedJob` per slot."""
-        if self._interceptor is not None:
-            # except Exception — a BatchCrash (BaseException) must
-            # escape here and kill the drain task.
-            try:
-                await self._interceptor(jobs)
-            except asyncio.CancelledError:
-                raise  # shutdown outranks fault injection
-            except Exception as exc:
-                failure = FailedJob(job=None, reason="error", error=repr(exc))
-                return [failure] * len(jobs)
         loop = asyncio.get_running_loop()
         try:
+            if self._interceptor is not None:
+                await self._interceptor(jobs)
             return await loop.run_in_executor(None, self._run_many, jobs)
         except asyncio.CancelledError:
-            raise  # drain-task cancellation must reach the supervisor
+            raise  # shutdown outranks the failure net
         except Exception as exc:  # engine infrastructure, not a job
             _log.exception(
                 "batch of %d job(s) failed in the engine", len(jobs)

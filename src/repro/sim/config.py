@@ -12,7 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.util.validation import require_positive
+from repro.energy.technology import DEVICE_TYPES
+from repro.util.validation import (
+    require_non_negative,
+    require_positive,
+    require_power_of_two,
+)
 
 __all__ = ["SchemeConfig", "SystemConfig", "DEFAULT_SYSTEM", "desc_scheme", "baseline_scheme"]
 
@@ -148,8 +153,20 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         require_positive("l2_size_bytes", self.l2_size_bytes)
+        require_positive("l2_associativity", self.l2_associativity)
         require_positive("block_bytes", self.block_bytes)
+        require_power_of_two("num_banks", self.num_banks)
+        require_power_of_two("subbanks_per_bank", self.subbanks_per_bank)
+        require_power_of_two("mats_per_subbank", self.mats_per_subbank)
+        require_positive("clock_hz", self.clock_hz)
         require_positive("sample_blocks", self.sample_blocks)
+        require_non_negative("seed", self.seed)
+        for name in ("cell_device", "periph_device"):
+            if getattr(self, name) not in DEVICE_TYPES:
+                raise ValueError(
+                    f"{name} must be one of {tuple(DEVICE_TYPES)}, "
+                    f"got {getattr(self, name)!r}"
+                )
         if self.core not in ("smt", "ooo"):
             raise ValueError(f"core must be 'smt' or 'ooo', got {self.core!r}")
 

@@ -369,7 +369,9 @@ class TestGoldenCrossTier:
     The committed golden runs already pin the native tier (they run
     under whatever tier is active, natively in CI); this repeats them
     against the NumPy twins in the same process, so a tier divergence
-    fails here even on machines whose default tier hides it.
+    fails here even on machines whose default tier hides it.  A private
+    result store makes every run recompute: the process-wide store may
+    already hold these configurations from earlier tests.
     """
 
     def _golden(self):
@@ -397,17 +399,19 @@ class TestGoldenCrossTier:
         self, numpy_tier
     ):
         from repro.sim.config import SchemeConfig, SystemConfig
-        from repro.sim.system import simulate
+        from repro.sim.engine import StagedEngine
+        from repro.sim.store import ResultStore
 
         golden = self._golden()
         numpy_tier()
         system = SystemConfig(
             sample_blocks=golden["system"]["sample_blocks"]
         )
+        engine = StagedEngine(ResultStore())
         mismatches = []
         for entry in golden["runs"]:
             scheme = SchemeConfig(**entry["scheme_config"])
-            result = simulate(entry["app"], scheme, system)
+            result = engine.run(entry["app"], scheme, system)
             if self._result_dict(result) != entry["result"]:
                 mismatches.append((entry["app"], scheme.name))
         assert mismatches == []

@@ -93,11 +93,11 @@ class ScriptedServer:
 
 class TestRetryOn503:
     def test_503_with_retry_after_is_retried_to_success(self):
-        """A breaker-shed 503 is 'come back later', not an error: the
-        client honours the hint and the follow-up succeeds."""
+        """A 503 is 'come back later', not an error: the client
+        honours the hint and the follow-up succeeds."""
         server = ScriptedServer([
             (503, {"Retry-After": "0.01"},
-             {"error": {"type": "shard-unavailable",
+             {"error": {"type": "service-unavailable",
                         "retry_after_s": 0.01}}),
             (200, {}, {"status": "ok"}),
         ])

@@ -238,6 +238,111 @@ class TestFailures:
         asyncio.run(drive())
 
 
+class DrainTaskKilled(BaseException):
+    """Not an ``Exception``: escapes the executor's failure net and
+    kills the drain task."""
+
+
+class TestDrainTaskDeath:
+    def test_every_waiter_fails_fast_and_hits_still_serve(self):
+        """No waiter hangs when the drain task dies: coalesced
+        duplicates on the dying batch, a queued job and a sweep blocked
+        on the full queue all fail within a second; afterwards a miss
+        fails fast, a store hit is still served, and stop() completes
+        without leaving a task behind."""
+
+        async def drive():
+            in_flight = asyncio.Event()
+            release = asyncio.Event()
+
+            async def intercept(jobs):
+                if jobs[0].system.sample_blocks == 101:
+                    in_flight.set()
+                    await release.wait()
+                    raise DrainTaskKilled()
+
+            service = SimulationService(
+                engine=StubEngine(),
+                config=ServiceConfig(max_queue=1, batch_linger_s=0.0),
+                interceptor=intercept,
+            )
+            await service.start()
+            stored = await service.submit(job_for(sample_blocks=100))
+
+            duplicates = [
+                asyncio.ensure_future(
+                    service.submit(job_for(sample_blocks=101))
+                )
+                for _ in range(3)
+            ]
+            await asyncio.wait_for(in_flight.wait(), timeout=5)
+            queued = asyncio.ensure_future(
+                service.submit(job_for(sample_blocks=102))
+            )
+            await asyncio.sleep(0)  # takes the one queue slot
+            sweep = asyncio.ensure_future(
+                service.submit_many(
+                    [job_for(sample_blocks=103), job_for(sample_blocks=104)]
+                )
+            )
+            await asyncio.sleep(0.05)
+            assert service.admission.depth == 1
+            assert not sweep.done()  # blocked on the full queue
+
+            release.set()
+            waiters = [*duplicates, queued, sweep]
+            _, hung = await asyncio.wait(waiters, timeout=1.0)
+            assert not hung
+            for waiter in waiters:
+                with pytest.raises(ServiceError, match="drain task died"):
+                    waiter.result()
+
+            with pytest.raises(ServiceError, match="drain task has died"):
+                await asyncio.wait_for(
+                    service.submit(job_for(sample_blocks=105)), timeout=1.0
+                )
+            assert await service.submit(job_for(sample_blocks=100)) == stored
+            assert service.snapshot()["stages"]["coalescer"]["inflight"] == 0
+
+            await asyncio.wait_for(service.stop(), timeout=5)
+            await asyncio.sleep(0.01)  # let cancelled puts unwind
+            return [
+                task for task in asyncio.all_tasks()
+                if task is not asyncio.current_task()
+            ]
+
+        assert asyncio.run(drive()) == []
+
+    def test_stop_completes_when_the_task_dies_during_shutdown(self):
+        async def drive():
+            in_flight = asyncio.Event()
+            release = asyncio.Event()
+
+            async def intercept(jobs):
+                in_flight.set()
+                await release.wait()
+                raise DrainTaskKilled()
+
+            service = SimulationService(
+                engine=StubEngine(),
+                config=ServiceConfig(batch_linger_s=0.0),
+                interceptor=intercept,
+            )
+            await service.start()
+            doomed = asyncio.ensure_future(
+                service.submit(job_for(sample_blocks=106))
+            )
+            await asyncio.wait_for(in_flight.wait(), timeout=5)
+            stopping = asyncio.ensure_future(service.stop())
+            await asyncio.sleep(0.01)  # the sentinel waits behind the batch
+            release.set()
+            await asyncio.wait_for(stopping, timeout=5)
+            with pytest.raises(ServiceError, match="drain task died"):
+                await asyncio.wait_for(doomed, timeout=1)
+
+        asyncio.run(drive())
+
+
 class TestBatching:
     def test_queued_jobs_batch_together(self):
         gate = threading.Event()
@@ -300,7 +405,7 @@ class TestBatching:
             admission = service.admission
             stop_task = asyncio.ensure_future(service.stop())
             while admission._queue.qsize() == 0:  # sentinel lands...
-                await asyncio.sleep(0)  # ...after supervisor shutdown
+                await asyncio.sleep(0)  # ...before the put below
             admission._queue.put_nowait(pending)
             await stop_task
             with pytest.raises(ServiceError, match="stopped"):

@@ -21,6 +21,7 @@ from repro.service.client import (
     ServiceUnavailable,
 )
 from repro.service.clock import FakeClock
+from repro.service.pipeline import ServiceConfig
 from repro.sim.config import SchemeConfig, SystemConfig
 from repro.sim.engine import StagedEngine
 from repro.sim.store import ResultStore
@@ -78,7 +79,7 @@ class TestEndpoints:
 
     def test_metrics_snapshot_shape(self, harness):
         """The bare metric names that ``repro serve --check``,
-        ``repro chaos --check`` and the benchmark read."""
+        ``repro chaos`` and the benchmark read."""
         with harness.client() as client:
             first = client.simulate("Ocean", system={"sample_blocks": 119})
             repeat = client.simulate("Ocean", system={"sample_blocks": 119})
@@ -89,12 +90,16 @@ class TestEndpoints:
         assert counters["store_hits_total"] >= 1
         for name in ("responses_total", "batches_total", "engine_jobs_total"):
             assert counters[name] >= 1, name
-        for name in ("queue_depth", "breaker_state", "job_latency_ema_s"):
+        for name in ("queue_depth", "job_latency_ema_s"):
             assert name in metrics["gauges"], name
+        assert "breaker_state" not in metrics["gauges"]
         for name in ("service_latency_s", "batch_size", "batch_latency_s"):
             assert metrics["histograms"][name]["count"] >= 1, name
-        for block in ("derived", "engine", "supervisor", "version"):
+        for block in ("derived", "engine", "stages", "version"):
             assert block in metrics, block
+        for block in ("breaker", "supervisor"):
+            assert block not in metrics, block
+        assert "crashed" not in metrics["stages"]["batcher"]
         names = [
             name
             for block in ("counters", "gauges", "histograms")
@@ -193,8 +198,7 @@ class TestErrorMapping:
 
 #: Scheme payloads no 512-bit sample block can carry.  Each used to
 #: reach the engine: a 500 retried inside the service (or, for the
-#: 512-bit chunk, a 200 with an int64-wrapped cycle count), and enough
-#: of them opened the breaker for the valid requests behind them.
+#: 512-bit chunk, a 200 with an int64-wrapped cycle count).
 INVALID_SCHEMES = {
     "chunk-width-3": {"name": "desc+zero-skip", "chunk_bits": 3},
     "chunk-width-64": {"name": "desc+zero-skip", "chunk_bits": 64, "data_wires": 8},
@@ -204,30 +208,42 @@ INVALID_SCHEMES = {
 }
 
 
-class TestInvalidGeometry:
-    @pytest.fixture(scope="class")
-    def fresh(self):
-        """A server of its own, so its breaker sees only these requests."""
-        with ServerHarness() as running:
-            yield running
+#: System payloads the engine cannot run: each must be refused at parse
+#: time with a 400, never reach the engine and its retries.
+INVALID_SYSTEMS = {
+    "cell-device": {"cell_device": "nope"},
+    "periph-device": {"periph_device": "nope"},
+    "no-banks": {"num_banks": 0},
+    "three-banks": {"num_banks": 3},
+    "no-ways": {"l2_associativity": 0},
+    "no-subbanks": {"subbanks_per_bank": 0},
+    "no-mats": {"mats_per_subbank": 0},
+    "negative-clock": {"clock_hz": -1.0},
+    "text-clock": {"clock_hz": "x"},
+    "negative-seed": {"seed": -1},
+}
 
+
+class TestInvalidGeometry:
     @pytest.mark.parametrize(
         "scheme", list(INVALID_SCHEMES.values()), ids=list(INVALID_SCHEMES)
     )
-    def test_is_400_and_leaves_the_breaker_closed(self, fresh, scheme):
+    def test_is_400_and_leaves_the_breaker_closed(self, harness, scheme):
+        """A 400, and a valid request right behind it still gets a 200:
+        one client's bad payload never takes the service down for the
+        others."""
         payload = {"app": "Ocean", "scheme": scheme, "system": {"sample_blocks": 200}}
-        with fresh.client() as client:
+        with harness.client() as client:
             with pytest.raises(ServiceRequestError) as excinfo:
                 client.simulate_payload(payload)
             assert excinfo.value.status == 400
             assert excinfo.value.error["type"] == "bad-request"
             assert "invalid scheme" in excinfo.value.error["message"]
-            assert client.metrics()["gauges"]["breaker_state"] == 0  # closed
             result = client.simulate("Ocean", system={"sample_blocks": 200})
         assert result["app"] == "Ocean"
 
-    def test_sweep_rejects_an_invalid_scheme(self, fresh):
-        with fresh.client() as client:
+    def test_sweep_rejects_an_invalid_scheme(self, harness):
+        with harness.client() as client:
             with pytest.raises(ServiceRequestError) as excinfo:
                 client.sweep(
                     {"num_banks": [2, 8]},
@@ -235,6 +251,73 @@ class TestInvalidGeometry:
                     system=SYSTEM,
                 )
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize(
+        "system", list(INVALID_SYSTEMS.values()), ids=list(INVALID_SYSTEMS)
+    )
+    def test_invalid_system_is_400(self, harness, system):
+        payload = {"app": "Ocean", "system": {**SYSTEM, **system}}
+        with harness.client() as client:
+            with pytest.raises(ServiceRequestError) as excinfo:
+                client.simulate_payload(payload)
+        assert excinfo.value.status == 400
+        assert excinfo.value.error["type"] == "bad-request"
+        assert "invalid system" in excinfo.value.error["message"]
+
+    def test_sweep_rejects_an_invalid_system_value(self, harness):
+        with harness.client() as client:
+            with pytest.raises(ServiceRequestError) as excinfo:
+                client.sweep({"num_banks": [3, 8]}, system=SYSTEM)
+        assert excinfo.value.status == 400
+        assert "num_banks must be a power of two" in (
+            excinfo.value.error["message"]
+        )
+
+
+class DrainTaskKilled(BaseException):
+    """Not an ``Exception``: escapes the executor's failure net and
+    kills the drain task."""
+
+
+class TestDeadDrainTask:
+    def test_miss_and_healthz_answer_503_hits_still_200(self):
+        """Once the drain task has died, engine work gets 503, store
+        hits still 200, and /healthz 503 so the process is restarted."""
+        kill = threading.Event()
+
+        async def intercept(jobs):
+            if kill.is_set():
+                raise DrainTaskKilled()
+
+        def post(harness, payload):
+            body = json.dumps(payload).encode()
+            return raw_exchange(harness, (
+                b"POST /simulate HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Length: " + str(len(body)).encode()
+                + b"\r\n\r\n" + body
+            ))
+
+        hit = {"app": "Ocean", "system": {"sample_blocks": 123}}
+        with ServerHarness(
+            service_config=ServiceConfig(batch_linger_s=0.0),
+            interceptor=intercept,
+        ) as dying:
+            status, stored = post(dying, hit)
+            assert status == 200
+            kill.set()
+            for app in ("CG", "mcf"):  # the dying batch, then a later miss
+                status, body = post(
+                    dying, {"app": app, "system": {"sample_blocks": 123}}
+                )
+                assert status == 503, app
+                assert body["error"]["type"] == "service-unavailable", app
+            assert post(dying, hit) == (200, stored)
+            status, body = raw_exchange(
+                dying, b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n"
+            )
+            assert status == 503
+            assert body["error"]["type"] == "service-unavailable"
+        assert not dying.service.batcher.running
 
 
 class TestConcurrentClients:

@@ -239,6 +239,16 @@ class TestSweepCommand:
                   "--field", "num_banks=8"])
         assert excinfo.value.code == 2
 
+    def test_invalid_field_value_errors(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.ARGS + ["--field", "num_banks=3,8"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            "repro: error: num_banks must be a power of two, got 3"
+        )
+        assert "Traceback" not in err
+
     def test_corrupt_persisted_store_warns_and_completes(self, tmp_path):
         """Acceptance: a corrupted store pickle leaves ``repro sweep``
         finishing with a warning, never a crash."""
@@ -296,6 +306,19 @@ class TestServeCommand:
             main(["serve", "--port", "0", "--max-queue", "0", flag, "2"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestChaosCommand:
+    @pytest.mark.parametrize(
+        "flags", [["--seed", "0"], ["--check"]], ids=["seed", "check"]
+    )
+    def test_removed_flags_exit_two(self, capsys, flags):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chaos", "--quick", *flags])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        assert "Traceback" not in err
 
 
 class TestOutsideCheckout:
