@@ -6,7 +6,6 @@ Usage::
     python -m repro run fig16                # pretty-print one figure
     python -m repro run fig19 --json         # machine-readable output
     python -m repro run fig25 --sample-blocks 1500
-    python -m repro run fig25 --workers 4    # parallel suite sweeps
     python -m repro run fig20 --profile      # per-stage wall-clock table
     python -m repro all --json results.json  # run everything, save JSON
     python -m repro cache-stats              # result-store hit/miss/size
@@ -24,8 +23,9 @@ Usage::
     python -m repro --version                # package version
 
 The heavy lifting lives in :mod:`repro.experiments`; this module only
-dispatches and formats.  ``--workers N`` fans suite runs out over a
-process pool (results are identical to serial).  Set the
+dispatches and formats.  ``--workers N`` belongs to ``sweep`` and
+``faults`` alone: it fans their job grid out over a process pool
+(results are identical to serial).  Set the
 ``REPRO_RESULT_STORE`` environment variable to a file path to persist
 the stage result store across invocations; ``cache-stats`` then reports
 the accumulated statistics.
@@ -258,7 +258,9 @@ def _run_faults(args: argparse.Namespace) -> int:
             return 1
         print("fault-injection smoke checks passed", file=sys.stderr)
         return 0
-    result = fault_sweep.run(quick=args.quick, seed=args.seed)
+    result = fault_sweep.run(
+        quick=args.quick, seed=args.seed, max_workers=args.workers
+    )
     _save_store()
     if args.json:
         json.dump(result, sys.stdout, indent=2, default=str)
@@ -337,7 +339,10 @@ def _run_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         ]
     base = SystemConfig(sample_blocks=args.sample_blocks)
     try:
-        points = sweep(schemes[args.scheme](), base=base, **field_values)
+        points = sweep(
+            schemes[args.scheme](), base=base, max_workers=args.workers,
+            **field_values,
+        )
     except (TypeError, ValueError) as exc:  # unknown field, bad value
         parser.error(str(exc))
     _save_store()
@@ -531,7 +536,6 @@ def _run_explore(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             warehouse=args.warehouse,
             out_dir=args.out,
             report_out=args.report_out,
-            workers=args.workers,
         )
         if code == 0:
             print("explore self-checks passed", file=sys.stderr)
@@ -547,9 +551,7 @@ def _run_explore(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             timeout=300.0, max_attempts=10, jitter_seed=args.seed,
         )
         if args.backend == "service"
-        else LocalBackend(
-            max_workers=args.workers if args.workers > 1 else None
-        )
+        else LocalBackend()
     )
     try:
         if args.resume:
@@ -616,9 +618,6 @@ def main(argv: list[str] | None = None) -> int:
                             help="value-sample size per application")
     run_parser.add_argument("--json", action="store_true",
                             help="emit JSON instead of pretty text")
-    run_parser.add_argument("--workers", type=int, default=1,
-                            help="process-pool width for suite runs "
-                                 "(1 = serial; results are identical)")
     run_parser.add_argument("--profile", action="store_true",
                             help="print per-stage wall-clock timings "
                                  "to stderr after the run")
@@ -628,8 +627,6 @@ def main(argv: list[str] | None = None) -> int:
                             default=3000)
     all_parser.add_argument("--json", metavar="PATH", default=None,
                             help="write all results to a JSON file")
-    all_parser.add_argument("--workers", type=int, default=1,
-                            help="process-pool width for suite runs")
     all_parser.add_argument("--profile", action="store_true",
                             help="print per-stage wall-clock timings "
                                  "to stderr after the run")
@@ -687,8 +684,10 @@ def main(argv: list[str] | None = None) -> int:
                                help="base seed of the fault and data streams")
     faults_parser.add_argument("--json", action="store_true",
                                help="emit JSON instead of pretty text")
-    faults_parser.add_argument("--workers", type=int, default=1,
-                               help="process-pool width for the campaign grid")
+    faults_parser.add_argument("--workers", type=_positive_int, default=1,
+                               help="process-pool width for the campaign "
+                                    "grid (1 = serial; results are "
+                                    "identical)")
 
     sweep_parser = sub.add_parser(
         "sweep",
@@ -708,8 +707,9 @@ def main(argv: list[str] | None = None) -> int:
     sweep_parser.add_argument("--sample-blocks", type=_positive_int,
                               default=2000,
                               help="value-sample size per application")
-    sweep_parser.add_argument("--workers", type=int, default=1,
-                              help="process-pool width for the grid")
+    sweep_parser.add_argument("--workers", type=_positive_int, default=1,
+                              help="process-pool width for the grid "
+                                   "(1 = serial; results are identical)")
     sweep_parser.add_argument("--json", action="store_true",
                               help="emit JSON instead of pretty text")
 
@@ -814,9 +814,6 @@ def main(argv: list[str] | None = None) -> int:
                                      "its journal directory")
     explore_parser.add_argument("--seed", type=int, default=None,
                                 help="override the spec's master seed")
-    explore_parser.add_argument("--workers", type=int, default=1,
-                                help="engine process-pool width "
-                                     "(--backend local)")
     explore_parser.add_argument("--json", action="store_true",
                                 help="emit the study summary as JSON")
     explore_parser.add_argument("--report-out", metavar="PATH", default=None,
@@ -847,15 +844,12 @@ def main(argv: list[str] | None = None) -> int:
 
         return run_lint(args)
 
-    if getattr(args, "workers", 1) != 1:
-        from repro.sim.engine import fork_available, set_default_max_workers
+    if getattr(args, "workers", 1) > 1:
+        from repro.sim.engine import fork_available
 
-        if args.workers < 1:
-            parser.error(f"--workers must be >= 1, got {args.workers}")
         if not fork_available():
             print("note: platform cannot fork; running serially",
                   file=sys.stderr)
-        set_default_max_workers(args.workers)
 
     if getattr(args, "profile", False):
         from repro.util.profiling import PROFILER

@@ -49,17 +49,14 @@ def run_suite(
     scheme: SchemeConfig,
     system: SystemConfig | None = None,
     apps: Sequence[AppProfile] = PARALLEL_SUITE,
-    max_workers: int | None = None,
 ) -> list[RunResult]:
     """Simulate one scheme over a whole application suite.
 
-    Runs through the staged engine's batch API, so ``max_workers`` (or
-    the engine default set via ``repro.sim.set_default_max_workers`` /
-    the CLI's ``--workers``) fans the suite out over a process pool
-    with results identical to the serial path.
+    Runs serially through the staged engine's batch API: a suite is
+    too small a batch for a process pool to pay for its start-up.
     """
     jobs = [SimJob.of(app, scheme, system) for app in apps]
-    return simulate_many(jobs, max_workers=max_workers)
+    return simulate_many(jobs)
 
 
 def ratio_by_app(

@@ -60,7 +60,7 @@ def _base_config(quick: bool, seed: int) -> FaultCampaignConfig:
 def run(
     quick: bool = False,
     seed: int = 0,
-    max_workers: int | None = None,
+    max_workers: int = 1,
 ) -> dict:
     """Sweep fault rate × resync interval × ECC; returns a result table.
 

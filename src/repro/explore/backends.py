@@ -4,9 +4,9 @@ The driver speaks one protocol (:class:`SubmissionBackend`): give it a
 batch of :class:`~repro.sim.engine.SimJob` configurations, get back one
 result payload per job, in order.  Two implementations:
 
-* :class:`LocalBackend` — in-process
-  :func:`repro.sim.engine.simulate_many`: zero moving parts, pool
-  fan-out via ``max_workers``, the store deduplicates repeated stages;
+* :class:`LocalBackend` — in-process, serial
+  :func:`repro.sim.engine.simulate_many`: zero moving parts, the store
+  deduplicates repeated stages;
 * :class:`ServiceBackend` — rides a running ``repro serve`` instance
   through :meth:`repro.service.client.ServiceClient.submit_many`:
   bounded in-flight concurrency, and the service's coalescing, result
@@ -76,25 +76,16 @@ class LocalBackend:
     Args:
         engine: Engine to run on (default: fresh engine + private
             store, so studies never leak into the process-wide store).
-        max_workers: Process-pool width per batch (``None`` = module
-            default, 1 = serial).
     """
 
-    def __init__(
-        self,
-        engine: StagedEngine | None = None,
-        max_workers: int | None = None,
-    ) -> None:
+    def __init__(self, engine: StagedEngine | None = None) -> None:
         self.engine = (
             engine if engine is not None else StagedEngine(ResultStore())
         )
-        self.max_workers = max_workers
 
     def submit(self, jobs: Sequence[SimJob]) -> list[dict]:
         """Simulate the batch in-process; payloads in job order."""
-        results = simulate_many(
-            jobs, max_workers=self.max_workers, store=self.engine.store
-        )
+        results = simulate_many(jobs, store=self.engine.store)
         payloads = []
         for job, result in zip(jobs, results, strict=True):
             if isinstance(result, FailedJob):

@@ -70,7 +70,6 @@ def run_check(
     warehouse: str | None = None,
     out_dir: str | None = None,
     report_out: str | None = None,
-    workers: int = 1,
 ) -> tuple[int, dict]:
     """Run the explore self-check; returns ``(exit code, summary)``.
 
@@ -84,7 +83,6 @@ def run_check(
             temporary directory, cleaned up afterwards).
         report_out: Explicit path for the Markdown study report
             (default: ``<out_dir>/report.md``).
-        workers: Engine pool width for the local backend.
     """
     if spec is None:
         spec = preset_spec("quick")
@@ -104,10 +102,7 @@ def run_check(
     try:
         # One shared local engine: repeat studies hit its store, so the
         # three legs cost barely more simulations than one study.
-        local = LocalBackend(
-            engine=StagedEngine(ResultStore()),
-            max_workers=workers if workers > 1 else None,
-        )
+        local = LocalBackend(engine=StagedEngine(ResultStore()))
 
         # Leg 1: the uninterrupted reference run, journaled.
         full = run_study(spec, local, base / "full")

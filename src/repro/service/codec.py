@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from typing import Any, Mapping
 
 from repro.encoding.registry import make_transfer_model
@@ -41,6 +42,36 @@ class BadRequest(ValueError):
     """A request payload that cannot mean any simulation."""
 
 
+#: The JSON value types an annotation admits, and how to name them.
+#: ``bool`` is not an ``int`` here: ``true`` is no bank count.
+_JSON_TYPES: dict[Any, tuple[tuple[type, ...], str]] = {
+    bool: ((bool,), "a boolean"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    type(None): ((type(None),), "null"),
+}
+
+
+def _field_types(cls: type) -> dict[str, tuple[tuple[type, ...], str]]:
+    """Each field of config dataclass ``cls``: its JSON types, named."""
+    hints = typing.get_type_hints(cls)
+    table = {}
+    for f in dataclasses.fields(cls):
+        options = [
+            _JSON_TYPES[arg]
+            for arg in typing.get_args(hints[f.name]) or (hints[f.name],)
+        ]
+        table[f.name] = (
+            tuple(t for accepted, _ in options for t in accepted),
+            " or ".join(name for _, name in options),
+        )
+    return table
+
+
+_FIELD_TYPES = {cls: _field_types(cls) for cls in (SchemeConfig, SystemConfig)}
+
+
 def _config_from_payload(
     payload: Mapping[str, Any], cls: type, what: str
 ) -> Any:
@@ -48,19 +79,27 @@ def _config_from_payload(
 
     Unknown keys are rejected rather than ignored: a typo like
     ``chunk_bit`` silently falling back to the default would coalesce
-    the request with the *wrong* computation.
+    the request with the *wrong* computation.  A value of the wrong
+    JSON type (``"nuca": "yes"``, ``"num_banks": 8.0``) is rejected
+    by name before the config sees it.
     """
     if not isinstance(payload, Mapping):
         raise BadRequest(
             f"{what} must be a JSON object, got {type(payload).__name__}"
         )
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(payload) - known)
+    field_types = _FIELD_TYPES[cls]
+    unknown = sorted(set(payload) - field_types.keys())
     if unknown:
         raise BadRequest(
             f"unknown {what} field(s) {', '.join(unknown)}; "
-            f"known: {', '.join(sorted(known))}"
+            f"known: {', '.join(sorted(field_types))}"
         )
+    for name, value in payload.items():
+        accepted, expected = field_types[name]
+        if type(value) not in accepted:
+            raise BadRequest(
+                f"invalid {what}: {name} must be {expected}, got {value!r}"
+            )
     try:
         return cls(**payload)
     except (TypeError, ValueError) as exc:

@@ -365,7 +365,8 @@ class ServiceServer:
             )
         try:
             scheme = codec.scheme_from_payload(payload.get("scheme", {}))
-            base = codec.system_from_payload(payload.get("system", {}))
+            system = payload.get("system", {})
+            codec.system_from_payload(system)  # the base's own errors first
             apps = [
                 profile(name) for name in payload.get(
                     "apps", [app.name for app in PARALLEL_SUITE]
@@ -374,9 +375,14 @@ class ServiceServer:
             combos = expand_grid(
                 {name: list(values) for name, values in fields.items()}
             )
-            jobs = [
-                SimJob(app=app, scheme=scheme, system=base.with_(**params))
+            # Each combination parses exactly as a /simulate system would.
+            systems = [
+                codec.system_from_payload({**system, **params})
                 for params in combos
+            ]
+            jobs = [
+                SimJob(app=app, scheme=scheme, system=combo_system)
+                for combo_system in systems
                 for app in apps
             ]
         except (codec.BadRequest, TypeError, ValueError) as exc:

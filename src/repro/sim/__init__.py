@@ -23,8 +23,6 @@ from repro.sim.engine import (
     FailedJob,
     SimJob,
     StagedEngine,
-    get_default_max_workers,
-    set_default_max_workers,
     simulate_many,
 )
 from repro.sim.metrics import FaultStats, L2Energy, RunResult, TransferStats
@@ -51,8 +49,6 @@ __all__ = [
     "cache_stats",
     "clear_caches",
     "desc_scheme",
-    "get_default_max_workers",
-    "set_default_max_workers",
     "simulate",
     "simulate_many",
     "sweep",

@@ -159,6 +159,9 @@ class SystemConfig:
         require_power_of_two("subbanks_per_bank", self.subbanks_per_bank)
         require_power_of_two("mats_per_subbank", self.mats_per_subbank)
         require_positive("clock_hz", self.clock_hz)
+        require_non_negative(
+            "controller_overhead_cycles", self.controller_overhead_cycles
+        )
         require_positive("sample_blocks", self.sample_blocks)
         require_non_negative("seed", self.seed)
         for name in ("cell_device", "periph_device"):

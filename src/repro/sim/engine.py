@@ -21,9 +21,8 @@ results for any worker count, in the order the jobs were given.
 Failure isolation: a job that raises — in a pool worker or in the
 serial path — produces a :class:`FailedJob` in its output slot instead
 of aborting the batch.  Jobs are retried with exponential backoff
-before giving up, a per-job timeout turns a stuck worker into a typed
-failure, and a worker killed hard (``BrokenProcessPool``) triggers a
-serial recompute of the affected jobs.
+before giving up, and a worker killed hard (``BrokenProcessPool``)
+triggers a serial recompute of the affected jobs.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ import time
 import traceback
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
@@ -51,15 +49,10 @@ __all__ = [
     "SimJob",
     "StagedEngine",
     "simulate_many",
-    "set_default_max_workers",
-    "get_default_max_workers",
     "fork_available",
 ]
 
 _log = logging.getLogger("repro.sim.engine")
-
-#: Worker count ``simulate_many`` uses when none is given; 1 = serial.
-_default_max_workers = 1
 
 #: First retry delay; doubles per attempt.  Deliberately tiny — the
 #: backoff exists to ride out transient resource pressure, not to wait
@@ -74,9 +67,8 @@ class FailedJob:
     Attributes:
         job: The failed configuration (a :class:`SimJob`, a fault
             campaign config, …).
-        reason: ``"error"`` (the job raised on every attempt) or
-            ``"timeout"`` (the per-job deadline elapsed).
-        error: Traceback text of the final attempt (empty for timeouts).
+        reason: ``"error"`` — the job raised on every attempt.
+        error: Traceback text of the final attempt.
         attempts: How many times the job was tried.
     """
 
@@ -96,19 +88,6 @@ def fork_available() -> bool:
     import multiprocessing
 
     return "fork" in multiprocessing.get_all_start_methods()
-
-
-def set_default_max_workers(count: int) -> None:
-    """Set the process-pool width batch APIs default to (1 = serial)."""
-    global _default_max_workers
-    if count < 1:
-        raise ValueError(f"max_workers must be >= 1, got {count}")
-    _default_max_workers = count
-
-
-def get_default_max_workers() -> int:
-    """The current default process-pool width."""
-    return _default_max_workers
 
 
 @dataclass(frozen=True)
@@ -259,24 +238,14 @@ class StagedEngine:
     def run_many(
         self,
         jobs: Iterable[SimJob],
-        max_workers: int | None = None,
-        chunksize: int | None = None,
-        job_timeout: float | None = None,
+        max_workers: int = 1,
         retries: int = 1,
     ) -> list[RunResult | FailedJob]:
         """Simulate a batch of jobs, optionally across processes.
 
         Args:
             jobs: Configurations to run, in output order.
-            max_workers: Process count; ``None`` uses the module default
-                (see :func:`set_default_max_workers`), 1 runs serially
-                in-process.
-            chunksize: Jobs handed to a worker at a time; defaults to a
-                round-robin split that keeps workers busy while letting
-                each worker's store reuse samples across its jobs.
-            job_timeout: Seconds each job may take before its slot is
-                declared a :class:`FailedJob` (pool runs only; the
-                serial path cannot preempt a job).
+            max_workers: Process count; 1 runs serially in-process.
             retries: Extra attempts per job, with exponential backoff,
                 before the job fails.
 
@@ -293,8 +262,6 @@ class StagedEngine:
             worker=_run_job_safe,
             local=lambda job: self.run(job.app, job.scheme, job.system),
             max_workers=max_workers,
-            chunksize=chunksize,
-            job_timeout=job_timeout,
             retries=retries,
             affinity=lambda job: (
                 job.app.name, job.system.sample_blocks, job.system.seed
@@ -312,8 +279,7 @@ class StagedEngine:
     def fault_campaigns(
         self,
         configs: Iterable[object],
-        max_workers: int | None = None,
-        job_timeout: float | None = None,
+        max_workers: int = 1,
         retries: int = 1,
     ) -> list[object]:
         """Run a batch of fault campaigns with the same machinery as
@@ -331,8 +297,6 @@ class StagedEngine:
             worker=_run_campaign_safe,
             local=self.fault_campaign,
             max_workers=max_workers,
-            chunksize=None,
-            job_timeout=job_timeout,
             retries=retries,
             affinity=None,
         )
@@ -345,9 +309,7 @@ class StagedEngine:
         keys: Sequence[StoreKey],
         worker: Callable[[tuple[object, int]], tuple],
         local: Callable[[object], object],
-        max_workers: int | None,
-        chunksize: int | None,
-        job_timeout: float | None,
+        max_workers: int,
         retries: int,
         affinity: Callable[[object], tuple] | None,
     ) -> list[object]:
@@ -358,8 +320,6 @@ class StagedEngine:
         serial path and as the recompute route when the pool itself
         fails, so custom stores see their stage entries either way.
         """
-        if max_workers is None:
-            max_workers = _default_max_workers
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         if retries < 0:
@@ -392,26 +352,24 @@ class StagedEngine:
         if max_workers == 1 or len(pending) <= 1:
             outcomes = [run_local(payload) for payload in payloads]
         else:
-            if chunksize is None:
-                # Two chunks per worker: near-maximal sample reuse (a
-                # sample is re-drawn only where a chunk boundary splits
-                # an app's group) with some slack for load balancing.
-                chunksize = max(1, -(-len(pending) // (2 * max_workers)))
+            # Two chunks per worker: near-maximal sample reuse (a sample
+            # is re-drawn only where a chunk boundary splits an app's
+            # group) with some slack for load balancing.
+            chunksize = max(1, -(-len(pending) // (2 * max_workers)))
             outcomes = _pool_outcomes(
-                worker, run_local, payloads, max_workers, chunksize, job_timeout
+                worker, run_local, payloads, max_workers, chunksize
             )
         for (index, job), outcome in zip(pending, outcomes, strict=True):
             if outcome[0] == "ok":
                 self.store.put(keys[index], outcome[1])
                 results[index] = outcome[1]
             else:
-                _, reason, error, attempts = outcome
+                _, error, attempts = outcome
                 _log.warning(
-                    "job %r failed (%s) after %d attempt(s)",
-                    job, reason, attempts,
+                    "job %r failed after %d attempt(s)", job, attempts
                 )
                 results[index] = FailedJob(
-                    job=job, reason=reason, error=error, attempts=attempts
+                    job=job, reason="error", error=error, attempts=attempts
                 )
         return results
 
@@ -422,36 +380,17 @@ def _pool_outcomes(
     payloads: Sequence[tuple[object, int]],
     max_workers: int,
     chunksize: int,
-    job_timeout: float | None,
 ) -> list[tuple]:
     """Run payloads through a process pool, absorbing pool-level failures.
 
     ``worker`` never raises (it returns tagged outcomes), so anything
-    escaping the pool is infrastructure: a refused fork (sandboxes), a
-    worker killed hard enough to break the pool, or a per-job timeout.
-    The first two degrade to an in-process recompute of the affected
-    payloads; a timeout fails only its own slot.  Note a timed-out
-    worker is not killed — it occupies its pool slot until it finishes,
-    which bounds how useful very short timeouts can be.
+    escaping the pool is infrastructure: a refused fork (sandboxes) or
+    a worker killed hard enough to break the pool.  Both degrade to an
+    in-process recompute of the affected payloads.
     """
     try:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            if job_timeout is None:
-                return list(pool.map(worker, payloads, chunksize=chunksize))
-            outcomes: list[tuple] = []
-            futures = [pool.submit(worker, payload) for payload in payloads]
-            for future in futures:
-                try:
-                    outcomes.append(future.result(timeout=job_timeout))
-                except FutureTimeoutError:
-                    future.cancel()
-                    outcomes.append(("err", "timeout", "", 1))
-                except BrokenProcessPool:
-                    raise
-                except Exception:
-                    # Unpicklable result or similar transport failure.
-                    outcomes.append(("err", "error", traceback.format_exc(), 1))
-            return outcomes
+            return list(pool.map(worker, payloads, chunksize=chunksize))
     except BrokenProcessPool:
         _log.warning(
             "process pool broke (worker died); recomputing %d job(s) serially",
@@ -476,7 +415,7 @@ def _attempt(compute: Callable[[], object], retries: int) -> tuple:
             if attempt < retries:
                 time.sleep(delay)
                 delay *= 2
-    return ("err", "error", error, retries + 1)
+    return ("err", error, retries + 1)
 
 
 def _run_job_safe(payload: tuple[SimJob, int]) -> tuple:
@@ -497,22 +436,19 @@ def _run_campaign_safe(payload: tuple[object, int]) -> tuple:
 
 def simulate_many(
     jobs: Iterable[SimJob | tuple],
-    max_workers: int | None = None,
+    max_workers: int = 1,
     store: ResultStore | None = None,
-    job_timeout: float | None = None,
     retries: int = 1,
 ) -> list[RunResult | FailedJob]:
     """Simulate many (application, scheme, system) configurations.
 
     The batch front-end of the staged engine: accepts :class:`SimJob`
     instances or plain ``(app, scheme[, system])`` tuples, fans them out
-    over a process pool when ``max_workers`` (or the module default)
-    exceeds 1, and returns results in job order — bit-for-bit identical
-    to the serial path.
+    over a process pool when ``max_workers`` exceeds 1, and returns
+    results in job order — bit-for-bit identical to the serial path.
 
-    A job that raises (after ``retries`` backed-off re-attempts) or
-    overruns ``job_timeout`` yields a :class:`FailedJob` in its slot
-    instead of aborting the batch.
+    A job that raises (after ``retries`` backed-off re-attempts) yields
+    a :class:`FailedJob` in its slot instead of aborting the batch.
 
     Example::
 
@@ -525,8 +461,5 @@ def simulate_many(
         job if isinstance(job, SimJob) else SimJob.of(*job) for job in jobs
     ]
     return StagedEngine(store).run_many(
-        normalised,
-        max_workers=max_workers,
-        job_timeout=job_timeout,
-        retries=retries,
+        normalised, max_workers=max_workers, retries=retries
     )

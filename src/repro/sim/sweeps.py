@@ -23,7 +23,8 @@ Example::
 
 Sweeps run through :func:`repro.sim.engine.simulate_many`, so passing
 ``max_workers=4`` fans the (combination × application) grid out over a
-process pool with bit-for-bit identical results.
+process pool with bit-for-bit identical results (``repro sweep
+--workers 4`` at the CLI).
 """
 
 from __future__ import annotations
@@ -202,14 +203,13 @@ def sweep(
     scheme: SchemeConfig,
     base: SystemConfig | None = None,
     apps: Sequence[AppProfile] = PARALLEL_SUITE,
-    max_workers: int | None = None,
+    max_workers: int = 1,
     **field_values: Sequence,
 ) -> SweepResult:
     """Simulate every combination of the given SystemConfig fields.
 
-    ``max_workers`` > 1 distributes the whole grid over a process pool
-    (``None`` keeps the engine's default); the returned points are
-    identical to a serial run.  The result is a :class:`SweepResult`:
+    ``max_workers`` > 1 distributes the whole grid over a process pool;
+    the returned points are identical to a serial run.  The result is a :class:`SweepResult`:
     a list of :class:`SweepPoint`, with any per-application failures
     surfaced on ``result.failed_points``.
     """

@@ -23,7 +23,7 @@ def run_small_study(**overrides):
         seed=0,
     )
     base.update(overrides)
-    return run_study(StudySpec(**base), LocalBackend(max_workers=1))
+    return run_study(StudySpec(**base), LocalBackend())
 
 
 class TestSummarize:

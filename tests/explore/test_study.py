@@ -50,7 +50,7 @@ def small_spec(**overrides) -> StudySpec:
 
 @pytest.fixture(scope="module")
 def backend():
-    return LocalBackend(max_workers=1)
+    return LocalBackend()
 
 
 class TestStudyJournal:
@@ -172,7 +172,7 @@ class TestRunStudy:
             ),
             budget=3,
         )
-        result = run_study(spec, LocalBackend(max_workers=1))
+        result = run_study(spec, LocalBackend())
         assert result.spent > 0
         assert len(result.failed_points) == result.spent
         assert "warp_factor" in result.failed_points[0]["reason"]
@@ -238,7 +238,7 @@ class SlowBackend:
 
 
 spec = load_spec(sys.argv[1])
-run_study(spec, SlowBackend(LocalBackend(max_workers=1)), sys.argv[2])
+run_study(spec, SlowBackend(LocalBackend()), sys.argv[2])
 """
 
 

@@ -198,13 +198,16 @@ class TestErrorMapping:
 
 #: Scheme payloads no 512-bit sample block can carry.  Each used to
 #: reach the engine: a 500 retried inside the service (or, for the
-#: 512-bit chunk, a 200 with an int64-wrapped cycle count).
+#: 512-bit chunk, a 200 with an int64-wrapped cycle count).  The last
+#: two carry a value of the wrong JSON type.
 INVALID_SCHEMES = {
     "chunk-width-3": {"name": "desc+zero-skip", "chunk_bits": 3},
     "chunk-width-64": {"name": "desc+zero-skip", "chunk_bits": 64, "data_wires": 8},
     "ecc-segment-100": {"name": "desc+zero-skip", "ecc_segment_bits": 100},
     "unknown-scheme": {"name": "nope"},
     "chunk-width-512": {"name": "desc+zero-skip", "chunk_bits": 512, "data_wires": 1},
+    "text-wires": {"name": "desc+zero-skip", "data_wires": "128"},
+    "bool-chunk-width": {"name": "desc+zero-skip", "chunk_bits": True},
 }
 
 
@@ -221,6 +224,23 @@ INVALID_SYSTEMS = {
     "negative-clock": {"clock_hz": -1.0},
     "text-clock": {"clock_hz": "x"},
     "negative-seed": {"seed": -1},
+    "negative-overhead": {"controller_overhead_cycles": -1},
+    "text-nuca": {"nuca": "yes"},
+    "bool-sample-blocks": {"sample_blocks": True},
+    "fractional-seed": {"seed": 1.5},
+    "float-banks": {"num_banks": 8.0},
+}
+
+#: The entries above whose value has the wrong JSON type, and the
+#: field the 400 must name.
+WRONG_JSON_TYPES = {
+    "text-wires": ("scheme", "data_wires", "an integer"),
+    "bool-chunk-width": ("scheme", "chunk_bits", "an integer"),
+    "text-clock": ("system", "clock_hz", "a number"),
+    "text-nuca": ("system", "nuca", "a boolean"),
+    "bool-sample-blocks": ("system", "sample_blocks", "an integer"),
+    "fractional-seed": ("system", "seed", "an integer"),
+    "float-banks": ("system", "num_banks", "an integer"),
 }
 
 
@@ -272,6 +292,40 @@ class TestInvalidGeometry:
         assert "num_banks must be a power of two" in (
             excinfo.value.error["message"]
         )
+
+    @pytest.mark.parametrize(
+        "case", list(WRONG_JSON_TYPES), ids=list(WRONG_JSON_TYPES)
+    )
+    def test_wrong_json_type_is_400_naming_the_field(self, harness, case):
+        what, field, expected = WRONG_JSON_TYPES[case]
+        tables = {"scheme": INVALID_SCHEMES, "system": INVALID_SYSTEMS}
+        payload = {"app": "Ocean", "system": dict(SYSTEM)}
+        payload[what] = {**payload.get(what, {}), **tables[what][case]}
+        with harness.client() as client:
+            with pytest.raises(ServiceRequestError) as excinfo:
+                client.simulate_payload(payload)
+        assert excinfo.value.status == 400
+        assert excinfo.value.error["type"] == "bad-request"
+        assert excinfo.value.error["message"].startswith(
+            f"invalid {what}: {field} must be {expected}, got "
+        )
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"nuca": ["yes"]}, "invalid system: nuca must be a boolean"),
+            ({"controller_overhead_cycles": [-1, 4]},
+             "controller_overhead_cycles must be non-negative"),
+        ],
+        ids=["text-nuca", "negative-overhead"],
+    )
+    def test_sweep_checks_every_combination(self, harness, fields, message):
+        with harness.client() as client:
+            with pytest.raises(ServiceRequestError) as excinfo:
+                client.sweep(fields, system=SYSTEM)
+        assert excinfo.value.status == 400
+        assert excinfo.value.error["type"] == "bad-request"
+        assert message in excinfo.value.error["message"]
 
 
 class DrainTaskKilled(BaseException):

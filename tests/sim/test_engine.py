@@ -22,12 +22,7 @@ from repro.encoding.registry import (
 )
 from repro.experiments.common import DEFAULT_SCHEMES
 from repro.sim.config import SchemeConfig, SystemConfig, desc_scheme
-from repro.sim.engine import (
-    SimJob,
-    StagedEngine,
-    set_default_max_workers,
-    simulate_many,
-)
+from repro.sim.engine import SimJob, StagedEngine, simulate_many
 from repro.sim.store import ResultStore
 from repro.sim.system import ENGINE, simulate
 
@@ -223,18 +218,6 @@ class TestSimulateMany:
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError, match=">= 1"):
             simulate_many(self._jobs(), max_workers=0)
-        with pytest.raises(ValueError, match=">= 1"):
-            set_default_max_workers(0)
-
-    def test_default_worker_count_round_trip(self):
-        from repro.sim.engine import get_default_max_workers
-
-        before = get_default_max_workers()
-        try:
-            set_default_max_workers(3)
-            assert get_default_max_workers() == 3
-        finally:
-            set_default_max_workers(before)
 
     def test_forkless_platform_runs_serially_with_same_results(
         self, monkeypatch
@@ -294,24 +277,6 @@ class _ExplodingCampaign:
     @property
     def data_seed(self) -> int:  # first field run_campaign touches
         raise RuntimeError("boom: this campaign always fails")
-
-
-@_dataclass(frozen=True)
-class _SleepyCampaign:
-    """Campaign config that hangs long enough to trip a job timeout."""
-
-    seconds: float = 1.5
-    ident: int = 0
-
-    def key(self) -> str:
-        return f"sleepy/{self.ident}"
-
-    @property
-    def data_seed(self) -> int:
-        import time
-
-        time.sleep(self.seconds)
-        raise RuntimeError("woke up before being reaped")
 
 
 @_dataclass(frozen=True)
@@ -390,22 +355,6 @@ class TestFailureIsolation:
             StagedEngine(ResultStore()).fault_campaigns(
                 [GOOD_CAMPAIGN], retries=-1
             )
-
-    def test_job_timeout_fails_only_the_slow_slot(self):
-        from repro.sim.engine import fork_available
-
-        if not fork_available():
-            pytest.skip("timeout enforcement needs pool workers")
-        engine = StagedEngine(ResultStore())
-        results = engine.fault_campaigns(
-            [_SleepyCampaign(), GOOD_CAMPAIGN],
-            max_workers=2,
-            job_timeout=0.25,
-        )
-        slow, good = results
-        assert isinstance(slow, FailedJob)
-        assert slow.reason == "timeout"
-        assert good.stats.blocks_sent == 4
 
     def test_killed_worker_recovers_serially(self, caplog):
         """A SIGKILLed worker breaks the whole pool; the batch API must

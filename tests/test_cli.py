@@ -111,28 +111,30 @@ class TestCacheStats:
 
 
 class TestWorkersFlag:
-    def test_workers_flag_sets_engine_default(self):
-        from repro.sim.engine import get_default_max_workers, set_default_max_workers
-
-        before = get_default_max_workers()
-        try:
-            main(["run", "fig03", "--workers", "2"])
-            assert get_default_max_workers() == 2
-        finally:
-            set_default_max_workers(before)
-
     def test_forkless_platform_notes_serial_fallback(self, capsys, monkeypatch):
         import repro.cli  # noqa: F401 - ensure module import order
         import repro.sim.engine as engine_mod
-        from repro.sim.engine import get_default_max_workers, set_default_max_workers
 
         monkeypatch.setattr(engine_mod, "fork_available", lambda: False)
-        before = get_default_max_workers()
-        try:
-            assert main(["run", "fig03", "--workers", "4"]) == 0
-            assert "running serially" in capsys.readouterr().err
-        finally:
-            set_default_max_workers(before)
+        assert main(["faults", "--quick", "--workers", "4"]) == 0
+        assert "running serially" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["run", "fig03"],
+            ["all"],
+            ["explore", "--preset", "quick"],
+        ],
+        ids=["run", "all", "explore"],
+    )
+    def test_flag_is_gone_outside_sweep_and_faults(self, capsys, args):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*args, "--workers", "2"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        assert "Traceback" not in err
 
 
 class TestProfileFlag:
@@ -387,10 +389,13 @@ class TestBadArguments:
             ["all", "--sample-blocks", "0"],
             ["validate", "--sample-blocks", "-1"],
             ["sweep", "--field", "l2_banks=1,2", "--sample-blocks", "0"],
+            ["sweep", "--field", "num_banks=2,8", "--workers", "0"],
+            ["faults", "--quick", "--workers", "0"],
             ["serve", "--port", "70000"],
             ["serve", "--port", "-1"],
         ],
-        ids=["run", "all", "validate", "sweep", "serve-high", "serve-low"],
+        ids=["run", "all", "validate", "sweep", "sweep-workers",
+             "faults-workers", "serve-high", "serve-low"],
     )
     def test_out_of_range_number_exits_2(self, tmp_path, args):
         proc = self._run(args, tmp_path)
