@@ -134,9 +134,9 @@ class DescLink:
             self._layout, self._rx_policy, strict=injector is None
         )
         self._wire_delay = wire_delay
-        idle_levels = self.transmitter.wire_levels()
-        self._pipe: deque[np.ndarray] = deque(
-            [idle_levels.copy() for _ in range(wire_delay)]
+        # The wires in flight, as level masks (see repro.core.masks).
+        self._pipe: deque[int] = deque(
+            [self.transmitter.level_mask] * wire_delay
         )
         self._sync_level = 0
         self._sync_flips = 0
@@ -220,7 +220,7 @@ class DescLink:
     def step(self) -> None:
         """Advance the whole link by one clock cycle."""
         busy_before = self.transmitter.busy
-        levels = self.transmitter.step()
+        levels = self.transmitter.step_mask()
         if busy_before:
             self._busy_cycles += 1
             # The sync strobe toggles at half the clock rate while a
@@ -235,7 +235,7 @@ class DescLink:
             drift = self._injector.take_desync()
             if drift:
                 self.receiver.perturb_counter(drift)
-        self.receiver.step(delayed)
+        self.receiver.step_mask(delayed)
         if (
             self._injector is not None
             and self.receiver.desynced
@@ -266,13 +266,13 @@ class DescLink:
         # transition that was still in flight.
         for _ in range(self._wire_delay):
             self.step()
-        levels = self.transmitter.wire_levels()
+        levels = self.transmitter.level_mask
         delivered = (
             self._injector.deliver(levels)
             if self._injector is not None
             else levels
         )
-        self.receiver.resync(delivered, abandon_partial=True)
+        self.receiver.resync_mask(delivered, abandon_partial=True)
         self._tx_policy.reset()
         self._rx_policy.reset()
         self._resyncs += 1

@@ -101,20 +101,24 @@ def fire_cycles(values: np.ndarray, skip_values: np.ndarray | None) -> np.ndarra
     return fire
 
 
-def decode_cycles(cycle: int, skip_values: np.ndarray | None) -> np.ndarray:
-    """:func:`decode_cycle` for toggles seen on ``cycle`` on many wires.
+def decode_cycles(
+    cycles: int | np.ndarray, skip_values: np.ndarray | None
+) -> np.ndarray:
+    """:func:`decode_cycle` for toggles seen on many wires.
 
-    Every wire of a round shares the counter, so only the skip values
-    differ; the result broadcasts like ``skip_values`` (0-d for
-    ``None``).
+    ``cycles`` is one counter value shared by every wire or one per
+    toggle, and broadcasts against ``skip_values`` (one entry per wire,
+    or a 0-d array shared by every wire); ``None`` means no skipping.
     """
+    cycles = np.asarray(cycles, dtype=np.int64)
     if skip_values is None:
-        return np.asarray(cycle, dtype=np.int64)
-    if cycle < 1:
+        return cycles.copy()
+    if cycles.size and cycles.min() < 1:
         raise ValueError(
-            f"a skipping round cannot carry a data toggle on cycle {cycle}"
+            "a skipping round cannot carry a data toggle on cycle "
+            f"{cycles.min()}"
         )
-    return np.where(cycle - 1 < skip_values, cycle - 1, cycle).astype(np.int64)
+    return np.where(cycles - 1 < skip_values, cycles - 1, cycles)
 
 
 def round_duration(last_fire_cycle: int | None, any_skipped: bool) -> int:

@@ -6,12 +6,18 @@ policy.  It reconstructs chunk values *purely* from the observed wire
 levels — it never peeks at the transmitter's queues — which is what the
 round-trip property tests rely on.
 
-The detectors of the whole wire bank are one array of last sampled
-levels (index 0 is the reset/skip wire), so a cycle computes every edge
-at once (``edges = levels != last``).  Per-wire round state is two more
-arrays: which chunks are still pending and the values latched so far.
-The counter reads the same on every wire within a cycle, so all of a
-cycle's data toggles decode in one vector operation.
+The detectors of the whole wire bank are one integer mask of the last
+sampled levels (:mod:`repro.core.masks`: bit 0 is the reset/skip wire,
+bit ``1 + i`` data wire ``i``), so a cycle computes every edge at once
+(``edges = levels ^ last``).  The pending chunks are a mask too, and a
+cycle's data toggles latch as one ``(cycle, mask)`` pair: the counter
+reads the same on every wire within a cycle.  The values are decoded
+once per round, when the round closes, with one
+``protocol.decode_cycles`` call over the whole bank.
+:meth:`DescReceiver.step_mask` and :meth:`DescReceiver.resync_mask`
+take the levels as a mask; :meth:`DescReceiver.step` and
+:meth:`DescReceiver.resync` validate a ``uint8`` level array (index 0
+is the reset/skip wire) and convert it.
 
 A toggle on the shared reset/skip wire is handled first, as the paper
 specifies: a counter reset (start of a round) when no chunk is pending,
@@ -47,6 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.chunking import ChunkLayout
+from repro.core.masks import mask_of, unpack_rows
 from repro.core.protocol import decode_cycles
 from repro.core.skipping import NoSkipping, SkipPolicy
 
@@ -93,13 +100,20 @@ class DescReceiver:
         self._layout = layout
         self._policy = policy if policy is not None else NoSkipping()
         self._strict = strict
-        # The toggle detectors of the whole bank: the last sampled level
-        # of every line (index 0 is the reset/skip wire).
-        self._last_levels = np.zeros(1 + layout.num_wires, dtype=np.uint8)
+        self._lines = 1 + layout.num_wires
+        # The toggle detectors of the whole bank: the last sampled
+        # levels as a mask (bit 0 is the reset/skip wire).
+        self._last_levels = 0
         self._in_round = False
         self._cycle_in_round = -1
-        self._pending: np.ndarray = np.zeros(layout.num_wires, dtype=bool)
-        self._round_values = np.zeros(layout.num_wires, dtype=np.int64)
+        # Round state, all masks over the levels' bit positions: the
+        # chunks still pending, the (cycle, wires) latches so far, and
+        # the wires a skip command assigned the skip value.
+        self._data_wires = (1 << self._lines) - 2
+        self._pending = 0
+        self._latches: list[tuple[int, int]] = []
+        self._skip_fill = 0
+        self._skip: np.ndarray | None = None
         self._completed_rounds: list[np.ndarray] = []
         self._desynced = False
         # A legal round's last event is the closing toggle one cycle
@@ -166,90 +180,81 @@ class DescReceiver:
         desynchronized flag is cleared — the endpoints restart from a
         known-clean state.
         """
-        self._last_levels = self._checked(levels)
+        self.resync_mask(mask_of(levels, self._lines), abandon_partial)
+
+    def resync_mask(self, levels: int, abandon_partial: bool = False) -> None:
+        """:meth:`resync` on levels given as a mask."""
+        self._last_levels = levels
         if abandon_partial:
             self._in_round = False
             self._cycle_in_round = -1
-            self._pending[:] = False
+            self._pending = 0
             self._completed_rounds.clear()
             self._desynced = False
             self.fault_events.resyncs += 1
 
     def step(self, levels: np.ndarray) -> None:
         """Consume one cycle of wire levels (reset/skip first, then data)."""
-        levels = self._checked(levels)
+        self.step_mask(mask_of(levels, self._lines))
+
+    def step_mask(self, levels: int) -> None:
+        """Consume one cycle of wire levels given as a mask."""
         if self._in_round:
             self._cycle_in_round += 1
             if not self._strict and self._cycle_in_round > self._watchdog_limit:
                 self._watchdog_abort()
 
-        edges = levels != self._last_levels
+        edges = levels ^ self._last_levels
+        if not edges:
+            return  # an open round always has a chunk pending
         self._last_levels = levels
-        if edges[0]:
-            # np.count_nonzero is the cheapest "any" on a small bool array.
-            if self._in_round and np.count_nonzero(self._pending):
+        if edges & 1:
+            if self._in_round and self._pending:
                 self._apply_skip_command()
             else:
                 self._begin_round()
-        self._latch(edges[1:])
-        if self._in_round and not np.count_nonzero(self._pending):
+            edges ^= 1
+        if edges:
+            self._latch(edges)
+        if self._in_round and not self._pending:
             self._finish_round()
 
-    def _checked(self, levels: np.ndarray) -> np.ndarray:
-        """The sampled levels as a fresh ``uint8`` array, validated."""
-        if len(levels) != 1 + self._layout.num_wires:
-            raise ValueError(
-                f"expected {1 + self._layout.num_wires} wire levels, "
-                f"got {len(levels)}"
-            )
-        levels = np.asarray(levels)
-        bad = (levels != 0) & (levels != 1)
-        if np.count_nonzero(bad):
-            line = int(np.argmax(bad))
-            raise ValueError(
-                f"level must be 0 or 1, got {levels[line]} on line {line}"
-            )
-        return levels.astype(np.uint8)
-
-    def _latch(self, edges: np.ndarray) -> None:
-        """Decode this cycle's data toggles (``edges``, one per wire).
+    def _latch(self, edges: int) -> None:
+        """Latch this cycle's data toggles (``edges``, a mask).
 
         A toggle on a wire with a chunk pending latches the counter; any
         other toggle is unexpected.  The counter reads the same on every
-        wire, so the whole bank decodes at once.
+        wire, so the cycle's toggles latch as one ``(cycle, wires)``
+        pair, decoded when the round closes.
         """
-        toggles = int(np.count_nonzero(edges))
-        if not toggles:
-            return
         expected = edges & self._pending  # a pending chunk implies a round
-        latching = int(np.count_nonzero(expected))
-        if toggles > latching:
+        if expected != edges:
+            unexpected = edges ^ expected
             if self._strict:
-                wire = int(np.argmax(edges & ~self._pending))
+                wire = (unexpected & -unexpected).bit_length() - 2
                 raise RuntimeError(
                     f"unexpected data toggle on wire {wire}: no chunk pending"
                 )
-            self.fault_events.spurious_toggles += toggles - latching
-        if not latching:
+            self.fault_events.spurious_toggles += unexpected.bit_count()
+        if not expected:
             return
-        try:
-            values = decode_cycles(self._cycle_in_round, self._policy.skip_values())
-        except ValueError:
+        cycle = self._cycle_in_round
+        if self._skip is not None and cycle < 1:
             if self._strict:
-                raise
-            # A toggle on cycle 0 of a skipping round: physically a
-            # spurious edge racing the reset toggle.
-            self.fault_events.spurious_toggles += latching
-            values = np.asarray(CORRUPT_CHUNK)
-        else:
-            if not self._strict:
-                # A drifted counter latched an impossible count.
-                impossible = (values < 0) | (values > self._layout.max_chunk_value)
-                self.fault_events.out_of_range_decodes += int(
-                    np.count_nonzero(impossible & expected)
+                raise ValueError(
+                    f"a skipping round cannot carry a data toggle on cycle {cycle}"
                 )
-                values = np.where(impossible, CORRUPT_CHUNK, values)
-        np.copyto(self._round_values, values, where=expected)
+            # A toggle on cycle 0 of a skipping round: physically a
+            # spurious edge racing the reset toggle.  The chunk stays
+            # at the sentinel.
+            self.fault_events.spurious_toggles += expected.bit_count()
+        elif not self._strict and not 0 <= cycle <= self._layout.max_chunk_value:
+            # A drifted counter latched an impossible count.  Skip
+            # values are always legal chunk values, so a toggle decodes
+            # out of range exactly when the counter does.
+            self.fault_events.out_of_range_decodes += expected.bit_count()
+        else:
+            self._latches.append((cycle, expected))
         self._pending ^= expected  # expected is a subset of pending
 
     def _watchdog_abort(self) -> None:
@@ -261,46 +266,62 @@ class DescReceiver:
         """
         self.fault_events.watchdog_aborts += 1
         self._desynced = True
-        self._round_values[self._pending] = CORRUPT_CHUNK
-        self._pending[:] = False
+        self._pending = 0
         self._finish_round()
 
     def _begin_round(self) -> None:
         """Reset toggle with nothing pending: a new round starts this cycle."""
         self._in_round = True
         self._cycle_in_round = 0
-        self._pending[:] = True
-        self._round_values[:] = -1
+        self._pending = self._data_wires
+        self._latches = []
+        self._skip_fill = 0
+        self._skip = self._policy.skip_values()
 
     def _apply_skip_command(self) -> None:
         """Reset/skip toggle with chunks pending: silent wires take the skip value."""
-        skip = self._policy.skip_values()
-        if skip is None:
+        if self._skip is None:
             if self._strict:
                 raise RuntimeError(
                     "skip command received but the policy does not skip"
                 )
             # A glitched strobe closed a basic-DESC round early: the
             # still-pending chunks are lost, but we saw it happen.
-            self.fault_events.spurious_toggles += int(
-                np.count_nonzero(self._pending)
-            )
-            skip = np.asarray(CORRUPT_CHUNK)
-        np.copyto(self._round_values, skip, where=self._pending)
-        self._pending[:] = False
+            self.fault_events.spurious_toggles += self._pending.bit_count()
+        else:
+            self._skip_fill = self._pending
+        self._pending = 0
         # _finish_round runs from step() since pending is now empty — but
         # step() already passed the completion check when it called us, so
         # finish explicitly here.
         self._finish_round()
 
+    def _round_values(self) -> np.ndarray:
+        """Decode the round's latches: one value per wire.
+
+        Wires the round lost (never latched, decoded out of range, or
+        abandoned by the watchdog) read :data:`CORRUPT_CHUNK`.
+        """
+        values = np.full(self._layout.num_wires, CORRUPT_CHUNK, dtype=np.int64)
+        if self._latches:
+            cycles, masks = zip(*self._latches)
+            latch, wires = np.nonzero(unpack_rows(masks, self._lines)[:, 1:])
+            skip = self._skip
+            if skip is not None:
+                skip = np.broadcast_to(skip, values.shape)[wires]
+            values[wires] = decode_cycles(np.asarray(cycles)[latch], skip)
+        if self._skip_fill:
+            filled = unpack_rows([self._skip_fill], self._lines)[0, 1:]
+            np.copyto(values, self._skip, where=filled)
+        return values
+
     def _finish_round(self) -> None:
         """Commit the round; assemble the block once all rounds arrived."""
         if not self._in_round:
             return
-        self._policy.observe_round(
-            self._round_values, self._round_values != CORRUPT_CHUNK
-        )
-        self._completed_rounds.append(self._round_values.copy())
+        values = self._round_values()
+        self._policy.observe_round(values, values != CORRUPT_CHUNK)
+        self._completed_rounds.append(values)
         self._in_round = False
         self._cycle_in_round = -1
         if len(self._completed_rounds) == self._layout.num_rounds:

@@ -3,12 +3,17 @@
 The transmitter owns one FIFO queue of rounds (filled by
 :meth:`DescTransmitter.load_block`), a free-running counter, and the
 toggle generators of the whole wire bank.  The generators are one
-``uint8`` level array — index 0 is the shared reset/skip wire, then one
-entry per data wire — plus integer flip counters, so a clock cycle is a
-single vector operation whatever the wire count: every data wire whose
-fire cycle equals the counter flips (``levels[1:] ^= fire == cycle``).
-Calling :meth:`DescTransmitter.step` advances one clock cycle and
-returns the levels currently driven on the wires.
+integer level mask (:mod:`repro.core.masks`: bit 0 is the shared
+reset/skip wire, bit ``1 + i`` data wire ``i``) plus integer flip
+counters.  When a round opens, one NumPy pass turns the round's fire
+cycles (``protocol.fire_cycles``) into one mask per cycle of the wires
+that toggle on it, so a clock cycle is a single XOR whatever the wire
+count: ``levels ^= fire_masks[cycle]``.
+
+:meth:`DescTransmitter.step_mask` advances one clock cycle and returns
+the driven levels as a mask; :meth:`DescTransmitter.step` and
+:meth:`DescTransmitter.wire_levels` give the same levels as a ``uint8``
+array (index 0 is the reset/skip wire).
 
 The implementation matches ``repro.core.protocol`` exactly; the
 receiver (`repro.core.receiver`) decodes using only the observed wire
@@ -20,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.chunking import ChunkLayout
+from repro.core.masks import levels_of, pack_rows
 from repro.core.protocol import fire_cycles
 from repro.core.skipping import NoSkipping, SkipPolicy
 
@@ -32,15 +38,15 @@ class DescTransmitter:
     def __init__(self, layout: ChunkLayout, policy: SkipPolicy | None = None) -> None:
         self._layout = layout
         self._policy = policy if policy is not None else NoSkipping()
-        self._levels = np.zeros(1 + layout.num_wires, dtype=np.uint8)
-        self._data_levels = self._levels[1:]  # a view: the data wires
+        self._levels = 0
         self._data_flips = 0
         self._overhead_flips = 0
         self._pending_rounds: list[np.ndarray] = []
-        self._fire_cycles: np.ndarray | None = None
+        # One mask per cycle of the open round (None between rounds).
+        self._fire_masks: list[int] | None = None
         self._any_skipped = False
         self._cycle_in_round = -1
-        self._close_cycle: int | None = None
+        self._close_cycle = -1
         self._round_values = np.zeros(layout.num_wires, dtype=np.int64)
 
     @property
@@ -56,7 +62,7 @@ class DescTransmitter:
     @property
     def busy(self) -> bool:
         """Whether a block transfer is still in flight."""
-        return bool(self._pending_rounds) or self._fire_cycles is not None
+        return bool(self._pending_rounds) or self._fire_masks is not None
 
     @property
     def data_flips(self) -> int:
@@ -68,9 +74,14 @@ class DescTransmitter:
         """Total transitions driven on the reset/skip wire so far."""
         return self._overhead_flips
 
+    @property
+    def level_mask(self) -> int:
+        """Current levels as a mask: bit 0 reset/skip, bit 1 + i data wire i."""
+        return self._levels
+
     def wire_levels(self) -> np.ndarray:
         """Current levels (a copy): index 0 is the reset/skip wire, then data wires."""
-        return self._levels.copy()
+        return levels_of(self._levels, 1 + self._layout.num_wires)
 
     def load_block(self, chunks: np.ndarray) -> None:
         """Queue a block (chunk-value array) for transmission.
@@ -84,36 +95,37 @@ class DescTransmitter:
         self._pending_rounds = list(schedule)
 
     def step(self) -> np.ndarray:
-        """Advance one clock cycle; return the driven wire levels.
+        """Advance one clock cycle; return the driven wire levels."""
+        return levels_of(self.step_mask(), 1 + self._layout.num_wires)
+
+    def step_mask(self) -> int:
+        """Advance one clock cycle; return the driven levels as a mask.
 
         An idle transmitter holds its levels (no transitions).
         """
-        if self._fire_cycles is None:
+        fire_masks = self._fire_masks
+        if fire_masks is None:
             if self._pending_rounds:
                 self._begin_round(self._pending_rounds.pop(0))
-            return self.wire_levels()
+            return self._levels
 
-        self._cycle_in_round += 1
-        self._fire(self._cycle_in_round)
-        if self._close_cycle is not None and self._cycle_in_round >= self._close_cycle:
+        cycle = self._cycle_in_round = self._cycle_in_round + 1
+        fired = fire_masks[cycle]
+        if fired:
+            self._levels ^= fired
+            self._data_flips += fired.bit_count()
+        if cycle >= self._close_cycle:
             if self._any_skipped:
                 self._pulse_reset()  # closing skip toggle
             self._finish_round()
-        return self.wire_levels()
+        return self._levels
 
     def _pulse_reset(self) -> None:
-        self._levels[0] ^= 1
+        self._levels ^= 1
         self._overhead_flips += 1
 
-    def _fire(self, cycle: int) -> None:
-        """Toggle every data wire whose chunk fires on ``cycle``."""
-        assert self._fire_cycles is not None
-        fired = self._fire_cycles == cycle
-        self._data_levels ^= fired
-        self._data_flips += int(np.count_nonzero(fired))
-
     def _begin_round(self, values: np.ndarray) -> None:
-        """Cycle 0 of a round: toggle reset/skip, compute fire cycles."""
+        """Cycle 0 of a round: toggle reset/skip, build the fire masks."""
         self._pulse_reset()
         self._cycle_in_round = 0
         fire = fire_cycles(values, self._policy.skip_values())
@@ -124,15 +136,20 @@ class DescTransmitter:
         else:
             self._close_cycle = last_fire  # round ends with the final data toggle
         self._round_values = values
-        self._fire_cycles = fire
+        # Row c marks the data wires that toggle on cycle c; column 0 is
+        # the reset/skip wire, which the round drives itself.
+        fired = np.zeros((self._close_cycle + 1, 1 + len(fire)), dtype=bool)
+        fired[:, 1:] = fire == np.arange(self._close_cycle + 1)[:, None]
+        self._fire_masks = pack_rows(fired)
         # A chunk may fire on cycle 0 itself (value 0 under basic DESC).
-        self._fire(0)
+        first = self._fire_masks[0]
+        self._levels ^= first
+        self._data_flips += first.bit_count()
         if self._close_cycle == 0:
             self._finish_round()
 
     def _finish_round(self) -> None:
         """Commit the round's history and arm the next round (next cycle)."""
         self._policy.observe_round(self._round_values)
-        self._fire_cycles = None
-        self._close_cycle = None
+        self._fire_masks = None
         self._cycle_in_round = -1

@@ -19,6 +19,16 @@ levels the receiver observes:
   event and :class:`~repro.core.link.DescLink` applies it to the
   receiver's round counter.
 
+Levels and the mask are integer masks (:mod:`repro.core.masks`: bit 0
+is the reset/skip wire, bit ``1 + i`` data wire ``i``), so a cycle of
+:meth:`LinkFaultInjector.perturb` is a few integer operations.  The
+fault processes' uniforms are drawn a block of cycles at a time, with
+one ``rng.random`` call whose rows hold each cycle's draws in the
+per-cycle order — drop, glitch, strobe, desync, and for a
+Gilbert–Elliott process its event draws before its transition draws.
+Consecutive draws are the same doubles however they are grouped, so
+every fault event is the one a cycle-by-cycle draw would give.
+
 The injector is deterministic in its :class:`FaultConfig` seed: the
 same config and the same driven-level sequence produce the same faults,
 which is what makes fault campaigns reproducible across serial and
@@ -31,21 +41,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.faults.processes import (
-    BernoulliProcess,
-    FaultConfig,
-    GilbertElliottProcess,
-    make_process,
-)
+from repro.faults.processes import FaultConfig, make_process
 
 __all__ = ["InjectorStats", "LinkFaultInjector"]
 
-
-def _active(
-    rate: float, num_wires: int, config: FaultConfig, rng: np.random.Generator
-) -> BernoulliProcess | GilbertElliottProcess | None:
-    """The configured process at ``rate``, or ``None`` when it is zero."""
-    return make_process(rate, num_wires, config, rng) if rate else None
+#: Cycles of fault draws taken from the generator at a time.  Any
+#: length gives the same events; this one amortizes the NumPy calls.
+_BLOCK_CYCLES = 256
 
 
 @dataclass(frozen=True)
@@ -88,30 +90,40 @@ class LinkFaultInjector:
     def __init__(self, config: FaultConfig, num_wires: int) -> None:
         if num_wires <= 0:
             raise ValueError(f"num_wires must be positive, got {num_wires}")
+        stuck = 0  # the stuck wires' bits in a level mask
         for wire in config.stuck_wires:
             if not 0 <= wire < num_wires:
                 raise ValueError(
                     f"stuck wire {wire} outside data wires 0..{num_wires - 1}"
                 )
+            stuck |= 1 << (1 + wire)
         self.config = config
         self.num_wires = num_wires
         self._rng = np.random.default_rng(config.seed)
-        lines = 1 + num_wires
+        self._lines = lines = 1 + num_wires
         # Drops apply to every line (a masked strobe toggle mis-frames a
         # round); glitches are split between the data wires and the
         # dedicated strobe process so their rates tune independently.
         # A zero-rate process never draws or fires, so it is not built
-        # at all: ``perturb`` then skips it without changing the draws.
-        self._drop = _active(config.drop_rate, lines, config, self._rng)
-        self._glitch = _active(config.glitch_rate, num_wires, config, self._rng)
-        self._strobe = _active(
-            config.strobe_glitch_rate, 1, config, self._rng
+        # at all: its events read 0 without changing the draws.
+        self._processes = tuple(
+            make_process(rate, width, config, self._rng) if rate else None
+            for rate, width in (
+                (config.drop_rate, lines),
+                (config.glitch_rate, num_wires),
+                (config.strobe_glitch_rate, 1),
+                (config.desync_rate, 1),
+            )
         )
-        self._desync = _active(config.desync_rate, 1, config, self._rng)
-        self._mask = np.zeros(lines, dtype=np.uint8)
-        self._stuck = 1 + np.array(config.stuck_wires, dtype=np.intp)
-        self._last_driven: np.ndarray | None = None
+        self._mask = 0
+        self._unstuck = ((1 << lines) - 1) & ~stuck
+        self._stuck_high = stuck if config.stuck_level else 0
+        self._last_driven: int | None = None
         self._pending_desync = 0
+        # Per cycle of the drawn block: (drops, glitches, strobe, desync)
+        # event masks, glitches already shifted onto the data wires.
+        self._block: list[tuple[int, int, int, int]] = []
+        self._cursor = 0
         self.dropped_toggles = 0
         self.spurious_toggles = 0
         self.strobe_glitches = 0
@@ -128,54 +140,65 @@ class LinkFaultInjector:
             cycles=self.cycles,
         )
 
-    def perturb(self, levels: np.ndarray) -> np.ndarray:
+    def _draw_block(self) -> None:
+        """Draw the fault events of the next ``_BLOCK_CYCLES`` cycles."""
+        draws = sum(p.draws_per_cycle for p in self._processes if p is not None)
+        uniforms = self._rng.random((_BLOCK_CYCLES, draws))
+        events = []
+        start = 0
+        for process in self._processes:
+            if process is None:
+                events.append([0] * _BLOCK_CYCLES)
+                continue
+            stop = start + process.draws_per_cycle
+            events.append(process.events(uniforms[:, start:stop]))
+            start = stop
+        drops, glitches, strobes, desyncs = events
+        self._block = list(
+            zip(drops, [g << 1 for g in glitches], strobes, desyncs)
+        )
+        self._cursor = 0
+
+    def perturb(self, levels: int) -> int:
         """One cycle of faults: driven levels in, delivered levels out.
 
-        Must be called exactly once per link cycle — the fault processes
-        advance on every call.  The injector keeps ``levels`` (without
-        copying) to spot the next cycle's toggles, so a caller must not
-        modify the array afterwards; :class:`~repro.core.link.DescLink`
-        hands over a fresh array every cycle.
+        Both are level masks.  Must be called exactly once per link
+        cycle — the fault processes advance on every call.
         """
-        driven = np.asarray(levels, dtype=np.uint8)
-        if len(driven) != 1 + self.num_wires:
+        if levels >> self._lines:
             raise ValueError(
-                f"expected {1 + self.num_wires} wire levels, got {len(driven)}"
+                f"expected {self._lines} wire levels, got mask {levels:#x}"
             )
-        if self._drop is not None:
-            events = self._drop.sample()
-            if self._last_driven is not None:
-                drops = events & (driven != self._last_driven)
-                dropped = int(np.count_nonzero(drops))
-                if dropped:
-                    self._mask ^= drops
-                    self.dropped_toggles += dropped
-            self._last_driven = driven
-        if self._glitch is not None:
-            glitches = self._glitch.sample()
-            glitched = int(np.count_nonzero(glitches))
-            if glitched:
-                self._mask[1:] ^= glitches
-                self.spurious_toggles += glitched
-        if self._strobe is not None and self._strobe.sample()[0]:
-            self._mask[0] ^= 1
+        if self._cursor == len(self._block):
+            self._draw_block()
+        drops, glitches, strobe, desync = self._block[self._cursor]
+        self._cursor += 1
+        if drops and self._last_driven is not None:
+            dropped = drops & (levels ^ self._last_driven)
+            if dropped:
+                self._mask ^= dropped
+                self.dropped_toggles += dropped.bit_count()
+        self._last_driven = levels
+        if glitches:
+            self._mask ^= glitches
+            self.spurious_toggles += glitches.bit_count()
+        if strobe:
+            self._mask ^= 1
             self.strobe_glitches += 1
-        if self._desync is not None and self._desync.sample()[0]:
+        if desync:
             self.desync_events += 1
             # Alternate the drift direction so campaigns see both.
             self._pending_desync = 1 if self.desync_events % 2 else -1
         self.cycles += 1
-        return self.deliver(driven)
+        return self.deliver(levels)
 
-    def deliver(self, levels: np.ndarray) -> np.ndarray:
+    def deliver(self, levels: int) -> int:
         """Apply the *current* fault state without advancing it.
 
         Used by the resync protocol to read the settled delivered levels
         while the link is stalled.
         """
-        delivered = np.asarray(levels, dtype=np.uint8) ^ self._mask
-        delivered[self._stuck] = self.config.stuck_level
-        return delivered
+        return ((levels ^ self._mask) & self._unstuck) | self._stuck_high
 
     def take_desync(self) -> int:
         """Counter drift (±1) to apply this cycle, or 0.

@@ -10,6 +10,17 @@ error-resilient transfer (see PAPERS.md).
 All randomness flows from one :class:`numpy.random.Generator` owned by
 the injector, so a campaign seeded once is reproducible event-for-event
 regardless of host or worker count.
+
+A process turns the uniform draws of a block of cycles into one event
+mask per cycle (:meth:`BernoulliProcess.events`; bit ``i`` marks wire
+``i``, as in :mod:`repro.core.masks`): the comparisons run once per
+block in NumPy and only the Gilbert–Elliott chain steps per cycle, on
+an integer state mask.  Each cycle consumes :attr:`draws_per_cycle`
+doubles in a fixed order, so the injector can draw a whole block of
+cycles in one ``rng.random`` call: consecutive draws are the same
+doubles whether they come one cycle or one block at a time.
+:meth:`~BernoulliProcess.sample` draws and returns a single cycle as a
+bool array.
 """
 
 from __future__ import annotations
@@ -17,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.core.masks import pack_rows, unpack_rows
 
 __all__ = [
     "FaultConfig",
@@ -114,11 +127,25 @@ class BernoulliProcess:
         self.num_wires = num_wires
         self._rng = rng
 
+    @property
+    def draws_per_cycle(self) -> int:
+        """Uniform draws one cycle consumes (none at rate 0)."""
+        return self.num_wires if self.rate else 0
+
+    def events(self, uniforms: np.ndarray) -> list[int]:
+        """Event masks of a block of cycles, one per row of ``uniforms``.
+
+        ``uniforms`` is ``(cycles, draws_per_cycle)``: each cycle's
+        draws in draw order.  Bit ``i`` of a mask marks wire ``i``.
+        """
+        if not self.rate:
+            return [0] * len(uniforms)
+        return pack_rows(uniforms < self.rate)
+
     def sample(self) -> np.ndarray:
         """Boolean event vector for this cycle, one entry per wire."""
-        if self.rate == 0.0:
-            return np.zeros(self.num_wires, dtype=bool)
-        return self._rng.random(self.num_wires) < self.rate
+        uniforms = self._rng.random((1, self.draws_per_cycle))
+        return unpack_rows(self.events(uniforms), self.num_wires)[0]
 
 
 class GilbertElliottProcess:
@@ -128,7 +155,8 @@ class GilbertElliottProcess:
     ``base_rate``) or a *bad* state (events at ``base_rate * gain``,
     clipped to 1).  Transitions happen per cycle with the configured
     probabilities, so the stationary bad-state occupancy is
-    ``on_rate / (on_rate + off_rate)``.
+    ``on_rate / (on_rate + off_rate)``.  A cycle draws one event
+    uniform per wire, then one transition uniform per wire.
     """
 
     def __init__(
@@ -149,25 +177,44 @@ class GilbertElliottProcess:
         self.on_rate = on_rate
         self.off_rate = off_rate
         self._rng = rng
-        self._bad = np.zeros(num_wires, dtype=bool)
+        self._bad = 0  # bit i set: wire i is in the bad state
 
     @property
     def bad_states(self) -> np.ndarray:
         """Current per-wire state (True = bad/bursty)."""
-        return self._bad.copy()
+        return unpack_rows([self._bad], self.num_wires)[0].copy()
+
+    @property
+    def draws_per_cycle(self) -> int:
+        """Uniform draws one cycle consumes (none at base rate 0)."""
+        return 2 * self.num_wires if self.base_rate else 0
+
+    def events(self, uniforms: np.ndarray) -> list[int]:
+        """Advance the chains a block of cycles; return each cycle's events.
+
+        ``uniforms`` is ``(cycles, draws_per_cycle)``: per cycle the
+        event draws, then the transition draws.
+        """
+        if not self.base_rate:
+            return [0] * len(uniforms)
+        draws, flips = np.hsplit(uniforms, 2)
+        bad = self._bad
+        events = []
+        for good_events, bad_events, enter, leave in zip(
+            pack_rows(draws < self.base_rate),
+            pack_rows(draws < self.bad_rate),
+            pack_rows(flips < self.on_rate),
+            pack_rows(flips < self.off_rate),
+        ):
+            events.append((good_events & ~bad) | (bad_events & bad))
+            bad = (bad | enter) & ~(bad & leave)
+        self._bad = bad
+        return events
 
     def sample(self) -> np.ndarray:
         """Advance the chains one cycle; return this cycle's events."""
-        if self.base_rate == 0.0:
-            return np.zeros(self.num_wires, dtype=bool)
-        draws = self._rng.random(self.num_wires)
-        flips = self._rng.random(self.num_wires)
-        rates = np.where(self._bad, self.bad_rate, self.base_rate)
-        events = draws < rates
-        enter_bad = ~self._bad & (flips < self.on_rate)
-        leave_bad = self._bad & (flips < self.off_rate)
-        self._bad = (self._bad | enter_bad) & ~leave_bad
-        return events
+        uniforms = self._rng.random((1, self.draws_per_cycle))
+        return unpack_rows(self.events(uniforms), self.num_wires)[0]
 
 
 def make_process(

@@ -1,4 +1,8 @@
-"""Tests for the link-level fault injector (XOR wire-level model)."""
+"""Tests for the link-level fault injector (XOR wire-level model).
+
+Levels are masks: bit 0 is the reset/skip wire, bit ``1 + i`` data
+wire ``i``.
+"""
 
 from __future__ import annotations
 
@@ -10,15 +14,14 @@ from repro.faults.processes import FaultConfig
 
 
 def _drive(injector, sequence):
-    """Run a driven-level sequence through ``perturb``; stack outputs."""
-    return np.stack([injector.perturb(levels) for levels in sequence])
+    """Run a driven-level sequence through ``perturb``; list outputs."""
+    return [injector.perturb(levels) for levels in sequence]
 
 
 def _toggling_sequence(num_wires, cycles):
     """All lines toggle every cycle (worst case for drop faults)."""
     lines = 1 + num_wires
-    return [np.full(lines, cycle % 2, dtype=np.uint8)
-            for cycle in range(cycles)]
+    return [((1 << lines) - 1) * (cycle % 2) for cycle in range(cycles)]
 
 
 class TestConstruction:
@@ -33,7 +36,7 @@ class TestConstruction:
     def test_perturb_validates_level_width(self):
         injector = LinkFaultInjector(FaultConfig(), 4)
         with pytest.raises(ValueError, match="wire levels"):
-            injector.perturb(np.zeros(3, dtype=np.uint8))
+            injector.perturb(1 << 5)  # a level on line 5 of lines 0..4
 
 
 class TestTransparency:
@@ -41,7 +44,7 @@ class TestTransparency:
         injector = LinkFaultInjector(FaultConfig(), 4)
         for levels in _toggling_sequence(4, 20):
             delivered = injector.perturb(levels)
-            assert np.array_equal(delivered, levels)
+            assert delivered == levels
         assert injector.stats().total_events == 0
         assert injector.stats().cycles == 20
 
@@ -52,7 +55,7 @@ class TestDropFaults:
         move, no matter how hard the transmitter toggles."""
         injector = LinkFaultInjector(FaultConfig(drop_rate=1.0), 4)
         outputs = _drive(injector, _toggling_sequence(4, 12))
-        assert (outputs == outputs[0]).all()
+        assert all(out == outputs[0] for out in outputs)
         # 5 lines x 11 toggling cycles (the first cycle has no edges).
         assert injector.dropped_toggles == 55
 
@@ -61,36 +64,36 @@ class TestDropFaults:
         delivered level is the inverse of the driven level — the
         counter-desynchronization hazard, as a wire-level fact."""
         injector = LinkFaultInjector(FaultConfig(drop_rate=1.0), 1)
-        idle = np.zeros(2, dtype=np.uint8)
-        up = np.ones(2, dtype=np.uint8)
+        idle = 0b00
+        up = 0b11
         injector.perturb(idle)
         injector.perturb(up)  # both edges dropped
         # The fault processes only fire on toggles, so from here on the
         # mask is frozen at "inverted".
-        assert np.array_equal(injector.deliver(up), idle)
-        assert np.array_equal(injector.deliver(idle), up)
+        assert injector.deliver(up) == idle
+        assert injector.deliver(idle) == up
 
 
 class TestGlitchFaults:
     def test_certain_glitch_inverts_data_wires_every_cycle(self):
         injector = LinkFaultInjector(FaultConfig(glitch_rate=1.0), 3)
-        idle = np.zeros(4, dtype=np.uint8)
+        idle = 0
         first = injector.perturb(idle)
         second = injector.perturb(idle)
         # Mask flips every cycle: odd perturbs invert, even restore.
-        assert np.array_equal(first[1:], np.ones(3, dtype=np.uint8))
-        assert np.array_equal(second[1:], np.zeros(3, dtype=np.uint8))
-        assert first[0] == 0  # glitches never touch the strobe line
+        assert first >> 1 == 0b111
+        assert second >> 1 == 0
+        assert first & 1 == 0  # glitches never touch the strobe line
         assert injector.spurious_toggles == 6
 
     def test_strobe_glitch_only_touches_line_zero(self):
         injector = LinkFaultInjector(
             FaultConfig(strobe_glitch_rate=1.0), 3
         )
-        idle = np.zeros(4, dtype=np.uint8)
+        idle = 0
         delivered = injector.perturb(idle)
-        assert delivered[0] == 1
-        assert not delivered[1:].any()
+        assert delivered & 1 == 1
+        assert not delivered >> 1
         assert injector.strobe_glitches == 1
 
 
@@ -102,16 +105,16 @@ class TestStuckWires:
         )
         for levels in _toggling_sequence(3, 10):
             delivered = injector.perturb(levels)
-            assert delivered[2] == level
+            assert (delivered >> 2) & 1 == level
             # Untouched wires still track the driven levels.
-            assert delivered[1] == levels[1]
-            assert delivered[3] == levels[3]
+            assert (delivered >> 1) & 1 == (levels >> 1) & 1
+            assert (delivered >> 3) & 1 == (levels >> 3) & 1
 
 
 class TestDesyncEvents:
     def test_take_desync_fires_once_and_alternates(self):
         injector = LinkFaultInjector(FaultConfig(desync_rate=1.0), 2)
-        idle = np.zeros(3, dtype=np.uint8)
+        idle = 0
         injector.perturb(idle)
         assert injector.take_desync() == 1
         assert injector.take_desync() == 0  # consumed
@@ -125,13 +128,13 @@ class TestDeliverVsPerturb:
         injector = LinkFaultInjector(
             FaultConfig(glitch_rate=0.5, drop_rate=0.5, seed=11), 4
         )
-        levels = np.ones(5, dtype=np.uint8)
+        levels = 0b11111
         injector.perturb(levels)
         snapshot = injector.stats()
         outputs = [injector.deliver(levels) for _ in range(10)]
         assert injector.stats() == snapshot
         for out in outputs[1:]:
-            assert np.array_equal(out, outputs[0])
+            assert out == outputs[0]
 
 
 class TestDeterminism:
@@ -144,8 +147,8 @@ class TestDeterminism:
         b = LinkFaultInjector(config, 6)
         rng = np.random.default_rng(5)
         for _ in range(200):
-            levels = rng.integers(0, 2, size=7).astype(np.uint8)
-            assert np.array_equal(a.perturb(levels), b.perturb(levels))
+            levels = int(rng.integers(0, 1 << 7))
+            assert a.perturb(levels) == b.perturb(levels)
             assert a.take_desync() == b.take_desync()
         assert a.stats() == b.stats()
         assert a.stats().total_events > 0  # the comparison saw real faults
@@ -153,7 +156,7 @@ class TestDeterminism:
     def test_different_seeds_diverge(self):
         a = LinkFaultInjector(FaultConfig(glitch_rate=0.3, seed=1), 8)
         b = LinkFaultInjector(FaultConfig(glitch_rate=0.3, seed=2), 8)
-        idle = np.zeros(9, dtype=np.uint8)
+        idle = 0
         outputs_a = _drive(a, [idle] * 50)
         outputs_b = _drive(b, [idle] * 50)
-        assert not np.array_equal(outputs_a, outputs_b)
+        assert outputs_a != outputs_b
