@@ -15,8 +15,10 @@ layout of Figure 9 uses.
 0/1 matrices of whole codewords; they are the per-word specification.
 The ECC stream paths (:mod:`repro.ecc.layout`) take their check bits
 from :meth:`HammingSecded.check_bits` instead, which computes them on
-packed data words, one popcount parity per Hamming row.  The tests
-hold the two equal.
+packed data words, one popcount parity per Hamming row, and decode
+with :meth:`HammingSecded.decode_check_bits`, whose syndrome is the
+received check bits XOR the check bits of the received data.  The
+tests hold each pair equal.
 """
 
 from __future__ import annotations
@@ -110,6 +112,13 @@ class HammingSecded:
             for i in range(self.hamming_parity_bits)
         ]
         return np.stack(rows)
+
+    @cached_property
+    def _data_index(self) -> np.ndarray:
+        """Data bit at each 1-indexed Hamming position (-1: a parity bit)."""
+        index = np.full(self.data_bits + self.hamming_parity_bits + 1, -1)
+        index[self._data_positions] = np.arange(self.data_bits)
+        return index
 
     @cached_property
     def _row_masks(self) -> np.ndarray:
@@ -228,6 +237,43 @@ class HammingSecded:
             status[row] = DecodeStatus.DETECTED
 
         data = hamming[:, self._data_positions - 1]
+        return DecodeResult(data=data, status=status, corrected_position=corrected)
+
+    def decode_check_bits(self, data: np.ndarray, check: np.ndarray) -> DecodeResult:
+        """Decode words received in wire order: data bits, then check bits.
+
+        ``data`` is ``(words, data_bits)`` 0/1 and ``check`` the
+        ``(words, parity_bits)`` check bits received with it, in the
+        order :meth:`check_bits` returns them.  The received check bits
+        XOR those of the received data give the Hamming syndrome and the
+        overall parity at once, so no codeword is assembled; the result
+        equals :meth:`decode` on the codewords these bits form.
+        """
+        data = np.array(data, dtype=np.uint8)  # a copy: corrected in place
+        delta = np.asarray(check, dtype=np.uint8) ^ self.check_bits(
+            self.pack_data(data)
+        )
+        weights = 1 << np.arange(self.hamming_parity_bits)
+        syndrome = delta[:, :-1] @ weights
+        overall = delta.sum(axis=1) & 1
+        length = self.data_bits + self.hamming_parity_bits
+        # The same three cases as decode(): a single error in the
+        # Hamming part, one on the overall parity bit, a double error.
+        single = (syndrome != 0) & (overall == 1) & (syndrome <= length)
+        overall_err = (syndrome == 0) & (overall == 1)
+        double = ((syndrome != 0) & (overall == 0)) | (syndrome > length)
+
+        rows = np.flatnonzero(single)
+        bits = self._data_index[syndrome[rows]]
+        in_data = bits >= 0  # an error on a Hamming parity leaves the data
+        data[rows[in_data], bits[in_data]] ^= 1
+        status = np.array(
+            [DecodeStatus.OK, DecodeStatus.CORRECTED, DecodeStatus.DETECTED],
+            dtype=object,
+        )[(single | overall_err) + 2 * double]
+        corrected = np.where(
+            single, syndrome - 1, np.where(overall_err, self.codeword_bits - 1, -1)
+        )
         return DecodeResult(data=data, status=status, corrected_position=corrected)
 
     def __repr__(self) -> str:

@@ -143,20 +143,26 @@ class DescEccLayout:
     def _groups_per_lane(self) -> int:
         return self.num_segments // self.chunk_bits
 
-    def _deinterleave(self, chunks: np.ndarray, bits: int) -> np.ndarray:
-        """Inverse of :meth:`_interleave_stream` for one block."""
+    @cached_property
+    def _gather(self) -> tuple[np.ndarray, np.ndarray]:
+        """Where each received bit rides: ``(chunk, lane)`` index arrays.
+
+        Both are ``(num_segments, segment_bits + parity_bits)``: row
+        ``s`` lists segment ``s``'s data bits, then its check bits, as
+        :meth:`_interleave_stream` placed them.
+        """
         g = self._groups_per_lane
-        shifts = np.arange(self.chunk_bits, dtype=np.int64)
-        lanes = ((np.asarray(chunks, dtype=np.int64)[:, None] >> shifts) & 1).astype(
-            np.uint8
+        segment = np.arange(self.num_segments)[:, None]
+        data_chunk = np.arange(self.segment_bits) * g + segment // self.chunk_bits
+        parity_chunk = (
+            self.num_data_chunks
+            + np.arange(self.parity_bits_per_segment) * g
+            + segment // self.chunk_bits
         )
-        per_segment = np.zeros((self.num_segments, bits), dtype=np.uint8)
-        for s in range(self.num_segments):
-            lane = s % self.chunk_bits
-            group = s // self.chunk_bits
-            chunk_index = np.arange(bits) * g + group
-            per_segment[s] = lanes[chunk_index, lane]
-        return per_segment
+        return (
+            np.concatenate([data_chunk, parity_chunk], axis=1),
+            segment % self.chunk_bits,
+        )
 
     # ------------------------------------------------------------------
     # Public API
@@ -228,29 +234,15 @@ class DescEccLayout:
             raise ValueError(
                 f"expected {self.num_chunks} chunk values, got {chunks.shape}"
             )
-        data_chunks = chunks[: self.num_data_chunks]
-        parity_chunks = chunks[self.num_data_chunks:]
-        segments = self._deinterleave(data_chunks, self.segment_bits)
-        parity = self._deinterleave(parity_chunks, self.parity_bits_per_segment)
-        codewords = self._assemble_codewords(segments, parity)
-        result = self.code.decode(codewords)
+        chunk, lane = self._gather
+        words = ((chunks[chunk] >> lane) & 1).astype(np.uint8)
+        result = self.code.decode_check_bits(
+            words[:, : self.segment_bits], words[:, self.segment_bits:]
+        )
         return EccBlockResult(
             data_bits=result.data.reshape(-1),
             status=tuple(result.status),
         )
-
-    def _assemble_codewords(
-        self, segments: np.ndarray, parity: np.ndarray
-    ) -> np.ndarray:
-        """Rebuild position-ordered codewords from wire-ordered bits."""
-        words = segments.shape[0]
-        codewords = np.zeros((words, self.code.codeword_bits), dtype=np.uint8)
-        codewords[:, self.code._data_positions - 1] = segments
-        codewords[:, self.code._parity_positions - 1] = parity[
-            :, : self.code.hamming_parity_bits
-        ]
-        codewords[:, -1] = parity[:, -1]
-        return codewords
 
     def __repr__(self) -> str:
         return (

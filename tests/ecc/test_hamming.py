@@ -134,3 +134,45 @@ class TestPackedCheckBits:
             # One data bit plus its odd or even number of parities.
             expected.append((1 + sum(expected)) & 1)
             assert code.check_bits(_pack_rows(data))[0].tolist() == expected
+
+
+class TestPackedDecode:
+    """``decode_check_bits`` on wire-order bits equals ``decode``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data_bits=st.sampled_from([8, 16, 64, 128]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_decode_with_up_to_three_flips(self, data_bits, seed):
+        rng = np.random.default_rng(seed)
+        code = HammingSecded(data_bits)
+        data = rng.integers(0, 2, size=(40, data_bits)).astype(np.uint8)
+        codewords = code.encode(data)
+        for row in codewords:
+            flips = rng.integers(0, 4)
+            row[rng.choice(code.codeword_bits, size=flips, replace=False)] ^= 1
+        # Wire order: the data positions, then the Hamming parities at
+        # positions 2**i, then the overall parity.
+        length = code.data_bits + code.hamming_parity_bits
+        data_columns = [p - 1 for p in range(1, length + 1) if p & (p - 1)]
+        check_columns = [(1 << i) - 1 for i in range(code.hamming_parity_bits)] + [-1]
+        got = code.decode_check_bits(
+            codewords[:, data_columns], codewords[:, check_columns]
+        )
+        want = code.decode(codewords)
+        assert got.status.tolist() == want.status.tolist()
+        np.testing.assert_array_equal(got.data, want.data)
+        np.testing.assert_array_equal(
+            got.corrected_position, want.corrected_position
+        )
+
+    def test_leaves_its_input_untouched(self):
+        code = HammingSecded(16)
+        data = np.zeros((1, 16), dtype=np.uint8)
+        check = code.check_bits(code.pack_data(data))
+        data[0, 3] = 1  # a single data error, corrected in the result
+        result = code.decode_check_bits(data, check)
+        assert result.status.tolist() == [DecodeStatus.CORRECTED]
+        assert not result.data.any()
+        assert data[0, 3] == 1

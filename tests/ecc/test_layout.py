@@ -211,6 +211,46 @@ class TestErrorCorrection:
                 assert np.array_equal(recovered[idx], original[idx])
 
 
+class TestDecodeMatchesPerWordSpec:
+    """``decode_block`` equals the per-word ``HammingSecded.decode`` on
+    codewords rebuilt from the wires by the Figure 9 mapping."""
+
+    @staticmethod
+    def _codewords(layout: DescEccLayout, chunks: np.ndarray) -> np.ndarray:
+        code = layout.code
+        groups = layout.num_segments // layout.chunk_bits
+        length = code.data_bits + code.hamming_parity_bits
+        data_positions = [p for p in range(1, length + 1) if p & (p - 1)]
+        check_columns = [(1 << i) - 1 for i in range(code.hamming_parity_bits)] + [-1]
+        codewords = np.zeros((layout.num_segments, code.codeword_bits), dtype=np.uint8)
+        for s in range(layout.num_segments):
+            lane, group = s % layout.chunk_bits, s // layout.chunk_bits
+            for p, position in enumerate(data_positions):
+                codewords[s, position - 1] = (chunks[p * groups + group] >> lane) & 1
+            for q, column in enumerate(check_columns):
+                chunk = layout.num_data_chunks + q * groups + group
+                codewords[s, column] = (chunks[chunk] >> lane) & 1
+        return codewords
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        segment_bits=st.sampled_from([16, 64, 128]),
+        flips=st.integers(0, 3),
+    )
+    def test_flipped_wire_bits(self, seed, segment_bits, flips):
+        rng = np.random.default_rng(seed)
+        layout = DescEccLayout(512, segment_bits, 4)
+        data = rng.integers(0, 2, size=512).astype(np.uint8)
+        chunks = layout.encode_block(data)
+        for bit in rng.choice(layout.codeword_bits_total, size=flips, replace=False):
+            chunks[bit // 4] ^= 1 << (bit % 4)
+        want = layout.code.decode(self._codewords(layout, chunks))
+        got = layout.decode_block(chunks)
+        assert got.status == tuple(want.status)
+        np.testing.assert_array_equal(got.data_bits, want.data.reshape(-1))
+
+
 class TestBinaryExtension:
     def test_widths(self):
         bits = np.zeros((2, 512), dtype=np.uint8)
