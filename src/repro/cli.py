@@ -314,7 +314,12 @@ def _parse_sweep_value(text: str) -> int | float | bool | str | None:
 
 def _run_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """The ``sweep`` subcommand: grid sweeps over SystemConfig fields."""
-    from repro.sim.config import SystemConfig, baseline_scheme, desc_scheme
+    from repro.sim.config import (
+        FIELD_TYPES,
+        SystemConfig,
+        baseline_scheme,
+        desc_scheme,
+    )
     from repro.sim.sweeps import sweep
 
     schemes = {
@@ -329,6 +334,7 @@ def _run_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         )
     if not args.fields:
         parser.error("provide at least one --field NAME=V1,V2,...")
+    field_types = FIELD_TYPES[SystemConfig]
     field_values: dict[str, list] = {}
     for spec in args.fields:
         name, _, values = spec.partition("=")
@@ -337,6 +343,14 @@ def _run_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         field_values[name] = [
             _parse_sweep_value(v) for v in values.split(",")
         ]
+        if name not in field_types:
+            parser.error(
+                f"unknown --field {name!r}; known: {', '.join(sorted(field_types))}"
+            )
+        accepted, expected = field_types[name]
+        for value in field_values[name]:
+            if type(value) not in accepted:
+                parser.error(f"{name} must be {expected}, got {value!r}")
     base = SystemConfig(sample_blocks=args.sample_blocks)
     try:
         points = sweep(

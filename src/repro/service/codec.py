@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import typing
 from typing import Any, Mapping
 
 from repro.encoding.registry import make_transfer_model
-from repro.sim.config import SchemeConfig, SystemConfig
+from repro.sim.config import FIELD_TYPES, SchemeConfig, SystemConfig
 from repro.sim.engine import SimJob
 from repro.sim.metrics import RunResult
 from repro.workloads.profiles import profile
@@ -42,36 +41,6 @@ class BadRequest(ValueError):
     """A request payload that cannot mean any simulation."""
 
 
-#: The JSON value types an annotation admits, and how to name them.
-#: ``bool`` is not an ``int`` here: ``true`` is no bank count.
-_JSON_TYPES: dict[Any, tuple[tuple[type, ...], str]] = {
-    bool: ((bool,), "a boolean"),
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    str: ((str,), "a string"),
-    type(None): ((type(None),), "null"),
-}
-
-
-def _field_types(cls: type) -> dict[str, tuple[tuple[type, ...], str]]:
-    """Each field of config dataclass ``cls``: its JSON types, named."""
-    hints = typing.get_type_hints(cls)
-    table = {}
-    for f in dataclasses.fields(cls):
-        options = [
-            _JSON_TYPES[arg]
-            for arg in typing.get_args(hints[f.name]) or (hints[f.name],)
-        ]
-        table[f.name] = (
-            tuple(t for accepted, _ in options for t in accepted),
-            " or ".join(name for _, name in options),
-        )
-    return table
-
-
-_FIELD_TYPES = {cls: _field_types(cls) for cls in (SchemeConfig, SystemConfig)}
-
-
 def _config_from_payload(
     payload: Mapping[str, Any], cls: type, what: str
 ) -> Any:
@@ -87,7 +56,7 @@ def _config_from_payload(
         raise BadRequest(
             f"{what} must be a JSON object, got {type(payload).__name__}"
         )
-    field_types = _FIELD_TYPES[cls]
+    field_types = FIELD_TYPES[cls]
     unknown = sorted(set(payload) - field_types.keys())
     if unknown:
         raise BadRequest(

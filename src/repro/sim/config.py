@@ -10,18 +10,33 @@ segment).
 
 from __future__ import annotations
 
+import dataclasses
+import typing
 from dataclasses import dataclass, replace
+from typing import Any
 
 from repro.energy.technology import DEVICE_TYPES
 from repro.util.validation import (
+    require_in_range,
     require_non_negative,
     require_positive,
     require_power_of_two,
 )
 
-__all__ = ["SchemeConfig", "SystemConfig", "DEFAULT_SYSTEM", "desc_scheme", "baseline_scheme"]
+__all__ = [
+    "SchemeConfig",
+    "SystemConfig",
+    "DEFAULT_SYSTEM",
+    "FIELD_TYPES",
+    "MAX_CONTROLLER_OVERHEAD_CYCLES",
+    "desc_scheme",
+    "baseline_scheme",
+]
 
 _DESC_SCHEMES = frozenset({"desc", "desc+zero-skip", "desc+last-value-skip"})
+
+#: Upper bound of ``SystemConfig.controller_overhead_cycles``.
+MAX_CONTROLLER_OVERHEAD_CYCLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -129,7 +144,10 @@ class SystemConfig:
             Section 2's compression-related work; exercised by the
             null-directory ablation benchmark).
         controller_overhead_cycles: Tag/queue/controller latency added
-            to every access.
+            to every access, at most
+            :data:`MAX_CONTROLLER_OVERHEAD_CYCLES` (10**6 cycles, about
+            0.3 ms at 3.2 GHz, against a default of 4): far larger
+            values leave the cores no busy time to divide by.
         sample_blocks: Block-value sample size per application.
         seed: Master seed for the workload generators.
     """
@@ -162,6 +180,10 @@ class SystemConfig:
         require_non_negative(
             "controller_overhead_cycles", self.controller_overhead_cycles
         )
+        require_in_range(
+            "controller_overhead_cycles", self.controller_overhead_cycles,
+            0, MAX_CONTROLLER_OVERHEAD_CYCLES,
+        )
         require_positive("sample_blocks", self.sample_blocks)
         require_non_negative("seed", self.seed)
         for name in ("cell_device", "periph_device"):
@@ -180,3 +202,39 @@ class SystemConfig:
 
 #: The paper's baseline system.
 DEFAULT_SYSTEM = SystemConfig()
+
+
+#: The value types a field annotation admits, and how to name them.
+#: ``bool`` is not an ``int`` here: ``true`` is no bank count.
+_VALUE_TYPES: dict[Any, tuple[tuple[type, ...], str]] = {
+    bool: ((bool,), "a boolean"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    type(None): ((type(None),), "null"),
+}
+
+
+def _field_types(cls: type) -> dict[str, tuple[tuple[type, ...], str]]:
+    """Each field of config dataclass ``cls``: its value types, named."""
+    hints = typing.get_type_hints(cls)
+    table = {}
+    for f in dataclasses.fields(cls):
+        options = [
+            _VALUE_TYPES[arg]
+            for arg in typing.get_args(hints[f.name]) or (hints[f.name],)
+        ]
+        table[f.name] = (
+            tuple(t for accepted, _ in options for t in accepted),
+            " or ".join(name for _, name in options),
+        )
+    return table
+
+
+#: Per config class, each field's accepted value types and their name
+#: (``"a boolean"``, ``"an integer or null"``).  Every input boundary
+#: types values with it before a config sees them: the service codec's
+#: JSON and ``repro sweep --field``.
+FIELD_TYPES: dict[type, dict[str, tuple[tuple[type, ...], str]]] = {
+    cls: _field_types(cls) for cls in (SchemeConfig, SystemConfig)
+}

@@ -225,6 +225,7 @@ INVALID_SYSTEMS = {
     "text-clock": {"clock_hz": "x"},
     "negative-seed": {"seed": -1},
     "negative-overhead": {"controller_overhead_cycles": -1},
+    "huge-overhead": {"controller_overhead_cycles": 10**30},
     "text-nuca": {"nuca": "yes"},
     "bool-sample-blocks": {"sample_blocks": True},
     "fractional-seed": {"seed": 1.5},
@@ -316,8 +317,10 @@ class TestInvalidGeometry:
             ({"nuca": ["yes"]}, "invalid system: nuca must be a boolean"),
             ({"controller_overhead_cycles": [-1, 4]},
              "controller_overhead_cycles must be non-negative"),
+            ({"controller_overhead_cycles": [4, 10**30]},
+             "controller_overhead_cycles must be in [0, 1000000]"),
         ],
-        ids=["text-nuca", "negative-overhead"],
+        ids=["text-nuca", "negative-overhead", "huge-overhead"],
     )
     def test_sweep_checks_every_combination(self, harness, fields, message):
         with harness.client() as client:

@@ -35,6 +35,14 @@ class TestSystemConfig:
     def test_hashable(self):
         assert hash(DEFAULT_SYSTEM) == hash(SystemConfig())
 
+    def test_controller_overhead_is_bounded(self):
+        """A huge overhead leaves the cores no busy time to divide by,
+        so the config refuses it rather than the timing model failing."""
+        bound = SystemConfig(controller_overhead_cycles=10**6)
+        assert bound.controller_overhead_cycles == 10**6
+        with pytest.raises(ValueError, match=r"controller_overhead_cycles must be in \[0, 1000000\]"):
+            SystemConfig(controller_overhead_cycles=10**6 + 1)
+
 
 class TestSchemeConfig:
     def test_desc_detection(self):

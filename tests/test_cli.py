@@ -251,6 +251,29 @@ class TestSweepCommand:
         )
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("nuca=yes", "nuca must be a boolean, got 'yes'"),
+            ("num_banks=2,8.0", "num_banks must be an integer, got 8.0"),
+            ("seed=none", "seed must be an integer, got None"),
+            (f"controller_overhead_cycles=4,{10**30}",
+             f"controller_overhead_cycles must be in [0, 1000000], got {10**30}"),
+            ("warp_factor=1", "unknown --field 'warp_factor'; known: "),
+        ],
+        ids=["text-nuca", "float-banks", "null-seed", "huge-overhead",
+             "unknown"],
+    )
+    def test_field_values_are_typed(self, capsys, field, message):
+        """The values of a --field are typed and bounded like the same
+        fields of a /sweep request: a wrong one exits 2 naming it."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.ARGS + ["--field", field, "--json"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1].startswith(f"repro: error: {message}")
+        assert captured.out == ""
+
     def test_corrupt_persisted_store_warns_and_completes(self, tmp_path):
         """Acceptance: a corrupted store pickle leaves ``repro sweep``
         finishing with a warning, never a crash."""
