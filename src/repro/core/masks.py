@@ -12,6 +12,8 @@ wire count; NumPy runs once per round, through the row converters here.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 __all__ = ["levels_of", "mask_of", "pack_rows", "unpack_rows"]
@@ -28,7 +30,7 @@ def pack_rows(bits: np.ndarray) -> list[int]:
     ]
 
 
-def unpack_rows(masks: list[int], width: int) -> np.ndarray:
+def unpack_rows(masks: Sequence[int], width: int) -> np.ndarray:
     """Inverse of :func:`pack_rows`: a ``(len(masks), width)`` bool matrix."""
     nbytes = (width + 7) // 8
     data = b"".join(mask.to_bytes(nbytes, "little") for mask in masks)

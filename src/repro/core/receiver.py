@@ -304,7 +304,7 @@ class DescReceiver:
         """
         values = np.full(self._layout.num_wires, CORRUPT_CHUNK, dtype=np.int64)
         if self._latches:
-            cycles, masks = zip(*self._latches)
+            cycles, masks = zip(*self._latches, strict=True)
             latch, wires = np.nonzero(unpack_rows(masks, self._lines)[:, 1:])
             skip = self._skip
             if skip is not None:

@@ -250,9 +250,15 @@ class HammingSecded:
         equals :meth:`decode` on the codewords these bits form.
         """
         data = np.array(data, dtype=np.uint8)  # a copy: corrected in place
-        delta = np.asarray(check, dtype=np.uint8) ^ self.check_bits(
-            self.pack_data(data)
-        )
+        check = np.asarray(check, dtype=np.uint8)
+        if data.shape[1:] != (self.data_bits,) or check.shape != (
+            len(data), self.parity_bits
+        ):
+            raise ValueError(
+                f"expected (words, {self.data_bits}) data bits and (words, "
+                f"{self.parity_bits}) check bits, got {data.shape} and {check.shape}"
+            )
+        delta = check ^ self.check_bits(self.pack_data(data))
         weights = 1 << np.arange(self.hamming_parity_bits)
         syndrome = delta[:, :-1] @ weights
         overall = delta.sum(axis=1) & 1

@@ -13,7 +13,7 @@ levels the receiver observes:
 * a **spurious toggle** (glitch) flips the mask at an arbitrary cycle —
   one phantom edge now, normal edges afterwards.
 * a **strobe glitch** is a glitch on the shared reset/skip wire
-  (index 0), mis-framing the current round.
+  (line 0), mis-framing the current round.
 * a **stuck-at wire** is pinned to a constant level after masking.
 * a **counter desync** is not a wire fault: the injector reports the
   event and :class:`~repro.core.link.DescLink` applies it to the
@@ -144,7 +144,7 @@ class LinkFaultInjector:
         """Draw the fault events of the next ``_BLOCK_CYCLES`` cycles."""
         draws = sum(p.draws_per_cycle for p in self._processes if p is not None)
         uniforms = self._rng.random((_BLOCK_CYCLES, draws))
-        events = []
+        events: list[list[int]] = []
         start = 0
         for process in self._processes:
             if process is None:
@@ -155,7 +155,7 @@ class LinkFaultInjector:
             start = stop
         drops, glitches, strobes, desyncs = events
         self._block = list(
-            zip(drops, [g << 1 for g in glitches], strobes, desyncs)
+            zip(drops, [g << 1 for g in glitches], strobes, desyncs, strict=True)
         )
         self._cursor = 0
 

@@ -205,6 +205,7 @@ class GilbertElliottProcess:
             pack_rows(draws < self.bad_rate),
             pack_rows(flips < self.on_rate),
             pack_rows(flips < self.off_rate),
+            strict=True,
         ):
             events.append((good_events & ~bad) | (bad_events & bad))
             bad = (bad | enter) & ~(bad & leave)

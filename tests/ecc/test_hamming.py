@@ -167,6 +167,13 @@ class TestPackedDecode:
             got.corrected_position, want.corrected_position
         )
 
+    def test_rejects_mismatched_widths(self):
+        code = HammingSecded(16)
+        with pytest.raises(ValueError, match="check bits"):
+            code.decode_check_bits(
+                np.zeros((2, 16), dtype=np.uint8), np.zeros((2, 5), dtype=np.uint8)
+            )
+
     def test_leaves_its_input_untouched(self):
         code = HammingSecded(16)
         data = np.zeros((1, 16), dtype=np.uint8)
