@@ -1,11 +1,12 @@
-"""The ``repro lint`` front-end: argument wiring, output, exit codes.
+"""The ``repro lint`` front-end: output and exit codes.
 
-Kept separate from :mod:`repro.cli` so the analyzer stays importable
-and testable without the figure registry.  Exit codes: ``0`` clean
-(every finding baselined or none), ``1`` new findings, ``2`` usage or
-environment errors (not inside a checkout, unknown rule, unreadable
-baseline, unwritable ``--output``) — always as a clear message, never
-a traceback.
+Its flags are declared by :func:`repro.cli.add_lint_arguments`, so
+parsing any other command imports nothing from :mod:`repro.analysis`;
+this module is imported only when ``repro lint`` runs.  Exit codes:
+``0`` clean (every finding baselined or none), ``1`` new findings,
+``2`` usage or environment errors (not inside a checkout, unknown
+rule, unreadable baseline, unwritable ``--output``) — always as a
+clear message, never a traceback.
 
 Findings come from :func:`repro.analysis.framework.run_analysis`, the
 same function the rule tests call; this module maps flags to its inputs
@@ -28,54 +29,7 @@ from repro.analysis.framework import run_analysis
 from repro.analysis.rules import default_rules, known_rule_ids
 from repro.util.profiling import PROFILER
 
-__all__ = ["add_lint_arguments", "run_lint"]
-
-
-def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the ``repro lint`` options to an argparse (sub)parser."""
-    parser.add_argument(
-        "paths", nargs="*", metavar="PATH",
-        help="trees to analyze (default: the configured paths)",
-    )
-    parser.add_argument(
-        "--root", metavar="DIR", default=None,
-        help="checkout root (default: walk up from the current directory)",
-    )
-    parser.add_argument(
-        "--rule", action="append", default=[], metavar="RXXX[,RYYY]",
-        dest="rules",
-        help="run only the given rules (repeatable and/or comma-"
-             "separated), e.g. --rule R001,R007",
-    )
-    parser.add_argument(
-        "--baseline", metavar="PATH", default=None,
-        help="baseline file (default: the configured one)",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="accept every current finding into the baseline and exit 0",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="CI mode: quiet on success, exit 1 on any non-baselined finding",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default=None,
-        dest="format_",
-        help="report format (default: text; 'sarif' emits SARIF 2.1.0)",
-    )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="shorthand for --format json",
-    )
-    parser.add_argument(
-        "--output", metavar="FILE", default=None,
-        help="write the json/sarif report to FILE instead of stdout",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="print per-rule wall time after the run",
-    )
+__all__ = ["run_lint"]
 
 
 def _fail(message: str) -> int:

@@ -42,7 +42,7 @@ from typing import IO
 
 from repro.sim.config import SystemConfig
 
-__all__ = ["main", "FIGURES"]
+__all__ = ["main", "FIGURES", "add_lint_arguments"]
 
 
 def _int_type(low: int, high: int | None = None) -> Callable[[str], int]:
@@ -69,6 +69,78 @@ def _int_type(low: int, high: int | None = None) -> Callable[[str], int]:
 
 _positive_int = _int_type(1)
 _port = _int_type(0, 65535)
+
+
+class _VersionAction(argparse.Action):
+    """``--version``: print the package version and exit.
+
+    Unlike argparse's own ``version`` action, the version is resolved
+    (an ``importlib.metadata`` lookup) only when the flag is given.
+    """
+
+    def __init__(self, option_strings: list[str], dest: str) -> None:
+        super().__init__(
+            option_strings, dest=argparse.SUPPRESS, default=argparse.SUPPRESS,
+            nargs=0, help="show program's version number and exit",
+        )
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        from repro.util.version import package_version
+
+        print(f"{parser.prog} {package_version()}")
+        parser.exit()
+
+
+def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
+    """Attach the ``repro lint`` options to an argparse (sub)parser.
+
+    Declared here, not beside :func:`repro.analysis.cli.run_lint`, so
+    that parsing any other command imports nothing from
+    :mod:`repro.analysis`, whose package loads every lint rule.
+    """
+    parser.add_argument(
+        "paths", nargs="*", metavar="PATH",
+        help="trees to analyze (default: the configured paths)",
+    )
+    parser.add_argument(
+        "--root", metavar="DIR", default=None,
+        help="checkout root (default: walk up from the current directory)",
+    )
+    parser.add_argument(
+        "--rule", action="append", default=[], metavar="RXXX[,RYYY]",
+        dest="rules",
+        help="run only the given rules (repeatable and/or comma-"
+             "separated), e.g. --rule R001,R007",
+    )
+    parser.add_argument(
+        "--baseline", metavar="PATH", default=None,
+        help="baseline file (default: the configured one)",
+    )
+    parser.add_argument(
+        "--update-baseline", action="store_true",
+        help="accept every current finding into the baseline and exit 0",
+    )
+    parser.add_argument(
+        "--check", action="store_true",
+        help="CI mode: quiet on success, exit 1 on any non-baselined finding",
+    )
+    parser.add_argument(
+        "--format", choices=("text", "json", "sarif"), default=None,
+        dest="format_",
+        help="report format (default: text; 'sarif' emits SARIF 2.1.0)",
+    )
+    parser.add_argument(
+        "--json", action="store_true",
+        help="shorthand for --format json",
+    )
+    parser.add_argument(
+        "--output", metavar="FILE", default=None,
+        help="write the json/sarif report to FILE instead of stdout",
+    )
+    parser.add_argument(
+        "--profile", action="store_true",
+        help="print per-rule wall time after the run",
+    )
 
 
 def _system_runner(module) -> Callable[[argparse.Namespace], dict]:
@@ -611,16 +683,11 @@ def _run_explore(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``python -m repro``."""
-    from repro.util.version import package_version
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate figures from the DESC (MICRO 2013) reproduction.",
     )
-    parser.add_argument(
-        "--version", action="version",
-        version=f"%(prog)s {package_version()}",
-    )
+    parser.add_argument("--version", action=_VersionAction)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list the available figures")
@@ -654,8 +721,6 @@ def main(argv: list[str] | None = None) -> int:
                     "docs/static_analysis.md. "
                     "Exits 1 on any finding not in the baseline.",
     )
-    from repro.analysis.cli import add_lint_arguments
-
     add_lint_arguments(lint_parser)
 
     stats_parser = sub.add_parser(
@@ -880,7 +945,7 @@ def main(argv: list[str] | None = None) -> int:
         return _run_faults(args)
 
     if args.command == "sweep":
-        return _run_sweep(args, parser)
+        return _run_sweep(args, sweep_parser)
 
     if args.command == "explore":
         return _run_explore(args, parser)

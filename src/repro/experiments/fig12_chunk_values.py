@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.workloads.generator import block_stream, chunk_statistics
+from repro.sim.engine import StagedEngine
 from repro.workloads.suites import PARALLEL_SUITE
 
 __all__ = ["run"]
@@ -16,10 +16,11 @@ __all__ = ["run"]
 
 def run(num_blocks: int = 6000, seed: int = 1) -> dict:
     """Suite-average chunk-value histogram and zero fraction."""
+    engine = StagedEngine()
     histogram = np.zeros(16)
     zero_fractions = {}
     for app in PARALLEL_SUITE:
-        stats = chunk_statistics(block_stream(app, num_blocks, seed))
+        stats = engine.chunk_statistics(app, num_blocks, seed)
         histogram += np.asarray(stats["value_histogram"])
         zero_fractions[app.name] = stats["zero_fraction"]
     histogram /= len(PARALLEL_SUITE)

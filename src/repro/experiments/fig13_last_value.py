@@ -7,7 +7,7 @@ motivating last-value skipping.
 from __future__ import annotations
 
 from repro.experiments.common import geomean
-from repro.workloads.generator import block_stream, chunk_statistics
+from repro.sim.engine import StagedEngine
 from repro.workloads.suites import PARALLEL_SUITE
 
 __all__ = ["run"]
@@ -15,9 +15,10 @@ __all__ = ["run"]
 
 def run(num_blocks: int = 6000, seed: int = 1) -> dict:
     """Per-application repeated-chunk fraction plus the geomean."""
+    engine = StagedEngine()
     fractions = {}
     for app in PARALLEL_SUITE:
-        stats = chunk_statistics(block_stream(app, num_blocks, seed))
+        stats = engine.chunk_statistics(app, num_blocks, seed)
         fractions[app.name] = stats["last_value_fraction"]
     fractions["Geomean"] = geomean(fractions.values())
     return {"last_value_fraction": fractions, "paper_geomean": 0.39}

@@ -42,6 +42,7 @@ from repro.sim.metrics import RunResult, TransferStats
 from repro.sim.stages import CacheDesign, WorkloadSample
 from repro.sim.store import RESULT_STORE, ResultStore, StoreKey
 from repro.util.profiling import timed
+from repro.workloads.generator import chunk_statistics
 from repro.workloads.profiles import AppProfile, profile
 
 __all__ = [
@@ -135,6 +136,25 @@ class StagedEngine:
 
         return self.store.get_or_compute(
             stages.workload_key(app, num_blocks, seed), compute
+        )
+
+    def chunk_statistics(
+        self, app: AppProfile, num_blocks: int, seed: int
+    ) -> dict[str, float]:
+        """The sample's chunk-value statistics (Figs. 12/13).
+
+        Persisted stores keep these few numbers but not the sample
+        itself, so a warm run reads them without redrawing the stream.
+        Callers share the returned dict and must not mutate it.
+        """
+
+        def compute() -> dict[str, float]:
+            sample = self.workload(app, num_blocks, seed)
+            with timed("stage.chunk_stats"):
+                return chunk_statistics(sample.chunks)
+
+        return self.store.get_or_compute(
+            stages.chunk_stats_key(app, num_blocks, seed), compute
         )
 
     def transfer_stats(

@@ -14,6 +14,11 @@ model — is not a function here but a :class:`~repro.encoding.registry.
 TransferModel` resolved through the encoding registry, which is how
 DESC variants, the binary-style baselines, and ECC-wrapped schemes all
 flow through the same engine without any scheme-kind branching.
+
+Beside stage 1 sits ``chunk_stats_key``: a sample's chunk-value
+statistics (Figs. 12/13), stored apart from the sample so that a
+persisted store keeps them while the sample stays in memory
+(:data:`repro.sim.store.MEMORY_ONLY_STAGE`).
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ __all__ = [
     "TimingSolution",
     "sample_workload",
     "workload_key",
+    "chunk_stats_key",
     "transfer_key",
     "design_cache",
     "cache_design_key",
@@ -105,6 +111,12 @@ def workload_key(app: AppProfile, num_blocks: int, seed: int) -> StoreKey:
     value streams.
     """
     return ("workload", app, num_blocks, seed)
+
+
+def chunk_stats_key(app: AppProfile, num_blocks: int, seed: int) -> StoreKey:
+    """Store key of a workload sample's chunk-value statistics
+    (``workloads.generator.chunk_statistics``, Figs. 12/13)."""
+    return ("chunk-stats", app, num_blocks, seed)
 
 
 def sample_workload(app: AppProfile, num_blocks: int, seed: int) -> WorkloadSample:

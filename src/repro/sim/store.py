@@ -16,6 +16,12 @@ provide:
 Keys are plain tuples of hashables, built by each stage's ``*_key``
 function in :mod:`repro.sim.stages`; the leading element names the
 stage so one store can hold every stage's results without collisions.
+
+Workload samples (:data:`MEMORY_ONLY_STAGE`) stay in memory: neither
+the pickle file nor the warehouse tier receives them.  Everything
+derived from a sample — transfer statistics, chunk statistics, whole
+runs — persists, so a warm re-run reads its results without redrawing
+any sample.
 """
 
 from __future__ import annotations
@@ -49,6 +55,13 @@ WAREHOUSE_ENV = "REPRO_WAREHOUSE"
 STORE_FORMAT_VERSION = 2
 
 StoreKey = tuple[Hashable, ...]
+
+#: Leading key element (``stages.workload_key``) of the stage whose
+#: entries are never persisted: :meth:`ResultStore.save` skips them and
+#: the warehouse tier never receives them.  A workload sample is about
+#: 100x the bytes of everything derived from it, and redrawing one
+#: takes about 10 ms.
+MEMORY_ONLY_STAGE = "workload"
 
 #: Internal "no value" marker (``None`` is a legitimate stored value).
 _ABSENT = object()
@@ -94,9 +107,11 @@ class ResultStore:
 
     Args:
         path: When given, the store loads any existing pickle at that
-            path on construction and :meth:`save` writes back to it.
-            Counters persist alongside the entries, so a sequence of CLI
-            invocations accumulates meaningful statistics.
+            path on construction and :meth:`save` writes back to it
+            every entry but the workload samples
+            (:data:`MEMORY_ONLY_STAGE`).  Counters persist alongside
+            the entries, so a sequence of CLI invocations accumulates
+            meaningful statistics.
         max_entries: When given, cap the store at this many entries,
             evicting least-recently-used ones (every hit refreshes its
             key's recency).  ``None`` (the default) keeps the historic
@@ -108,10 +123,11 @@ class ResultStore:
         warehouse: The durable disk tier beneath the memory LRU: a
             :class:`~repro.sim.warehouse.SegmentWarehouse`, or a
             directory path to open one at.  Lookups read through to it
-            (a warehouse hit is **promoted** into memory), writes go
-            write-behind into its append-only segments, and a restarted
-            process pointed at the same directory warm-starts its
-            cache.  ``None`` (the default) keeps the store memory-only.
+            (a warehouse hit is **promoted** into memory), writes
+            other than workload samples go write-behind into its
+            append-only segments, and a restarted process pointed at
+            the same directory warm-starts its cache.  ``None`` (the
+            default) keeps the store memory-only.
     """
 
     def __init__(
@@ -179,11 +195,11 @@ class ResultStore:
 
         With a warehouse attached, the entry also lands (write-behind,
         append-once) in the disk tier, so it survives both LRU eviction
-        and process restart.
+        and process restart — unless it is a workload sample.
         """
         self._entries.pop(key, None)  # re-insert at the recent end
         self._entries[key] = value
-        if self.warehouse is not None:
+        if self.warehouse is not None and key[0] != MEMORY_ONLY_STAGE:
             self.warehouse.put(key, value)
         self._evict_over_cap()
 
@@ -310,7 +326,9 @@ class ResultStore:
     def save(self, path: str | Path | None = None) -> Path:
         """Pickle the entries and counters to ``path`` (or ``self.path``).
 
-        The write is atomic (temp file + rename) so a crashed run never
+        Workload samples are left out (:data:`MEMORY_ONLY_STAGE`); a
+        store loaded from an older file drops its samples here.  The
+        write is atomic (temp file + rename) so a crashed run never
         leaves a truncated store behind.
         """
         target = Path(path) if path is not None else self.path
@@ -318,7 +336,10 @@ class ResultStore:
             raise ValueError("no path given and the store has no default path")
         payload = {
             "version": STORE_FORMAT_VERSION,
-            "entries": self._entries,
+            "entries": {
+                key: value for key, value in self._entries.items()
+                if key[0] != MEMORY_ONLY_STAGE
+            },
             "hits": self._hits,
             "misses": self._misses,
             "evictions": self._evictions,
@@ -441,7 +462,7 @@ def default_store() -> ResultStore:
 #: Constructed — and its ``REPRO_RESULT_STORE`` pickle loaded — on first
 #: attribute access (PEP 562), never at import time: this module is
 #: imported by :mod:`repro.sim.stages` before the stage dataclasses
-#: exist, so an import-time load would unpickle ``WorkloadSample`` from
+#: exist, so an import-time load would unpickle ``CacheDesign`` from
 #: a partially initialized module and quarantine a perfectly good store
 #: on every warm restart.
 RESULT_STORE: ResultStore

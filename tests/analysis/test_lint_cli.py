@@ -38,7 +38,8 @@ FIXTURE = {
 
 
 def lint(*argv: str) -> int:
-    from repro.analysis.cli import add_lint_arguments, run_lint
+    from repro.analysis.cli import run_lint
+    from repro.cli import add_lint_arguments
 
     parser = argparse.ArgumentParser(prog="repro lint")
     add_lint_arguments(parser)

@@ -151,6 +151,27 @@ class TestDispatch:
         )
 
 
+class TestChunkStatisticsStage:
+    """The Figs. 12/13 stage against an oracle that shares no store
+    code: the stream redrawn with ``block_stream`` and measured
+    directly."""
+
+    @pytest.mark.parametrize("app", ["FFT", "Radix", "Ocean"])
+    @pytest.mark.parametrize("num_blocks", [1, 200, 3000])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_the_redrawn_stream(self, app, num_blocks, seed):
+        from repro.workloads.generator import block_stream, chunk_statistics
+        from repro.workloads.profiles import profile
+
+        app = profile(app)
+        engine = StagedEngine(ResultStore())
+        stats = engine.chunk_statistics(app, num_blocks, seed)
+        assert stats == chunk_statistics(block_stream(app, num_blocks, seed))
+        misses = engine.store.misses
+        assert engine.chunk_statistics(app, num_blocks, seed) is stats
+        assert engine.store.misses == misses  # computed once, then read
+
+
 class TestStoreIntegration:
     def test_repeated_run_hits_store(self):
         engine = StagedEngine(ResultStore())

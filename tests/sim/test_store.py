@@ -115,21 +115,21 @@ class TestWarmRestart:
 
     ``repro.sim.stages`` imports this module for ``StoreKey`` before
     its stage dataclasses exist, so an import-time load of the
-    ``REPRO_RESULT_STORE`` pickle used to unpickle ``WorkloadSample``
-    from the partially initialized module — quarantining a perfectly
-    good store on every warm restart.
+    ``REPRO_RESULT_STORE`` pickle used to unpickle a stage dataclass
+    such as ``CacheDesign`` from the partially initialized module —
+    quarantining a perfectly good store on every warm restart.
     """
 
     SEED = textwrap.dedent(
         """
         import sys
-        from repro.sim.stages import sample_workload, workload_key
+        from repro.sim.config import SystemConfig
+        from repro.sim.stages import cache_design_key, design_cache
         from repro.sim.store import ResultStore
-        from repro.workloads.profiles import profile
 
-        app = profile("FFT")
+        system = SystemConfig()
         store = ResultStore(sys.argv[1])
-        store.put(workload_key(app, 8, 0), sample_workload(app, 8, 0))
+        store.put(cache_design_key(system, 128, 0), design_cache(system, 128, 0))
         store.save()
         """
     )
@@ -167,6 +167,92 @@ class TestWarmRestart:
         assert warm.returncode == 0, warm.stderr
         assert path.exists()
         assert not (tmp_path / "warm.pkl.corrupt").exists()
+
+
+class TestSamplesStayInMemory:
+    """Workload samples are never persisted, while everything derived
+    from them is: a warm run draws no sample at all."""
+
+    RUN = textwrap.dedent(
+        """
+        import sys
+        from repro.cli import main
+
+        if sys.argv[1] == "warm":
+            from repro.kernels import pipeline
+            from repro.sim import stages
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("a warm run drew a block sample")
+
+            stages.sample_workload = refuse
+            pipeline.block_assemble = refuse
+        sys.exit(main(sys.argv[2:]))
+        """
+    )
+
+    @classmethod
+    def _run(cls, store, mode, figure):
+        src = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "src"
+        )
+        return subprocess.run(
+            [sys.executable, "-c", cls.RUN, mode,
+             "run", figure, "--sample-blocks", "200", "--json"],
+            env=dict(os.environ, PYTHONPATH=src, REPRO_RESULT_STORE=str(store)),
+            capture_output=True, text=True, timeout=300,
+        )
+
+    def test_warm_figure_runs_read_the_saved_statistics(self, tmp_path):
+        import json
+        import pickle
+        from collections import Counter
+
+        from repro.experiments import fig13_last_value
+
+        store = tmp_path / "store.pkl"
+        cold = self._run(store, "cold", "fig12")
+        assert cold.returncode == 0, cold.stderr
+        with open(store, "rb") as handle:
+            entries = pickle.load(handle)["entries"]
+        stages = Counter(key[0] for key in entries)
+        assert "workload" not in stages
+        assert stages["chunk-stats"] == 16
+
+        warm = self._run(store, "warm", "fig12")
+        assert warm.returncode == 0, warm.stderr
+        assert warm.stdout == cold.stdout
+        warm = self._run(store, "warm", "fig13")
+        assert warm.returncode == 0, warm.stderr
+        assert json.loads(warm.stdout) == fig13_last_value.run(num_blocks=200)
+
+    def test_a_store_holding_samples_still_loads(self, tmp_path):
+        """A store written while samples were still persisted loads
+        as it is; the next save drops its samples."""
+        import pickle
+        import warnings
+
+        from repro.sim.stages import sample_workload, workload_key
+        from repro.sim.store import STORE_FORMAT_VERSION
+        from repro.workloads.profiles import profile
+
+        app = profile("FFT")
+        sample_key = workload_key(app, 8, 0)
+        path = tmp_path / "store.pkl"
+        payload = {
+            "version": STORE_FORMAT_VERSION,
+            "entries": {sample_key: sample_workload(app, 8, 0), ("k",): 1},
+            "hits": 2, "misses": 3, "evictions": 0,
+        }
+        with open(path, "wb") as handle:
+            pickle.dump(payload, handle)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            store = ResultStore(path)
+        assert store.stats() == StoreStats(hits=2, misses=3, size=2)
+        assert store.get(sample_key).num_blocks == 8
+        store.save()
+        assert list(ResultStore(path)) == [("k",)]
 
 
 class TestGracefulLoad:

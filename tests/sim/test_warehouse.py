@@ -299,6 +299,26 @@ class TestStoreIntegration:
         store.save()
         assert store.warehouse.stats().pending == 0
 
+    def test_workload_samples_stay_off_disk(self, tmp_path):
+        """A run's sample is memory-only; the run result is written."""
+        from repro.sim.config import SystemConfig, desc_scheme
+        from repro.sim.engine import StagedEngine
+        from repro.sim.stages import run_key, workload_key
+        from repro.workloads.profiles import profile
+
+        app, scheme = profile("FFT"), desc_scheme("zero")
+        system = SystemConfig(sample_blocks=50)
+        store = ResultStore(warehouse=tmp_path)
+        StagedEngine(store).run(app, scheme, system)
+        sample = workload_key(app, system.sample_blocks, system.seed)
+        assert sample in store  # held in memory
+        store.flush()
+
+        on_disk = SegmentWarehouse(tmp_path)
+        assert run_key(app, scheme, system) in on_disk
+        assert sample not in on_disk
+        assert all(key[0] != "workload" for key in on_disk)
+
     def test_warehouse_accepts_prebuilt_instance(self, tmp_path):
         warehouse = SegmentWarehouse(tmp_path, flush_every=1)
         store = ResultStore(warehouse=warehouse)

@@ -76,6 +76,33 @@ class TestVersion:
         assert package_version() in (repro.__version__, package_version())
 
 
+class TestParseCost:
+    def test_a_figure_run_loads_no_lint_rules_or_version(self, tmp_path):
+        """Parsing attaches the lint flags without importing
+        repro.analysis (whose package loads every rule module), and
+        resolves the version only for --version."""
+        import os
+        import subprocess
+        import sys as _sys
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "main(['run', 'fig03', '--json'])\n"
+            "print([m for m in ('repro.analysis.rules', 'repro.util.version')"
+            " if m in sys.modules], file=sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [_sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True, text=True, cwd=tmp_path, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "[]"
+
+
 class TestCacheStats:
     def test_reports_in_process_store(self, capsys):
         assert main(["cache-stats"]) == 0
@@ -247,7 +274,7 @@ class TestSweepCommand:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert err.splitlines()[-1] == (
-            "repro: error: num_banks must be a power of two, got 3"
+            "repro sweep: error: num_banks must be a power of two, got 3"
         )
         assert "Traceback" not in err
 
@@ -266,12 +293,15 @@ class TestSweepCommand:
     )
     def test_field_values_are_typed(self, capsys, field, message):
         """The values of a --field are typed and bounded like the same
-        fields of a /sweep request: a wrong one exits 2 naming it."""
+        fields of a /sweep request: a wrong one exits 2 naming it,
+        under the sweep command's own usage line."""
         with pytest.raises(SystemExit) as excinfo:
             main(self.ARGS + ["--field", field, "--json"])
         assert excinfo.value.code == 2
         captured = capsys.readouterr()
-        assert captured.err.splitlines()[-1].startswith(f"repro: error: {message}")
+        lines = captured.err.splitlines()
+        assert lines[0].startswith("usage: repro sweep ")
+        assert lines[-1].startswith(f"repro sweep: error: {message}")
         assert captured.out == ""
 
     def test_corrupt_persisted_store_warns_and_completes(self, tmp_path):
