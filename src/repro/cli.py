@@ -948,7 +948,7 @@ def main(argv: list[str] | None = None) -> int:
         return _run_sweep(args, sweep_parser)
 
     if args.command == "explore":
-        return _run_explore(args, parser)
+        return _run_explore(args, explore_parser)
 
     figures = _figures()
 
@@ -959,7 +959,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "run":
         if args.figure not in figures:
-            parser.error(
+            run_parser.error(
                 f"unknown figure {args.figure!r}; see 'python -m repro list'"
             )
         description, runner = figures[args.figure]
@@ -991,7 +991,7 @@ def main(argv: list[str] | None = None) -> int:
     # command == "all"
     if args.json:
         # Fail before the figures run; appending truncates nothing.
-        _open_output(args.json, "a", parser).close()
+        _open_output(args.json, "a", all_parser).close()
     results = {}
     for name, (description, runner) in figures.items():
         print(f"running {name}: {description} ...", file=sys.stderr)
@@ -999,7 +999,7 @@ def main(argv: list[str] | None = None) -> int:
     _save_store()
     _print_profile(args)
     if args.json:
-        with _open_output(args.json, "w", parser) as handle:
+        with _open_output(args.json, "w", all_parser) as handle:
             json.dump(results, handle, indent=2, default=str)
         print(f"wrote {args.json}", file=sys.stderr)
     else:

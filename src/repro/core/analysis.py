@@ -10,6 +10,9 @@ assert bit-for-bit agreement with the link on random streams.
 
 The system simulator calls this model once per application with the full
 block-value stream, which is what makes whole-paper sweeps tractable.
+It hands the model the sample's packed words: at 1- and 2-bit chunks a
+round is a few bytes of the block, and the model takes its tallies from
+popcounts over them; wider chunks are cut from the words into values.
 """
 
 from __future__ import annotations
@@ -21,11 +24,15 @@ import numpy as np
 from repro.core.chunking import ChunkLayout
 from repro.core.protocol import TransferCost
 from repro.kernels import pipeline
-from repro.kernels.batched import shifted_prev, strobe_flips
+from repro.kernels.batched import popcount, shifted_prev, strobe_flips
 
 __all__ = ["StreamCost", "DescCostModel"]
 
 _POLICIES = ("none", "zero", "last-value")
+
+#: Chunk widths whose tallies come from popcounts over the packed bits
+#: of each round; wider chunks are tallied from int64 chunk values.
+_POPCOUNT_CHUNK_BITS = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -125,17 +132,37 @@ class DescCostModel:
         stream = self.stream_cost(np.asarray(chunks, dtype=np.int64)[None, :])
         return stream.block(0)
 
-    def stream_cost(self, blocks: np.ndarray) -> StreamCost:
-        """Costs for a ``(num_blocks, num_chunks)`` stream of blocks."""
+    def stream_cost(self, blocks) -> StreamCost:
+        """Costs for a ``(num_blocks, num_chunks)`` stream of chunk
+        values, or for the same blocks as ``pipeline.PackedBits``.
+
+        Packed 1- and 2-bit chunks are tallied from popcounts over each
+        round's bits when a round fills whole bytes; other packed
+        streams are cut into chunk values first.
+        """
+        layout = self._layout
+        if isinstance(blocks, pipeline.PackedBits):
+            if blocks.block_bits != layout.block_bits:
+                raise ValueError(
+                    f"expected packed blocks of {layout.block_bits} bits, "
+                    f"got {blocks.block_bits}"
+                )
+            unit = _round_unit_bits(layout)
+            if unit and blocks.num_blocks and type(self) is DescCostModel:
+                arrays, last = _packed_arrays(
+                    blocks, layout, unit, self._skip_policy, self._last
+                )
+                return self._finish(arrays, blocks.num_blocks, last)
+            blocks = blocks.chunks(layout.chunk_bits)
         blocks = np.asarray(blocks, dtype=np.int64)
-        if blocks.ndim != 2 or blocks.shape[1] != self._layout.num_chunks:
+        if blocks.ndim != 2 or blocks.shape[1] != layout.num_chunks:
             raise ValueError(
-                f"expected blocks of shape (n, {self._layout.num_chunks}), "
+                f"expected blocks of shape (n, {layout.num_chunks}), "
                 f"got {blocks.shape}"
             )
         num_blocks = blocks.shape[0]
-        rounds = self._layout.num_rounds
-        wires = self._layout.num_wires
+        rounds = layout.num_rounds
+        wires = layout.num_wires
         if num_blocks == 0:
             empty = np.zeros(0, dtype=np.int64)
             return StreamCost(empty, empty, empty, empty)
@@ -153,13 +180,22 @@ class DescCostModel:
             # Subclasses may override _fire_schedule; honour it.
             skipped, fire = self._fire_schedule(values)
             arrays = pipeline.schedule_arrays(skipped, fire, num_blocks, rounds)
+        # Wire history after the stream: the last round's delivered values.
+        return self._finish(arrays, num_blocks, values[-1].copy())
+
+    def _finish(self, arrays, num_blocks: int, last: np.ndarray) -> StreamCost:
+        """Latency, strobe flips and wire history from the integer tallies.
+
+        Float math stays here, in one formulation, so every tally path
+        (native, NumPy, packed popcounts) gives the same latency bits.
+        """
         data_flips, overhead_flips, cycles, fire_sum, per_round_data = arrays
+        rounds = self._layout.num_rounds
 
         # Critical-path latency: the mean fire cycle of the round's
         # transmitted chunks (the paper's average-value latency model)
         # plus the strobe overhead — one cycle for basic DESC's final
-        # toggle, two when a closing skip toggle is needed.  Float math
-        # stays here, in one formulation, so every tier agrees exactly.
+        # toggle, two when a closing skip toggle is needed.
         counts = np.maximum(per_round_data, 1)
         mean_fire = fire_sum.astype(np.float64) / counts
         extra = 1.0 + (self._skip_policy != "none")
@@ -170,8 +206,7 @@ class DescCostModel:
         # across blocks (and across calls) exactly as the link does.
         sync_flips, self._busy_cycles = strobe_flips(cycles, self._busy_cycles)
 
-        # Wire history after the stream: the last round's delivered values.
-        self._last = values[-1].copy()
+        self._last = last
         return StreamCost(
             data_flips=data_flips.astype(np.int64),
             overhead_flips=overhead_flips.astype(np.int64),
@@ -195,3 +230,134 @@ class DescCostModel:
         skipped = values == prev
         fire = values + (values < prev).astype(np.int64)
         return skipped, fire
+
+
+# ----------------------------------------------------------------------
+# Tallies from packed bits (1- and 2-bit chunks)
+# ----------------------------------------------------------------------
+
+
+def _round_unit_bits(layout: ChunkLayout) -> int | None:
+    """Width of the unsigned words a round's bits are read as, or
+    ``None`` when the popcount tallies do not apply: chunks wider than
+    2 bits, or rounds that do not fill whole bytes."""
+    if layout.chunk_bits not in _POPCOUNT_CHUNK_BITS:
+        return None
+    round_bits = layout.num_wires * layout.chunk_bits
+    return next((u for u in (64, 32, 16, 8) if round_bits % u == 0), None)
+
+
+def _lane_of(values: np.ndarray, chunk_bits: int, dtype: np.dtype) -> np.ndarray:
+    """The packed lane of one round's chunk values (wire 0 lowest)."""
+    bits = (values[:, None] >> np.arange(chunk_bits)) & 1
+    packed = np.packbits(bits.astype(np.uint8).reshape(-1), bitorder="little")
+    return packed.view(dtype)
+
+
+def _values_of(lane: np.ndarray, chunk_bits: int) -> np.ndarray:
+    """The int64 chunk values of one packed round (wire 0 first)."""
+    bits = np.unpackbits(lane.view(np.uint8), bitorder="little")
+    weights = 1 << np.arange(chunk_bits, dtype=np.int64)
+    return bits.reshape(-1, chunk_bits).astype(np.int64) @ weights
+
+
+def _across(words: np.ndarray, op) -> np.ndarray:
+    """Combine each round's words (the columns of ``words``) with
+    ``op``: a loop over the few columns runs faster than a reduction
+    along a short axis."""
+    out = words[:, 0]
+    for column in range(1, words.shape[1]):
+        out = op(out, words[:, column])
+    return out
+
+
+def _packed_arrays(
+    packed: "pipeline.PackedBits",
+    layout: ChunkLayout,
+    unit: int,
+    policy: str,
+    last: np.ndarray,
+):
+    """``desc_stream_arrays``' five tallies from popcounts over packed
+    rounds, and the wire history after the stream.
+
+    Round ``t`` is the ``wires * chunk_bits`` contiguous bits of its
+    block, read as ``unit``-bit words.  Each plane ``k`` holds bit ``k``
+    of every chunk, moved down to the chunk's lowest bit, so a chunk
+    is one bit position in every plane:
+
+    * zero skipping sends the non-zero chunks, each firing at its value;
+    * last-value skipping sends the chunks that differ from the wire's
+      previous round, each firing at its value plus one when it is
+      below the previous value (the comparison and the add run plane by
+      plane, most significant plane first for the comparison);
+    * ``none`` sends every chunk at its value.
+
+    A round's fire sum is ``sum_k 2**k * popcount(fire plane k)``; its
+    last fire is the largest fired value, found plane by plane.
+    """
+    c = layout.chunk_bits
+    wires = layout.num_wires
+    rounds = layout.num_rounds
+    n = packed.num_blocks
+    dtype = np.dtype(f"<u{unit // 8}")
+    data = packed.words.view(np.uint8)[: n * layout.block_bits // 8]
+    lanes = data.view(dtype).reshape(n * rounds, -1)
+    low = dtype.type(sum(1 << bit for bit in range(0, unit, c)))
+
+    def planes(x: np.ndarray) -> list[np.ndarray]:
+        return [(x >> dtype.type(k)) & low for k in range(c)]
+
+    value = planes(lanes)
+    if policy == "last-value":
+        prev = planes(shifted_prev(lanes, _lane_of(last, c, dtype)))
+        sent = np.zeros_like(lanes)
+        for v, p in zip(value, prev, strict=True):
+            sent |= v ^ p
+        below = np.zeros_like(lanes)
+        equal = np.full_like(lanes, low)
+        for v, p in zip(reversed(value), reversed(prev), strict=True):
+            below |= equal & ~v & p
+            equal &= ~(v ^ p)
+        fire = []
+        carry = below
+        for v in value:
+            fire.append((v ^ carry) & sent)
+            carry = v & carry
+    else:
+        fire = value
+        sent = None
+        if policy == "zero":
+            sent = np.zeros_like(lanes)
+            for v in value:
+                sent |= v
+
+    if sent is None:
+        per_round_data = np.full(len(lanes), wires, dtype=np.int64)
+    else:
+        per_round_data = _across(popcount(sent), np.add)
+    fire_sum = np.zeros(len(lanes), dtype=np.int64)
+    for k, plane in enumerate(fire):
+        fire_sum += _across(popcount(plane), np.add) << k
+    top = np.zeros(len(lanes), dtype=np.int64)
+    candidates = np.full_like(lanes, low)
+    for k in reversed(range(c)):
+        hit = fire[k] & candidates
+        found = _across(hit, np.bitwise_or) != 0
+        top += found.astype(np.int64) << k
+        candidates = np.where(found[:, None], hit, candidates)
+
+    any_skipped = per_round_data < wires
+    duration = np.where(per_round_data == 0, 2, top + 1 + any_skipped)
+
+    def per_block(per_round: np.ndarray) -> np.ndarray:
+        return per_round.reshape(n, rounds).sum(axis=1).astype(np.int64)
+
+    arrays = (
+        per_block(per_round_data),
+        per_block(1 + any_skipped.astype(np.int64)),
+        per_block(duration),
+        fire_sum,
+        per_round_data,
+    )
+    return arrays, _values_of(lanes[-1], c)

@@ -13,19 +13,22 @@ layout of Figure 9 uses.
 
 :meth:`HammingSecded.encode` and :meth:`HammingSecded.decode` work on
 0/1 matrices of whole codewords; they are the per-word specification.
-The ECC stream paths (:mod:`repro.ecc.layout`) take their check bits
-from :meth:`HammingSecded.check_bits` instead, which computes them on
-packed data words, one popcount parity per Hamming row, and decode
-with :meth:`HammingSecded.decode_check_bits`, whose syndrome is the
-received check bits XOR the check bits of the received data.  The
-tests hold each pair equal.
+The ECC stream paths (:mod:`repro.ecc.layout`) encode with
+:meth:`HammingSecded.check_words`, which XORs one table entry per data
+byte (the code is linear, so a word's check bits are the XOR of its
+bytes' check bits), and decode with
+:meth:`HammingSecded.decode_check_bits`, whose syndrome is the received
+check bits XOR the check bits of the received data
+(:meth:`HammingSecded.check_bits`, one popcount parity per Hamming row
+over packed data words).  The tests hold each against the
+specification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -169,6 +172,24 @@ class HammingSecded:
         overall = (popcount(folded) + hamming.sum(axis=1)) & 1
         return np.concatenate([hamming, overall[:, None]], axis=1).astype(np.uint8)
 
+    def check_words(self, units: np.ndarray) -> np.ndarray:
+        """Check bits of data given as unit values, one integer per word.
+
+        ``units`` is ``(words, k)``: each word's data cut into ``k``
+        units of ``data_bits // k`` bits (at most 8), unit 0 holding
+        data bits ``0, 1, ...`` from its least-significant bit up, as
+        ``PackedBits.chunks`` cuts them.  Returns ``(words,)`` uint32
+        with check bit ``j``, in :meth:`check_bits` order, at bit ``j``.
+        The code is linear, so the check bits of a word are the XOR of
+        one table entry per unit: the check bits of that unit alone.
+        """
+        units = np.asarray(units)
+        table = _unit_check_table(self.data_bits, self.data_bits // units.shape[1])
+        words = table[0][units[:, 0]]
+        for index in range(1, units.shape[1]):
+            words ^= table[index][units[:, index]]
+        return words
+
     def encode(self, data: np.ndarray) -> np.ndarray:
         """Encode ``(words, data_bits)`` (or a single word) to codewords.
 
@@ -284,3 +305,27 @@ class HammingSecded:
 
     def __repr__(self) -> str:
         return f"HammingSecded(({self.codeword_bits}, {self.data_bits}))"
+
+
+@lru_cache(maxsize=None)
+def _unit_check_table(data_bits: int, unit_bits: int) -> np.ndarray:
+    """``(data_bits // unit_bits, 2**unit_bits)`` uint32 check words.
+
+    Entry ``[i, v]`` holds the check bits (bit ``j`` = check bit ``j``)
+    of the data whose unit ``i`` is ``v`` and whose other bits are 0.
+    Built from the check words of the single data bits: each table
+    column doubles by XOR-ing in the next bit of the unit.
+    """
+    if unit_bits < 1 or unit_bits > 8 or data_bits % unit_bits:
+        raise ValueError(
+            f"cannot cut {data_bits} data bits into units of {unit_bits} bits"
+        )
+    code = HammingSecded(data_bits)
+    single = code.check_bits(code.pack_data(np.eye(data_bits, dtype=np.uint8)))
+    weights = np.uint32(1) << np.arange(code.parity_bits, dtype=np.uint32)
+    basis = (single.astype(np.uint32) * weights).sum(axis=1, dtype=np.uint32)
+    basis = basis.reshape(-1, unit_bits)
+    table = np.zeros((len(basis), 1), dtype=np.uint32)
+    for bit in range(unit_bits):
+        table = np.concatenate([table, table ^ basis[:, bit : bit + 1]], axis=1)
+    return table

@@ -15,12 +15,18 @@ the per-segment parity bits are interleaved into parity chunks the same
 way.  For the paper's default — 512-bit blocks, four 128-bit segments,
 4-bit chunks — this gives 128 data chunks plus 9 parity chunks, i.e.
 nine additional wires, exactly as Section 3.2.3 states.
+
+The stream encoders work on packed words (``PackedBits``): check bits
+come from the segments' bytes (:meth:`HammingSecded.check_words`) and
+the interleave spreads whole bytes at a time, so no block is unpacked
+into a 0/1 matrix.  :func:`secded_extend_stream` still widens a bit
+matrix, for the encoders that stream data and check bits together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -32,7 +38,12 @@ from repro.util.validation import (
     require_positive,
 )
 
-__all__ = ["EccBlockResult", "DescEccLayout", "secded_extend_stream"]
+__all__ = [
+    "EccBlockResult",
+    "DescEccLayout",
+    "secded_check_words",
+    "secded_extend_stream",
+]
 
 
 def _bit_matrix(blocks_bits) -> np.ndarray:
@@ -46,6 +57,67 @@ def _bit_matrix(blocks_bits) -> np.ndarray:
     return bits
 
 
+def _packed(blocks_bits) -> PackedBits:
+    """A :class:`PackedBits` of the blocks, packing a 0/1 matrix once."""
+    if isinstance(blocks_bits, PackedBits):
+        return blocks_bits
+    return PackedBits.from_bits(_bit_matrix(blocks_bits))
+
+
+def _unit_bits(segment_bits: int, stride: int) -> int:
+    """The widest unit of at most a byte that a segment cuts into
+    evenly and whose bits, spread ``stride`` apart, fit 64 bits."""
+    return next(
+        unit for unit in (8, 4, 2, 1)
+        if segment_bits % unit == 0 and unit * stride <= 64
+    )
+
+
+def _segment_units(
+    packed: PackedBits, segment_bits: int, stride: int
+) -> tuple[np.ndarray, int]:
+    """``(n, segments, units)`` uint8 unit values and the unit width."""
+    unit = _unit_bits(segment_bits, stride)
+    units = packed.chunks(unit, dtype=np.uint8)
+    return units.reshape(packed.num_blocks, -1, segment_bits // unit), unit
+
+
+@lru_cache(maxsize=None)
+def _spread_table(unit_bits: int, stride: int) -> np.ndarray:
+    """Table moving bit ``q`` of a unit value to bit ``q * stride``, in
+    the narrowest unsigned type that holds ``unit_bits * stride`` bits."""
+    dtype = np.min_scalar_type((1 << (unit_bits * stride)) - 1)
+    values = np.arange(1 << unit_bits, dtype=dtype)
+    spread = np.zeros_like(values)
+    for bit in range(unit_bits):
+        spread |= ((values >> dtype.type(bit)) & dtype.type(1)) << dtype.type(
+            bit * stride
+        )
+    return spread
+
+
+def secded_check_words(blocks_bits, segment_bits: int) -> np.ndarray:
+    """SECDED check bits of every ``segment_bits`` segment of a stream.
+
+    ``blocks_bits`` is a :class:`PackedBits` or a 0/1 matrix.  Returns
+    ``(n, num_segments)`` uint32, check bit ``j`` of a segment at bit
+    ``j`` (:meth:`HammingSecded.check_words`), taken from the packed
+    bytes of the segments.  On a binary bus each beat carries one
+    segment and its check bits on wires of their own, so the parity
+    wires flip where consecutive check words differ.
+    """
+    packed = _packed(blocks_bits)
+    if packed.block_bits % segment_bits:
+        raise ValueError(
+            f"blocks of shape {packed.shape} cannot be cut into "
+            f"{segment_bits}-bit segments"
+        )
+    units, _ = _segment_units(packed, segment_bits, 1)
+    code = HammingSecded(segment_bits)
+    words = code.check_words(units.reshape(-1, units.shape[2]))
+    return words.reshape(packed.num_blocks, -1)
+
+
 def secded_extend_stream(blocks_bits, segment_bits: int) -> np.ndarray:
     """Append SECDED check bits for a *binary* bus (Figures 28/29).
 
@@ -54,9 +126,11 @@ def secded_extend_stream(blocks_bits, segment_bits: int) -> np.ndarray:
     ``W-S`` configurations with ``W == S``).  This helper widens a
     ``(n, block_bits)`` stream — a :class:`PackedBits` or a 0/1 matrix
     — to a ``(n, nseg * (segment_bits + p))`` 0/1 matrix with each
-    segment's bits followed by its check bits, ready for
-    :class:`~repro.encoding.binary.BinaryEncoder` at width
-    ``segment_bits + p``.
+    segment's bits followed by its check bits, ready for an encoder
+    at width ``segment_bits + p``.  It unpacks the stream; the binary
+    transfer model needs only the check words
+    (:func:`secded_check_words`), and this widened matrix is the
+    reference its costs are tested against.
     """
     bits = _bit_matrix(blocks_bits)
     n, block_bits = bits.shape
@@ -183,7 +257,7 @@ class DescEccLayout:
 
     def encode_stream(self, blocks_bits) -> np.ndarray:
         """Protect ``(n, block_bits)`` blocks: a :class:`PackedBits` or a
-        0/1 matrix.
+        0/1 matrix (packed here, once).
 
         Returns ``(n, num_chunks)`` chunk values (data chunks first,
         then parity chunks) — the wire stream the ECC benchmarks feed
@@ -191,41 +265,60 @@ class DescEccLayout:
         bits over the non-power-of-two codeword positions; on the wires
         the segments keep their natural order and the check bits
         (Hamming parities, then the overall parity) ride separately,
-        re-assembled into position-ordered codewords at decode.
+        re-assembled into position-ordered codewords at decode.  Both
+        the check bits and the interleave read the packed bytes.
         """
-        bits = _bit_matrix(blocks_bits)
-        if bits.shape[1] != self.block_bits:
+        packed = _packed(blocks_bits)
+        if packed.block_bits != self.block_bits:
             raise ValueError(
                 f"expected blocks of shape (n, {self.block_bits}), "
-                f"got {bits.shape}"
+                f"got {packed.shape}"
             )
-        n = bits.shape[0]
-        segments = bits.reshape(n * self.num_segments, self.segment_bits)
-        check = self.code.check_bits(self.code.pack_data(segments))
-        data3 = bits.reshape(n, self.num_segments, self.segment_bits)
-        parity3 = check.reshape(n, self.num_segments, self.parity_bits_per_segment)
-        return np.concatenate(
-            [self._interleave_stream(data3), self._interleave_stream(parity3)],
-            axis=1,
+        n = packed.num_blocks
+        c = self.chunk_bits
+        units, unit = _segment_units(packed, self.segment_bits, c)
+        check = self.code.check_words(units.reshape(n * self.num_segments, -1))
+        # A segment's check word interleaves whole when its spread bits
+        # fit 64 bits; otherwise bit by bit.
+        p = self.parity_bits_per_segment
+        if p * c > 64:
+            check = (check[:, None] >> np.arange(p, dtype=np.uint32)) & 1
+            p = 1
+        out = np.empty((n, self.num_chunks), dtype=np.int64)
+        data = self.num_data_chunks
+        self._interleave_stream(units, unit, out[:, :data])
+        self._interleave_stream(
+            check.reshape(n, self.num_segments, -1), p, out[:, data:]
         )
+        return out
 
-    def _interleave_stream(self, per_segment: np.ndarray) -> np.ndarray:
-        """``(n, num_segments, bits)`` → ``(n, bits * groups)`` chunk values.
+    def _interleave_stream(
+        self, units: np.ndarray, unit_bits: int, out: np.ndarray
+    ) -> None:
+        """Write the chunk values of ``(n, num_segments, k)`` values of
+        ``unit_bits`` bits each into ``out``, ``(n, k * unit_bits *
+        groups)``.
 
         Segment ``s = group * chunk_bits + lane`` contributes its bit
-        ``p`` to lane ``lane`` of chunk ``p * groups + group``; each
-        lane is shifted into place and OR-ed in.
+        ``p`` to lane ``lane`` of chunk ``p * groups + group``.  A table
+        spreads a unit's bits ``chunk_bits`` apart, so shifting it into
+        its lane and OR-ing a group's lanes yields ``unit_bits`` whole
+        chunks at once, which are then cut apart.
         """
-        n, _, bits = per_segment.shape
+        n, _, k = units.shape
+        c = self.chunk_bits
         g = self._groups_per_lane
-        lanes = per_segment.reshape(n, g, self.chunk_bits, bits)
-        # The narrowest unsigned type that holds a chunk keeps the OR
-        # passes small; the result widens to int64 once.
-        dtype = np.min_scalar_type((1 << self.chunk_bits) - 1)
-        chunks = lanes[:, :, 0, :].astype(dtype)
-        for lane in range(1, self.chunk_bits):
-            chunks |= lanes[:, :, lane, :].astype(dtype) << dtype.type(lane)
-        return chunks.transpose(0, 2, 1).astype(np.int64).reshape(n, bits * g)
+        table = _spread_table(unit_bits, c)
+        word = table.dtype.type
+        lanes = table[units].reshape(n, g, c, k)
+        merged = lanes[:, :, 0].copy()
+        for lane in range(1, c):
+            merged |= lanes[:, :, lane] << word(lane)
+        shifts = np.arange(0, unit_bits * c, c, dtype=table.dtype)
+        cut = (merged[..., None] >> shifts) & word((1 << c) - 1)
+        # (n, group, unit, bit) -> chunk (unit * unit_bits + bit) * g + group;
+        # the reshape only splits each row of ``out``, so it is a view.
+        out.reshape(n, k, unit_bits, g)[...] = cut.transpose(0, 2, 3, 1)
 
     def decode_block(self, chunks: np.ndarray) -> EccBlockResult:
         """Recover (and correct) a block from possibly corrupted chunks."""

@@ -42,6 +42,7 @@ __all__ = [
     "make_encoder",
     "make_transfer_model",
     "register_transfer_model",
+    "resolve_segment_bits",
     "scheme_names",
     "transfer_model_names",
 ]
@@ -66,6 +67,14 @@ BEST_SEGMENT_BITS = {
     "bus-invert+zero-skip": 8,
     "bus-invert+encoded-zero-skip": 8,
 }
+
+
+def resolve_segment_bits(name: str, segment_bits: int | None) -> int | None:
+    """The segment width scheme ``name`` runs at: ``segment_bits``, or a
+    segmented baseline's Figure 15 best when it is left unset."""
+    if segment_bits or name not in BEST_SEGMENT_BITS:
+        return segment_bits
+    return BEST_SEGMENT_BITS[name]
 
 
 def scheme_names() -> tuple[str, ...]:
@@ -93,21 +102,18 @@ def make_encoder(
         desc_wires: Data-wire count for the DESC variants (paper: 128).
         chunk_bits: DESC chunk width (paper: 4).
     """
+    bits = resolve_segment_bits(name, segment_bits)
     if name == "binary":
         return BinaryEncoder(block_bits, data_wires)
     if name == "serial":
         return SerialEncoder(block_bits)
     if name == "zero-compression":
-        bits = segment_bits or BEST_SEGMENT_BITS[name]
         return ZeroCompressionEncoder(block_bits, data_wires, bits)
     if name == "bus-invert":
-        bits = segment_bits or BEST_SEGMENT_BITS[name]
         return BusInvertEncoder(block_bits, data_wires, bits, zero_skipping=None)
     if name == "bus-invert+zero-skip":
-        bits = segment_bits or BEST_SEGMENT_BITS[name]
         return BusInvertEncoder(block_bits, data_wires, bits, zero_skipping="sparse")
     if name == "bus-invert+encoded-zero-skip":
-        bits = segment_bits or BEST_SEGMENT_BITS[name]
         return BusInvertEncoder(block_bits, data_wires, bits, zero_skipping="encoded")
     if name == "desc":
         return DescEncoder(block_bits, desc_wires, chunk_bits, skip_policy="none")

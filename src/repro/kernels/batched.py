@@ -56,7 +56,7 @@ def popcount(values: np.ndarray) -> np.ndarray:
     available; otherwise four 16-bit table lookups per 64-bit word —
     either way O(n) instead of the O(n * bits) shift-and-mask loop.
     """
-    values = np.asarray(values).astype(np.uint64)
+    values = np.asarray(values).astype(np.uint64, copy=False)
     if _HAS_BITWISE_COUNT:
         return np.bitwise_count(values).astype(np.int64)
     table = _popcount16_table()

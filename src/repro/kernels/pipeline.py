@@ -175,11 +175,13 @@ class PackedBits:
 
     The per-epoch bit stream is packed **once** (by ``block_assemble``
     or :meth:`from_bits`) and every consumer reads the same words: the
-    encoder kernels, and the DESC transfer model at every chunk width
-    (:meth:`chunks`).  The unpacked view stays available through
-    :attr:`bits` for the NumPy twins and the SECDED layouts, which
-    interleave or widen individual bits; it is materialized lazily when
-    the native path produced only words.
+    encoder kernels, the DESC cost model (popcounts over each round's
+    bits at 1- and 2-bit chunks, :meth:`chunks` at wider ones), the
+    chunk-value statistics and the SECDED layouts, which take their
+    check bits and interleaves from the bytes.  The unpacked view,
+    :attr:`bits`, is materialized lazily, and only the NumPy kernel
+    twins and ``secded_extend_stream`` (SECDED baselines other than
+    binary) read it.
     """
 
     def __init__(
@@ -214,34 +216,39 @@ class PackedBits:
             self._bits = flat.reshape(self.num_blocks, self.block_bits)
         return self._bits
 
-    def chunks(self, chunk_bits: int) -> np.ndarray:
-        """``(n, block_bits // chunk_bits)`` int64 chunk values.
+    def chunks(self, chunk_bits: int, dtype=np.int64) -> np.ndarray:
+        """``(n, block_bits // chunk_bits)`` chunk values, int64 unless
+        ``dtype`` names a narrower type that holds them.
 
         Chunk 0 of a block holds its least-significant bits, as in
         :func:`repro.util.bitops.bit_matrix_to_chunks`, but nothing is
         unpacked: 1-, 2- and 4-bit chunks are shifts of the byte view,
         8-, 16- and 32-bit chunks are little-endian integer views.
         """
-        if chunk_bits not in _PACKED_CHUNK_BITS or self.block_bits % max(
-            chunk_bits, 8
-        ):
+        if chunk_bits not in _PACKED_CHUNK_BITS or self.block_bits % chunk_bits:
             raise ValueError(
                 f"cannot cut {self.block_bits}-bit packed blocks into "
                 f"{chunk_bits}-bit chunks; chunk widths are "
                 f"{_PACKED_CHUNK_BITS}"
             )
-        data = self.words.view(np.uint8)[: self.num_blocks * self.block_bits // 8]
+        total = self.num_blocks * self.block_bits
+        data = self.words.view(np.uint8)[: -(-total // 8)]
         if chunk_bits >= 8:
-            values = data.view(f"<u{chunk_bits // 8}")
+            values = data.view(f"<u{chunk_bits // 8}").astype(dtype, copy=False)
         else:
-            # One whole-stream pass per chunk of a byte, into uint8
-            # widened once: a broadcast over the few chunks of each
-            # byte runs several times slower.
-            values = np.empty((data.size, 8 // chunk_bits), dtype=np.uint8)
-            mask = (1 << chunk_bits) - 1
+            # One whole-stream pass per chunk of a byte, written straight
+            # into the output type: a broadcast over the few chunks of
+            # each byte, or a uint8 pass widened afterwards, runs slower.
+            values = np.empty((data.size, 8 // chunk_bits), dtype=dtype)
+            mask = np.uint8((1 << chunk_bits) - 1)
             for j in range(values.shape[1]):
-                values[:, j] = (data >> (j * chunk_bits)) & mask
-        return values.astype(np.int64).reshape(self.num_blocks, -1)
+                np.bitwise_and(
+                    data >> np.uint8(j * chunk_bits), mask,
+                    out=values[:, j], casting="unsafe",
+                )
+            # Blocks need not end on a byte: drop the padding chunks.
+            values = values.reshape(-1)[: total // chunk_bits]
+        return values.reshape(self.num_blocks, -1)
 
 
 #: Chunk widths :meth:`PackedBits.chunks` cuts straight from the words.

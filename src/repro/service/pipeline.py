@@ -83,6 +83,9 @@ __all__ = [
 #: see :class:`~repro.service.stages.Executor`.
 Interceptor = Callable[[list[SimJob]], Awaitable[None]]
 
+#: Marks a key the store does not hold.
+_ABSENT = object()
+
 
 def _consume_exception(future: "asyncio.Future") -> None:
     """Mark a done future's exception retrieved (waiters detached)."""
@@ -300,10 +303,10 @@ class SimulationService:
             DeadlineExceeded: The budget ran out before a result.
         """
         self.metrics.counter("requests_total").inc()
-        store = self.engine.store
-        if key in store:
+        stored = self.engine.store.get(key, _ABSENT)
+        if stored is not _ABSENT:
             self.metrics.counter("store_hits_total").inc()
-            return store.get(key)
+            return stored
         if not self.batcher.running:
             raise ServiceError("the service's drain task has died")
         return await self._enqueue(key, job, wait, deadline)

@@ -60,6 +60,9 @@ _log = logging.getLogger("repro.sim.engine")
 #: for an operator.
 _RETRY_BASE_DELAY_S = 0.05
 
+#: Marks a key the store does not hold (``None`` is a storable value).
+_ABSENT = object()
+
 
 @dataclass(frozen=True)
 class FailedJob:
@@ -151,7 +154,7 @@ class StagedEngine:
         def compute() -> dict[str, float]:
             sample = self.workload(app, num_blocks, seed)
             with timed("stage.chunk_stats"):
-                return chunk_statistics(sample.chunks)
+                return chunk_statistics(sample.packed.chunks(4))
 
         return self.store.get_or_compute(
             stages.chunk_stats_key(app, num_blocks, seed), compute
@@ -350,11 +353,12 @@ class StagedEngine:
         results: list[object | None] = []
         pending: list[tuple[int, object]] = []
         for index, (job, key) in enumerate(zip(jobs, keys, strict=True)):
-            if key in self.store:
-                results.append(self.store.get(key))
-            else:
+            stored = self.store.get(key, _ABSENT)
+            if stored is _ABSENT:
                 results.append(None)
                 pending.append((index, job))
+            else:
+                results.append(stored)
         if not pending:
             return results
         if affinity is not None:

@@ -23,17 +23,17 @@ persisted store keeps them while the sample stays in memory
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from repro.cpu.dram import DramModel
 from repro.cpu.inorder import SmtCoreModel
 from repro.cpu.ooo import OooCoreModel
 from repro.cpu.queueing import _MAX_UTILIZATION
+from repro.encoding.registry import resolve_segment_bits
 from repro.energy.cacti import CacheEnergyModel, CacheGeometry
 from repro.energy.mcpat import ProcessorEnergyBreakdown, ProcessorPowerModel
 from repro.interconnect.wires import WireModel
+from repro.kernels.pipeline import PackedBits
 from repro.sim.config import SchemeConfig, SystemConfig
 from repro.sim.metrics import L2Energy, TransferStats
 from repro.sim.store import StoreKey
@@ -74,33 +74,27 @@ _NUCA_ROUTE_SCALE = 0.40
 
 @dataclass(frozen=True)
 class WorkloadSample:
-    """One application's cached block-value sample, in both views.
+    """One application's cached block-value sample, as packed words.
 
     Attributes:
         app: The profile the sample was drawn from.
         num_blocks: Sample size (blocks).
         seed: Generator seed.
-        chunks: ``(num_blocks, 128)`` matrix of 4-bit chunk values.
-        bits: ``(num_blocks, 512)`` 0/1 matrix of the same sample, or
-            ``None`` when ``packed`` carries the stream (the matrix is
-            then available lazily via ``packed.bits``, which only the
-            SECDED layouts read).
         null_fraction: Fraction of blocks that are entirely zero.
-        packed: The same bits as little-endian packed uint64 words
-            (``pipeline.PackedBits``).  The encoder kernels, the DESC
-            chunk values of every width and the null-block filter all
-            read these words, with no re-packing or unpacking per
-            scheme.  ``None`` on samples deserialized from older
-            stores; the transfer models pack ``bits`` for those.
+        packed: The sample's ``(num_blocks, 512)`` bits as little-endian
+            packed uint64 words (``pipeline.PackedBits``), the only form
+            a sample is held in.  The encoder kernels, the DESC cost
+            model, the chunk-value statistics, the SECDED layouts and
+            the null-block filter all read these words; a stage that
+            needs chunk values cuts them from the words
+            (``PackedBits.chunks``) and drops them when it is done.
     """
 
     app: AppProfile
     num_blocks: int
     seed: int
-    chunks: np.ndarray
-    bits: np.ndarray | None
     null_fraction: float
-    packed: object | None = None
+    packed: PackedBits
 
 
 def workload_key(app: AppProfile, num_blocks: int, seed: int) -> StoreKey:
@@ -122,15 +116,11 @@ def chunk_stats_key(app: AppProfile, num_blocks: int, seed: int) -> StoreKey:
 def sample_workload(app: AppProfile, num_blocks: int, seed: int) -> WorkloadSample:
     """Draw an application's block-value sample (pure in the seed).
 
-    Both views come out of one ``pipeline.block_assemble`` call (mask
-    compares + chunk fills + word packing), so the epoch's workload
-    stage crosses the Python↔C boundary once when the native library is
-    loaded and the bit stream is packed once for every scheme that
-    consumes it.  The unpacked matrix materializes lazily (and is then
-    cached on the sample's ``packed``) only for the SECDED layouts,
-    which interleave or widen individual data bits; their check bits,
-    every DESC chunk width and the null-block filter work on the
-    packed words.
+    One ``pipeline.block_assemble`` call (mask compares + chunk fills +
+    word packing) yields the packed words, so the workload stage crosses
+    the Python↔C boundary once when the native library is loaded.  The
+    assembly's chunk matrix lives only long enough to measure the null
+    fraction; the sample keeps the words alone.
     """
     chunks, packed = block_sample(app, num_blocks, seed)
     null_fraction = float((chunks == 0).all(axis=1).mean())
@@ -138,8 +128,6 @@ def sample_workload(app: AppProfile, num_blocks: int, seed: int) -> WorkloadSamp
         app=app,
         num_blocks=num_blocks,
         seed=seed,
-        chunks=chunks,
-        bits=None,
         null_fraction=null_fraction,
         packed=packed,
     )
@@ -157,7 +145,15 @@ def transfer_key(
     seed: int,
     exclude_null: bool,
 ) -> StoreKey:
-    """Store key of a scheme's transfer statistics on a sample."""
+    """Store key of a scheme's transfer statistics on a sample.
+
+    A segmented baseline left at its default width
+    (``segment_bits=None``) is keyed by the width the registry resolves
+    it to, so it shares one entry with the same width spelled out.
+    """
+    bits = resolve_segment_bits(scheme.name, scheme.segment_bits)
+    if bits != scheme.segment_bits:
+        scheme = replace(scheme, segment_bits=bits)
     return ("transfer", scheme, app, num_blocks, seed, exclude_null)
 
 

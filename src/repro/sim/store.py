@@ -18,7 +18,8 @@ function in :mod:`repro.sim.stages`; the leading element names the
 stage so one store can hold every stage's results without collisions.
 
 Workload samples (:data:`MEMORY_ONLY_STAGE`) stay in memory: neither
-the pickle file nor the warehouse tier receives them.  Everything
+the pickle file nor the warehouse tier receives them, and neither is
+ever read for one, so a sample is always drawn fresh.  Everything
 derived from a sample — transfer statistics, chunk statistics, whole
 runs — persists, so a warm re-run reads its results without redrawing
 any sample.
@@ -180,11 +181,17 @@ class ResultStore:
         return value
 
     def get(self, key: StoreKey, default: Any = None) -> Any:
-        """Peek at a key without counting a miss on absence."""
-        if key in self._entries:
+        """Peek at a key without counting a miss on absence.
+
+        One lookup serves both the test and the value: callers that
+        need to tell a stored ``None`` from absence pass a sentinel
+        ``default`` instead of asking ``key in store`` first.
+        """
+        value = self._entries.get(key, _ABSENT)
+        if value is not _ABSENT:
             self._hits += 1
             self._touch(key)
-            return self._entries[key]
+            return value
         promoted = self._promote(key)
         if promoted is not _ABSENT:
             return promoted
@@ -205,8 +212,16 @@ class ResultStore:
 
     def _promote(self, key: StoreKey) -> Any:
         """Read ``key`` through to the warehouse, promoting a hit into
-        the memory LRU; returns ``_ABSENT`` on a true miss."""
-        if self.warehouse is None or key not in self.warehouse:
+        the memory LRU; returns ``_ABSENT`` on a true miss.
+
+        Workload samples are never read from the warehouse, so a sample
+        an older release wrote there is redrawn, not served.
+        """
+        if (
+            self.warehouse is None
+            or key[0] == MEMORY_ONLY_STAGE
+            or key not in self.warehouse
+        ):
             return _ABSENT
         value = self.warehouse.get(key, _ABSENT)
         if value is _ABSENT:
@@ -232,7 +247,11 @@ class ResultStore:
     def __contains__(self, key: StoreKey) -> bool:
         if key in self._entries:
             return True
-        return self.warehouse is not None and key in self.warehouse
+        return (
+            self.warehouse is not None
+            and key[0] != MEMORY_ONLY_STAGE
+            and key in self.warehouse
+        )
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -326,8 +345,7 @@ class ResultStore:
     def save(self, path: str | Path | None = None) -> Path:
         """Pickle the entries and counters to ``path`` (or ``self.path``).
 
-        Workload samples are left out (:data:`MEMORY_ONLY_STAGE`); a
-        store loaded from an older file drops its samples here.  The
+        Workload samples are left out (:data:`MEMORY_ONLY_STAGE`).  The
         write is atomic (temp file + rename) so a crashed run never
         leaves a truncated store behind.
         """
@@ -363,7 +381,9 @@ class ResultStore:
         """Replace the store's contents with a previously saved pickle.
 
         A persisted store is a cache, never the only copy of anything —
-        so nothing that goes wrong here is fatal.  A missing file or a
+        so nothing that goes wrong here is fatal.  Workload samples an
+        older release persisted are dropped: a sample is always drawn
+        fresh, in the form the current stages read.  A missing file or a
         stale format version empties the store with a warning; a
         corrupt or truncated pickle is additionally **quarantined**
         (renamed to ``<name>.corrupt``) so the broken bytes survive for
@@ -375,7 +395,10 @@ class ResultStore:
                 payload = pickle.load(handle)
             if not isinstance(payload, dict):
                 raise TypeError(f"payload is {type(payload).__name__}, not dict")
-            entries = payload["entries"]
+            entries = {
+                key: value for key, value in payload["entries"].items()
+                if key[0] != MEMORY_ONLY_STAGE
+            }
             hits = payload["hits"]
             misses = payload["misses"]
         except FileNotFoundError:

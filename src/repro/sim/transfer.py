@@ -21,14 +21,19 @@ only ever calls :func:`~repro.encoding.registry.make_transfer_model`.
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import replace
 
 from repro.core.analysis import DescCostModel
 from repro.core.chunking import ChunkLayout
 from repro.ecc.hamming import HammingSecded
-from repro.ecc.layout import DescEccLayout, secded_extend_stream
+from repro.ecc.layout import (
+    DescEccLayout,
+    secded_check_words,
+    secded_extend_stream,
+)
 from repro.encoding.registry import make_encoder, register_transfer_model
 from repro.energy.synthesis import DescSynthesisModel
+from repro.kernels.batched import popcount, shifted_prev
 from repro.kernels.pipeline import PackedBits
 from repro.sim.config import SchemeConfig, SystemConfig
 from repro.sim.metrics import TransferStats
@@ -65,31 +70,21 @@ _SAMPLE_BLOCK_BITS = 512
 _MAX_DESC_CHUNK_BITS = 32
 
 
-def _drop_null_rows(blocks: np.ndarray) -> np.ndarray:
-    """Remove all-zero rows (blocks served by the null directory)."""
-    keep = blocks.any(axis=1)
-    filtered = blocks[keep]
-    if len(filtered) == 0:
-        # Degenerate stream of pure null blocks: keep one so the
-        # downstream statistics stay well-defined.
-        return blocks[:1]
-    return filtered
-
-
 def _sample_packed(sample: WorkloadSample, exclude_null: bool) -> PackedBits:
     """The sample's packed words, without its null blocks if asked.
 
-    Samples from older stores carry only the bit matrix; they are
-    packed here.  A 512-bit block is exactly 8 words, so the null
-    filter drops whole rows of the word matrix.
+    A 512-bit block is exactly 8 words, so the null filter drops whole
+    rows of the word matrix.  A sample of nothing but null blocks keeps
+    one, so the downstream statistics stay well-defined.
     """
     packed = sample.packed
-    if packed is None:
-        packed = PackedBits.from_bits(sample.bits)
     if not exclude_null:
         return packed
-    words = _drop_null_rows(packed.words.reshape(packed.num_blocks, -1))
-    return PackedBits(words.reshape(-1), len(words), packed.block_bits)
+    words = packed.words.reshape(packed.num_blocks, -1)
+    kept = words[words.any(axis=1)]
+    if len(kept) == 0:
+        kept = words[:1]
+    return PackedBits(kept.reshape(-1), len(kept), packed.block_bits)
 
 
 class DescTransferModel:
@@ -131,19 +126,12 @@ class DescTransferModel:
         self, sample: WorkloadSample, exclude_null: bool = False
     ) -> TransferStats:
         """Closed-form DESC costs, with the Figure 9 layout under ECC."""
-        scheme = self.scheme
+        blocks = _sample_packed(sample, exclude_null)
         if self._ecc is not None:
-            chunks = self._ecc.encode_stream(_sample_packed(sample, exclude_null))
-        elif scheme.chunk_bits == 4 and scheme.data_wires in (128, 64, 32):
-            chunks = sample.chunks
-            if exclude_null:
-                chunks = _drop_null_rows(chunks)
-        else:
-            packed = _sample_packed(sample, exclude_null)
-            chunks = packed.chunks(scheme.chunk_bits)
+            blocks = self._ecc.encode_stream(blocks)
         layout = self._layout
-        model = DescCostModel(layout, skip_policy=scheme.skip_policy)
-        stream = model.stream_cost(chunks)
+        model = DescCostModel(layout, skip_policy=self.scheme.skip_policy)
+        stream = model.stream_cost(blocks)
         n = stream.num_blocks
         return TransferStats(
             data_flips=float(stream.data_flips.sum()) / n,
@@ -209,6 +197,16 @@ class BaselineTransferModel:
             data_wires=data_wires,
             segment_bits=scheme.segment_bits,
         )
+        # A binary bus drives its data and parity wires independently,
+        # so a W-S configuration streams the sample's words at width S
+        # and adds the parity wires' flips from the check words alone.
+        self._data_encoder = None
+        if scheme.ecc_segment_bits and scheme.name == "binary":
+            self._data_encoder = make_encoder(
+                "binary",
+                block_bits=_SAMPLE_BLOCK_BITS,
+                data_wires=scheme.ecc_segment_bits,
+            )
 
     def transfer_stats(
         self, sample: WorkloadSample, exclude_null: bool = False
@@ -216,14 +214,30 @@ class BaselineTransferModel:
         """Stream the sample through the configured ``BusEncoder``.
 
         The packed sample streams as is — the encoder kernels skip
-        re-validating and re-packing it per scheme — or, under ECC,
-        widened by its check bits.
+        re-validating and re-packing it per scheme.  Under ECC, binary
+        W-S adds the flips between consecutive check words to the
+        data wires' flips; the other encoders stream the sample widened
+        by its check bits.
         """
         payload = _sample_packed(sample, exclude_null)
-        if self.scheme.ecc_segment_bits:
-            payload = secded_extend_stream(payload, self.scheme.ecc_segment_bits)
+        segment_bits = self.scheme.ecc_segment_bits
         encoder = self._encoder
-        return self._stats_from_stream(encoder, encoder.stream_cost(payload))
+        if not segment_bits:
+            stream = encoder.stream_cost(payload)
+        elif self._data_encoder is not None:
+            stream = self._data_encoder.stream_cost(payload)
+            check = secded_check_words(payload, segment_bits).reshape(-1)
+            parity_flips = popcount(check ^ shifted_prev(check, 0))
+            stream = replace(
+                stream,
+                data_flips=stream.data_flips
+                + parity_flips.reshape(stream.num_blocks, -1).sum(axis=1),
+            )
+        else:
+            stream = encoder.stream_cost(
+                secded_extend_stream(payload, segment_bits)
+            )
+        return self._stats_from_stream(encoder, stream)
 
     @staticmethod
     def _stats_from_stream(encoder, stream) -> TransferStats:

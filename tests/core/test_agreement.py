@@ -91,3 +91,43 @@ class TestPaperGeometryAgreement:
         blocks = rng.integers(0, 16, size=(8, 128))
         blocks[rng.random(blocks.shape) < 0.3] = 0  # exercise skipping
         TestLinkModelAgreement._check(layout, blocks, policy)
+
+
+@st.composite
+def packed_streams(draw):
+    """Blocks as packed words, for layouts whose rounds fill bytes."""
+    from repro.kernels.pipeline import PackedBits
+
+    chunk_bits = draw(st.sampled_from([1, 2]))
+    wires = draw(st.sampled_from([w for w in (4, 8, 16, 32) if w * chunk_bits >= 8]))
+    layout = ChunkLayout(block_bits=64, chunk_bits=chunk_bits, num_wires=wires)
+    n = draw(st.integers(1, 4))
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    bits = (np.random.default_rng(seed).random((n, 64)) < density).astype(np.uint8)
+    packed = PackedBits.from_bits(bits)
+    return layout, PackedBits(packed.words, n, 64)
+
+
+class TestLinkPackedAgreement:
+    """The link against the model's popcount tallies at 1- and 2-bit
+    chunks, where the model reads the packed words."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=packed_streams())
+    def test_packed_layouts(self, data, policy):
+        from repro.core.analysis import _round_unit_bits
+
+        layout, packed = data
+        assert _round_unit_bits(layout)  # whole-byte rounds: popcounts
+        link = DescLink(layout, skip_policy=policy, wire_delay=2)
+        stream = DescCostModel(layout, skip_policy=policy).stream_cost(packed)
+        for i, block in enumerate(packed.chunks(layout.chunk_bits)):
+            cost = link.send_block(block)
+            assert np.array_equal(link.receiver.received_blocks[-1], block)
+            predicted = stream.block(i)
+            assert cost.data_flips == predicted.data_flips
+            assert cost.overhead_flips == predicted.overhead_flips
+            assert cost.sync_flips == predicted.sync_flips
+            assert cost.cycles == predicted.cycles

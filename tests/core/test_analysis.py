@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.analysis import DescCostModel
 from repro.core.chunking import ChunkLayout
@@ -108,3 +109,100 @@ class TestAggregates:
         stream = model.stream_cost(rng.integers(0, 16, size=(4, 128)))
         cost = stream.block(2)
         assert cost.data_flips == stream.data_flips[2]
+
+
+#: Every (chunk_bits, wires) geometry of a 512-bit block whose packed
+#: rounds fill at least a byte.
+PACKED_GEOMETRIES = [
+    (chunk_bits, wires)
+    for chunk_bits in (1, 2)
+    for wires in (1 << k for k in range(10))
+    if (512 // chunk_bits) % wires == 0 and wires * chunk_bits >= 8
+]
+
+
+def _packed_blocks(seed: int, num_blocks: int, round_bits: int):
+    """Random blocks of mixed density, with whole rounds forced to all
+    zeros or all ones, as words only."""
+    from repro.kernels.pipeline import PackedBits
+
+    rng = np.random.default_rng(seed)
+    density = rng.choice([0.0, 0.05, 0.5, 0.95, 1.0], size=(num_blocks, 1))
+    bits = (rng.random((num_blocks, 512)) < density).astype(np.uint8)
+    rounds = bits.reshape(num_blocks, -1, round_bits)
+    forced = rng.integers(0, 4, size=rounds.shape[:2])
+    rounds[forced == 0] = 0
+    rounds[forced == 1] = 1
+    words = PackedBits.from_bits(bits).words
+    return PackedBits(words, num_blocks, 512)
+
+
+class TestPackedTallies:
+    """1- and 2-bit DESC from popcounts over packed rounds, against the
+    stream kernels on the chunk values ``PackedBits.chunks`` cuts."""
+
+    def test_geometries_cover_every_byte_round(self):
+        assert (1, 8) in PACKED_GEOMETRIES and (2, 4) in PACKED_GEOMETRIES
+        assert (1, 4) not in PACKED_GEOMETRIES  # a 4-bit round
+        assert len(PACKED_GEOMETRIES) == 14
+
+    @pytest.mark.parametrize("policy", ["none", "zero", "last-value"])
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        geometry=st.sampled_from(PACKED_GEOMETRIES),
+        sizes=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    )
+    def test_match_the_chunk_kernels(self, policy, seed, geometry, sizes):
+        from repro.core.analysis import _packed_arrays, _round_unit_bits
+        from repro.kernels import pipeline
+
+        chunk_bits, wires = geometry
+        layout = ChunkLayout(block_bits=512, chunk_bits=chunk_bits, num_wires=wires)
+        packed_model = DescCostModel(layout, skip_policy=policy)
+        chunk_model = DescCostModel(layout, skip_policy=policy)
+        # Two calls on each model: wire history and strobe parity carry.
+        for call, num_blocks in enumerate(sizes):
+            blocks = _packed_blocks(seed + call, num_blocks, wires * chunk_bits)
+            values = blocks.chunks(chunk_bits).reshape(-1, wires)
+            want = pipeline.desc_stream_arrays(
+                values, num_blocks, layout.num_rounds, wires, policy,
+                chunk_model._last,
+            )
+            got, last = _packed_arrays(
+                blocks, layout, _round_unit_bits(layout), policy,
+                packed_model._last,
+            )
+            for got_array, want_array in zip(got, want, strict=True):
+                np.testing.assert_array_equal(got_array, want_array)
+            np.testing.assert_array_equal(last, values[-1])
+
+            packed = packed_model.stream_cost(blocks)
+            chunked = chunk_model.stream_cost(blocks.chunks(chunk_bits))
+            for field in ("data_flips", "overhead_flips", "sync_flips",
+                          "cycles", "latency_cycles"):
+                np.testing.assert_array_equal(
+                    getattr(packed, field), getattr(chunked, field)
+                )
+            np.testing.assert_array_equal(packed_model._last, chunk_model._last)
+            assert packed_model._busy_cycles == chunk_model._busy_cycles
+            assert blocks._bits is None  # nothing was unpacked
+
+    def test_rounds_under_a_byte_take_the_chunk_path(self):
+        from repro.core.analysis import _round_unit_bits
+
+        assert _round_unit_bits(ChunkLayout(512, 1, 4)) is None
+        assert _round_unit_bits(ChunkLayout(512, 4, 128)) is None
+        assert _round_unit_bits(ChunkLayout(512, 2, 16)) == 32
+        blocks = _packed_blocks(3, 4, 4)
+        layout = ChunkLayout(block_bits=512, chunk_bits=1, num_wires=4)
+        packed = DescCostModel(layout, "zero").stream_cost(blocks)
+        chunked = DescCostModel(layout, "zero").stream_cost(blocks.chunks(1))
+        np.testing.assert_array_equal(packed.cycles, chunked.cycles)
+
+    def test_packed_blocks_of_another_size_rejected(self, default_layout):
+        from repro.kernels.pipeline import PackedBits
+
+        packed = PackedBits.from_bits(np.zeros((2, 256), dtype=np.uint8))
+        with pytest.raises(ValueError, match="512 bits"):
+            DescCostModel(default_layout).stream_cost(packed)

@@ -136,6 +136,37 @@ class TestPackedCheckBits:
             assert code.check_bits(_pack_rows(data))[0].tolist() == expected
 
 
+class TestCheckWords:
+    """``check_words`` from byte (or narrower) units equals ``encode``'s
+    check columns."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        data_bits=st.sampled_from([8, 16, 32, 64, 128, 256]),
+        unit_bits=st.sampled_from([1, 2, 4, 8]),
+        seed=st.integers(0, 2**32 - 1),
+        density=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+    )
+    def test_matches_encode(self, data_bits, unit_bits, seed, density):
+        rng = np.random.default_rng(seed)
+        code = HammingSecded(data_bits)
+        data = (rng.random((40, data_bits)) < density).astype(np.uint8)
+        codewords = code.encode(data)
+        columns = [(1 << i) - 1 for i in range(code.hamming_parity_bits)] + [-1]
+        expected = codewords[:, columns]
+        units = (
+            data.reshape(40, -1, unit_bits) << np.arange(unit_bits, dtype=np.uint8)
+        ).sum(axis=2, dtype=np.uint8)
+        words = code.check_words(units)
+        assert words.dtype == np.uint32
+        got = (words[:, None] >> np.arange(code.parity_bits)) & 1
+        np.testing.assert_array_equal(got, expected)
+
+    def test_rejects_units_wider_than_a_byte(self):
+        with pytest.raises(ValueError, match="units"):
+            HammingSecded(64).check_words(np.zeros((2, 4), dtype=np.uint16))
+
+
 class TestPackedDecode:
     """``decode_check_bits`` on wire-order bits equals ``decode``."""
 

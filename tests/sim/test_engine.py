@@ -136,19 +136,133 @@ class TestDispatch:
         ids=lambda scheme: scheme.label(),
     )
     @pytest.mark.parametrize("exclude_null", [False, True])
-    def test_sample_from_an_older_store(self, scheme, exclude_null):
-        """Samples stored before packing carry only the bit matrix."""
-        from dataclasses import replace
+    def test_sample_from_an_older_store(self, scheme, exclude_null, tmp_path):
+        """A sample an older release persisted, which carried only the
+        bit matrix, is dropped when its store loads: the transfer stage
+        draws a fresh sample and gets the fresh statistics."""
+        import pickle
+        from types import SimpleNamespace
 
-        from repro.sim.stages import sample_workload
+        from repro.sim.stages import sample_workload, workload_key
+        from repro.sim.store import STORE_FORMAT_VERSION
         from repro.workloads.profiles import profile
 
-        sample = sample_workload(profile("Radix"), 300, 1)
-        older = replace(sample, bits=sample.packed.bits.copy(), packed=None)
-        model = make_transfer_model(scheme)
-        assert model.transfer_stats(older, exclude_null) == model.transfer_stats(
-            sample, exclude_null
+        app = profile("Radix")
+        fresh = sample_workload(app, 300, 1)
+        older = SimpleNamespace(
+            app=app, num_blocks=300, seed=1, packed=None,
+            null_fraction=fresh.null_fraction, bits=fresh.packed.bits.copy(),
         )
+        path = tmp_path / "store.pkl"
+        with open(path, "wb") as handle:
+            pickle.dump({
+                "version": STORE_FORMAT_VERSION,
+                "entries": {workload_key(app, 300, 1): older},
+                "hits": 0, "misses": 0,
+            }, handle)
+        store = ResultStore(path)
+        assert workload_key(app, 300, 1) not in store
+        stats = StagedEngine(store).transfer_stats(scheme, app, 300, 1, exclude_null)
+        assert stats == make_transfer_model(scheme).transfer_stats(fresh, exclude_null)
+
+
+class TestTransferKey:
+    """A segmented baseline at its default width and at that width
+    spelled out is one transfer computation."""
+
+    @pytest.mark.parametrize(
+        "name", ["zero-compression", "bus-invert", "bus-invert+zero-skip",
+                 "bus-invert+encoded-zero-skip"],
+    )
+    def test_default_segment_width_shares_the_entry(self, name):
+        from repro.encoding.registry import BEST_SEGMENT_BITS
+        from repro.workloads.profiles import profile
+
+        app = profile("FFT")
+        engine = StagedEngine(ResultStore())
+        default = engine.transfer_stats(SchemeConfig(name=name), app, 200, 0)
+        misses = engine.store.misses
+        explicit = engine.transfer_stats(
+            SchemeConfig(name=name, segment_bits=BEST_SEGMENT_BITS[name]),
+            app, 200, 0,
+        )
+        assert explicit is default
+        assert engine.store.misses == misses
+
+    def test_one_transfer_miss_for_both_spellings(self):
+        from repro.workloads.profiles import profile
+
+        engine = StagedEngine(ResultStore())
+        system = SystemConfig(sample_blocks=200)
+        for bits in (None, 4):
+            engine.run(profile("LU"), SchemeConfig(name="bus-invert", segment_bits=bits), system)
+        transfer = [key for key in engine.store if key[0] == "transfer"]
+        assert len(transfer) == 1
+        # The sample, the transfer statistics, the cache design, and
+        # each of the two runs.
+        assert engine.store.misses == 5
+
+    def test_other_widths_keep_their_own_entries(self):
+        from repro.sim.stages import transfer_key
+        from repro.workloads.profiles import profile
+
+        app = profile("FFT")
+        keys = {
+            transfer_key(SchemeConfig(name="bus-invert", segment_bits=bits), app, 200, 0, False)
+            for bits in (None, 4, 8)
+        }
+        assert len(keys) == 2
+        binary = SchemeConfig(name="binary")
+        assert transfer_key(binary, app, 200, 0, False)[1] is binary
+
+
+class _CountingPart:
+    """A key element that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __init__(self, tag: int) -> None:
+        self.tag = tag
+
+    def __hash__(self) -> int:
+        type(self).hashes += 1
+        return hash(self.tag)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _CountingPart) and other.tag == self.tag
+
+
+class TestStoredResultLookups:
+    """A stored result is found with one store lookup, so its key is
+    hashed once."""
+
+    def test_batch_hashes_each_stored_key_once(self):
+        engine = StagedEngine(ResultStore())
+        keys = [("run", _CountingPart(i)) for i in range(5)]
+        for index, key in enumerate(keys):
+            engine.store.put(key, index)
+        _CountingPart.hashes = 0
+        results = engine._batch(
+            list(range(5)), keys, worker=None, local=None,
+            max_workers=1, retries=0, affinity=None,
+        )
+        assert results == list(range(5))
+        assert _CountingPart.hashes == len(keys)
+        assert (engine.store.hits, engine.store.misses) == (5, 0)
+
+    def test_service_hashes_a_stored_key_once(self):
+        import asyncio
+
+        from repro.service.pipeline import SimulationService
+
+        service = SimulationService(StagedEngine(ResultStore()))
+        key = ("run", _CountingPart(7))
+        service.engine.store.put(key, "stored")
+        _CountingPart.hashes = 0
+        assert asyncio.run(service.serve_key(key, None, wait=False)) == "stored"
+        assert _CountingPart.hashes == 1
+        assert service.engine.store.hits == 1
+        assert service.metrics.counter("store_hits_total").value == 1
 
 
 class TestChunkStatisticsStage:

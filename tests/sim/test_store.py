@@ -227,8 +227,8 @@ class TestSamplesStayInMemory:
         assert json.loads(warm.stdout) == fig13_last_value.run(num_blocks=200)
 
     def test_a_store_holding_samples_still_loads(self, tmp_path):
-        """A store written while samples were still persisted loads
-        as it is; the next save drops its samples."""
+        """A version-2 store written while samples were still persisted
+        loads without them: a sample is never served from disk."""
         import pickle
         import warnings
 
@@ -249,10 +249,32 @@ class TestSamplesStayInMemory:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             store = ResultStore(path)
-        assert store.stats() == StoreStats(hits=2, misses=3, size=2)
-        assert store.get(sample_key).num_blocks == 8
+        assert store.stats() == StoreStats(hits=2, misses=3, size=1)
+        assert sample_key not in store
+        assert store.get(sample_key) is None
+        assert list(store) == [("k",)]
         store.save()
         assert list(ResultStore(path)) == [("k",)]
+
+    def test_a_warehouse_never_serves_a_sample(self, tmp_path):
+        """A sample record an older release appended to a warehouse is
+        skipped on read; the sample is drawn again."""
+        from repro.sim.engine import StagedEngine
+        from repro.sim.stages import workload_key
+        from repro.sim.warehouse import SegmentWarehouse
+        from repro.workloads.profiles import profile
+
+        app = profile("FFT")
+        key = workload_key(app, 8, 0)
+        warehouse = SegmentWarehouse(tmp_path / "wh")
+        warehouse.put(key, "an older sample")
+        warehouse.flush()
+        store = ResultStore(warehouse=SegmentWarehouse(tmp_path / "wh"))
+        assert key not in store
+        assert store.get(key) is None
+        sample = StagedEngine(store).workload(app, 8, 0)
+        assert sample.num_blocks == 8
+        assert store.misses == 1
 
 
 class TestGracefulLoad:
@@ -291,6 +313,23 @@ class TestGracefulLoad:
         with pytest.warns(RuntimeWarning, match="corrupt"):
             store = ResultStore(path)
         assert len(store) == 0
+
+    def test_entries_of_the_wrong_shape_quarantined(self, tmp_path):
+        """Entries that are not a key-to-value mapping make the store
+        corrupt; loading it never raises."""
+        import pickle
+
+        from repro.sim.store import STORE_FORMAT_VERSION
+
+        path = tmp_path / "store.pkl"
+        payload = {"version": STORE_FORMAT_VERSION, "entries": ["k", 1],
+                   "hits": 0, "misses": 0}
+        with open(path, "wb") as handle:
+            pickle.dump(payload, handle)
+        with pytest.warns(RuntimeWarning, match="corrupt"):
+            store = ResultStore(path)
+        assert len(store) == 0
+        assert (tmp_path / "store.pkl.corrupt").exists()
 
     def test_version_mismatch_discarded_not_quarantined(self, tmp_path):
         """An old-format store is valid data, just stale: discard it

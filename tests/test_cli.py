@@ -44,6 +44,22 @@ class TestRun:
             main(["run", "fig99"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [
+            (["run", "fig99"], "usage: repro run "),
+            (["all", "--json", "/nonexistent/x.json"], "usage: repro all "),
+            (["explore", "--study", "a.json", "--preset", "quick"],
+             "usage: repro explore "),
+        ],
+        ids=["run", "all", "explore"],
+    )
+    def test_errors_print_the_subcommand_usage(self, capsys, argv, usage):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.startswith(usage)
+
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
             main([])
@@ -470,7 +486,7 @@ class TestBadArguments:
             main(["all", "--sample-blocks", "200", "--json", str(out)])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert f"repro: error: cannot write {out}: " in err
+        assert f"repro all: error: cannot write {out}: " in err
         assert "running fig01" not in err  # failed before the figures ran
         assert not out.parent.exists()
 
