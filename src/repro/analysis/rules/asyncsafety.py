@@ -36,10 +36,9 @@ cancellation landing on one specific line:
 All four are heuristics over one function's AST (statements are
 ordered by a pre-order walk, so exclusive branches can look
 sequential); deliberate exceptions — shutdown paths that swallow the
-cancellation of a task they just cancelled, a chaos harness that
-blocks on purpose — carry ``# lint-ok: R007`` waivers with a
-justification, mirroring the R006 waiver style.  The baseline stays
-empty.
+cancellation of a task they just cancelled — carry
+``# lint-ok: R007`` waivers with a justification, mirroring the R006
+waiver style.  The baseline stays empty.
 """
 
 from __future__ import annotations

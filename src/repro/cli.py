@@ -19,7 +19,6 @@ Usage::
     python -m repro lint --check --json      # CI mode, machine-readable
     python -m repro serve --port 8765        # async simulation service
     python -m repro serve --check --quick    # service smoke check
-    python -m repro chaos --quick            # fault-inject the service
     python -m repro --version                # package version
 
 The heavy lifting lives in :mod:`repro.experiments`; this module only
@@ -27,15 +26,14 @@ dispatches and formats.  ``--workers N`` belongs to ``sweep`` and
 ``faults`` alone: it fans their job grid out over a process pool
 (results are identical to serial).  Set the
 ``REPRO_RESULT_STORE`` environment variable to a file path to persist
-the stage result store across invocations; ``cache-stats`` then reports
-the accumulated statistics.
+the stage result store across invocations (``repro serve`` saves it at
+a clean stop); ``cache-stats`` then reports the accumulated statistics.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import pickle
 import sys
 from collections.abc import Callable
 from typing import IO
@@ -249,24 +247,19 @@ def _scalar(value) -> str:
     return str(value)
 
 
-def _cache_stats(
-    store_path: str | None, warehouse_path: str | None = None
-) -> int:
+def _cache_stats(store_path: str | None) -> int:
     import os
 
-    from repro.sim.store import RESULT_STORE, WAREHOUSE_ENV, ResultStore
+    from repro.sim.store import RESULT_STORE, ResultStore
 
-    if warehouse_path is None:
-        warehouse_path = os.environ.get(WAREHOUSE_ENV) or None
-    # Only report on a warehouse that exists: opening one creates it.
-    if warehouse_path and not os.path.isdir(warehouse_path):
-        print(f"repro cache-stats: error: no warehouse at {warehouse_path}",
+    if store_path is None:
+        store = RESULT_STORE
+    elif os.path.isfile(store_path):
+        store = ResultStore(store_path)
+    else:
+        print(f"repro cache-stats: error: no store at {store_path}",
               file=sys.stderr)
         return 2
-    if store_path or warehouse_path:
-        store = ResultStore(store_path, warehouse=warehouse_path)
-    else:
-        store = RESULT_STORE
     stats = store.stats()
     where = store.path if store.path else "in-process"
     cap = stats.max_entries if stats.max_entries is not None else "unbounded"
@@ -277,13 +270,6 @@ def _cache_stats(
     print(f"  misses:  {stats.misses}")
     print(f"  evictions: {stats.evictions}")
     print(f"  hit rate: {stats.hit_rate:.1%}")
-    if store.warehouse is not None:
-        wh = store.warehouse.stats()
-        print(f"warehouse ({store.warehouse.root})")
-        print(f"  entries:   {wh.entries}")
-        print(f"  disk hits: {wh.disk_hits}")
-        print(f"  promotions: {stats.promotions}")
-        print(f"  segments:  {wh.segment_count} ({wh.segment_bytes} bytes)")
     return 0
 
 
@@ -310,8 +296,7 @@ def _save_store() -> None:
     """Persist the global store when REPRO_RESULT_STORE names a file."""
     from repro.sim.store import RESULT_STORE
 
-    if RESULT_STORE.path is not None:
-        RESULT_STORE.save()
+    RESULT_STORE.persist()
 
 
 def _run_faults(args: argparse.Namespace) -> int:
@@ -493,7 +478,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         code, summary = run_check(
             quick=args.quick,
             metrics_out=args.metrics_out,
-            warehouse=args.warehouse,
             expect_warm=args.expect_warm,
         )
         if args.json:
@@ -513,12 +497,10 @@ def _run_serve(args: argparse.Namespace) -> int:
                 f"combined hit rate: {summary['combined_hit_rate']:.1%}  "
                 f"byte-identical: {summary['byte_identical']}"
             )
-            if summary["warehouse"]:
+            if summary["store"]:
                 print(
-                    f"  warehouse: {summary['warehouse']}  "
-                    f"disk hits: {summary['store_disk_hits']}  "
-                    f"segments: {summary['warehouse_segments']} "
-                    f"({summary['warehouse_bytes']} bytes)"
+                    f"  store: {summary['store']}  store hits: "
+                    f"{summary['store_hits']}/{summary['requests']}"
                 )
             for problem in summary["problems"]:
                 print(f"  FAIL: {problem}", file=sys.stderr)
@@ -529,16 +511,11 @@ def _run_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.service.server import ServiceServer
-    from repro.sim.engine import StagedEngine
-    from repro.sim.store import ResultStore
-
-    engine = (
-        StagedEngine(ResultStore(warehouse=args.warehouse))
-        if args.warehouse else None
-    )
 
     async def serve() -> None:
-        service = SimulationService(engine=engine, config=config)
+        # The engine runs on the process-wide store, which holds what
+        # REPRO_RESULT_STORE names and is saved when the service stops.
+        service = SimulationService(config=config)
         server = ServiceServer(service, host=args.host, port=args.port)
         await server.start()
         print(
@@ -558,36 +535,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         print("repro service stopped", file=sys.stderr)
     return 0
-
-
-def _run_chaos(args: argparse.Namespace) -> int:
-    """The ``chaos`` subcommand: fault-inject a live service."""
-    from repro.service.chaos import run_chaos
-
-    code, report = run_chaos(quick=args.quick, report_out=args.report_out)
-    if args.json:
-        json.dump(report, sys.stdout, indent=2)
-        print()
-    else:
-        phases = report["phases"]
-        print(f"chaos campaign ({report['clients']} clients):")
-        print(
-            f"  scrub: {phases['scrub']['repaired']}/"
-            f"{phases['scrub']['damaged']} corrupted record(s) repaired"
-        )
-        print(
-            f"  deadlines: {phases['deadlines']['expired_504s']} "
-            "request(s) expired with structured 504s"
-        )
-        print(
-            f"  queue flood: {phases['queue_flood']['answered']}/"
-            f"{phases['queue_flood']['expected']} answered"
-        )
-        for problem in report["problems"]:
-            print(f"  FAIL: {problem}", file=sys.stderr)
-    if code == 0:
-        print("chaos checks passed", file=sys.stderr)
-    return code
 
 
 def _run_explore(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -619,7 +566,6 @@ def _run_explore(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         code, summary = run_check(
             spec=spec,
             quick=args.quick,
-            warehouse=args.warehouse,
             out_dir=args.out,
             report_out=args.report_out,
         )
@@ -732,11 +678,6 @@ def main(argv: list[str] | None = None) -> int:
         help="persisted store to inspect (default: the in-process store, "
              "or $REPRO_RESULT_STORE when set)",
     )
-    stats_parser.add_argument(
-        "--warehouse", metavar="DIR", default=None,
-        help="warehouse (disk-tier) directory to report alongside the "
-             "store (default: $REPRO_WAREHOUSE when set)",
-    )
 
     validate_parser = sub.add_parser(
         "validate", help="check headline results against the paper"
@@ -804,11 +745,6 @@ def main(argv: list[str] | None = None) -> int:
                               help="bind address (default 127.0.0.1)")
     serve_parser.add_argument("--port", type=_port, default=8765,
                               help="TCP port (0 = ephemeral)")
-    serve_parser.add_argument("--warehouse", metavar="DIR", default=None,
-                              help="directory for the disk-backed result "
-                                   "warehouse; a restarted service pointed "
-                                   "at the same directory warm-starts its "
-                                   "cache")
     serve_parser.add_argument("--max-queue", type=int, default=128,
                               help="pending jobs held before rejecting "
                                    "with 429 backpressure")
@@ -828,29 +764,10 @@ def main(argv: list[str] | None = None) -> int:
                               help="write the check's metrics snapshot "
                                    "to a JSON file (CI artifact)")
     serve_parser.add_argument("--expect-warm", action="store_true",
-                              help="with --check and --warehouse: fail "
-                                   "unless some lookups were served from "
-                                   "the disk tier (warm-restart proof)")
-
-    chaos_parser = sub.add_parser(
-        "chaos",
-        help="fault-inject a live service and assert it recovers",
-        description="Boot a service, drive golden traffic, then "
-                    "corrupt warehouse segments and scrub them, inject "
-                    "latency against tight deadlines, and flood the "
-                    "admission queue; exit 1 unless the scrub repairs "
-                    "every damaged record, expired requests get "
-                    "structured 504s, and every answer is byte-identical "
-                    "with none dropped. See docs/service.md.",
-    )
-    chaos_parser.add_argument("--quick", action="store_true",
-                              help="smaller value samples and traffic "
-                                   "volume (CI smoke mode)")
-    chaos_parser.add_argument("--json", action="store_true",
-                              help="emit the chaos report as JSON")
-    chaos_parser.add_argument("--report-out", metavar="PATH", default=None,
-                              help="write the chaos report to a JSON "
-                                   "file (CI artifact)")
+                              help="with --check and $REPRO_RESULT_STORE: "
+                                   "fail unless every request was answered "
+                                   "from the saved store (warm-restart "
+                                   "proof)")
 
     explore_parser = sub.add_parser(
         "explore",
@@ -906,17 +823,11 @@ def main(argv: list[str] | None = None) -> int:
     explore_parser.add_argument("--quick", action="store_true",
                                 help="shrink the check's budget and value "
                                      "samples (CI smoke mode)")
-    explore_parser.add_argument("--warehouse", metavar="DIR", default=None,
-                                help="warehouse directory for the check's "
-                                     "service leg")
 
     args = parser.parse_args(argv)
 
     if args.command == "cache-stats":
-        try:
-            return _cache_stats(args.store, args.warehouse)
-        except (pickle.UnpicklingError, ValueError, EOFError) as exc:
-            parser.error(f"cannot read store {args.store!r}: {exc}")
+        return _cache_stats(args.store)
 
     if args.command == "lint":
         from repro.analysis.cli import run_lint
@@ -937,9 +848,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "serve":
         return _run_serve(args)
-
-    if args.command == "chaos":
-        return _run_chaos(args)
 
     if args.command == "faults":
         return _run_faults(args)

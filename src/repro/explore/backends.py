@@ -9,8 +9,8 @@ result payload per job, in order.  Two implementations:
   deduplicates repeated stages;
 * :class:`ServiceBackend` — rides a running ``repro serve`` instance
   through :meth:`repro.service.client.ServiceClient.submit_many`:
-  bounded in-flight concurrency, and the service's coalescing, result
-  store, and warehouse make revisited design points nearly free.  The
+  bounded in-flight concurrency, and the service's coalescing and
+  result store make revisited design points nearly free.  The
   client's retry discipline honours the service's 429/503/deadline
   semantics, so a study breathes with the service's backpressure
   instead of fighting it.

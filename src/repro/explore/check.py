@@ -9,10 +9,9 @@ headline contracts:
   frontier **byte-identical** to the uninterrupted run's, replaying
   exactly the journaled evaluations instead of recomputing them;
 * **backend parity** — the same spec driven through a live service
-  (:class:`~repro.explore.backends.ServiceBackend` riding coalescing,
-  the result store, and optionally a warehouse tier)
-  produces the same frontier bytes as the in-process
-  :class:`~repro.explore.backends.LocalBackend`;
+  (:class:`~repro.explore.backends.ServiceBackend` riding coalescing
+  and the result store) produces the same frontier bytes as the
+  in-process :class:`~repro.explore.backends.LocalBackend`;
 * **adaptivity pays** — at equal budget, the adaptive frontier covers
   (equals-or-dominates) at least as much of the seeded random
   baseline's frontier as vice versa, and strictly more budget goes to
@@ -67,7 +66,6 @@ def _truncated_copy(source: Path, target: Path, keep_evals: int) -> int:
 def run_check(
     spec: StudySpec | None = None,
     quick: bool = False,
-    warehouse: str | None = None,
     out_dir: str | None = None,
     report_out: str | None = None,
 ) -> tuple[int, dict]:
@@ -77,8 +75,6 @@ def run_check(
         spec: Study to check with (default: the ``quick`` preset).
         quick: Shrink the per-application value sample further (CI's
             smoke shape) — halves ``sample_blocks`` and the budget.
-        warehouse: Optional warehouse directory for the service's
-            store (the smoke job points this at a scratch dir).
         out_dir: Where journals and the report land (default: a
             temporary directory, cleaned up afterwards).
         report_out: Explicit path for the Markdown study report
@@ -133,9 +129,9 @@ def run_check(
             )
 
         # Leg 3: backend parity — the same spec through a live service
-        # must land on the same frontier bytes.
-        service_engine = StagedEngine(ResultStore(warehouse=warehouse))
-        with ServerHarness(engine=service_engine) as harness:
+        # (on its own private store) must land on the same frontier
+        # bytes.
+        with ServerHarness() as harness:
             remote = ServiceBackend(
                 client=harness.client(timeout=300.0, max_attempts=10),
                 max_in_flight=4,
@@ -178,7 +174,6 @@ def run_check(
             "resume_byte_identical": resumed_bytes == full_bytes,
             "resume_replayed": resumed.reused,
             "backend_parity": served.frontier.snapshot_bytes() == full_bytes,
-            "warehouse": warehouse,
             "adaptive_coverage": adaptive_cov,
             "random_coverage": random_cov,
             "report": str(report_path),

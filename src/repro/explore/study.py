@@ -20,7 +20,7 @@ collapse, see :func:`~repro.explore.objectives.canonical_params`).
 A study is therefore **byte-reproducible**: same spec, same seed, same
 frontier bytes — on any backend.
 
-Crash safety reuses the warehouse's discipline:
+Crash safety comes from the journal's own protocol:
 
 * every evaluation appends one fsynced JSONL record to
   ``journal.jsonl`` (append-only; an undecodable torn tail from a
@@ -209,10 +209,9 @@ class StudyJournal:
     def write_frontier(self, frontier: ParetoFrontier) -> None:
         """Replace the frontier snapshot atomically.
 
-        The warehouse's crash-consistent protocol: write a ``.tmp``
-        sibling, fsync it, ``os.replace`` onto the final name, fsync
-        the directory.  A crash leaves the old snapshot or the new —
-        never a torn one.
+        Crash-consistent: write a ``.tmp`` sibling, fsync it,
+        ``os.replace`` onto the final name, fsync the directory.  A
+        crash leaves the old snapshot or the new — never a torn one.
         """
         tmp = self.frontier_path.with_suffix(f".{os.getpid()}.tmp")
         with open(tmp, "wb") as handle:

@@ -30,10 +30,7 @@ Layers (each its own module, composable in-process without HTTP):
   result encoding;
 * :mod:`repro.service.clock` — injectable monotonic time;
 * :mod:`repro.service.check` — the end-to-end self-check behind
-  ``repro serve --check``;
-* :mod:`repro.service.chaos` — the chaos campaign behind
-  ``repro chaos`` (warehouse byte flips, tight deadlines, a queue
-  flood — golden traffic must stay byte-identical throughout).
+  ``repro serve --check``.
 
 See ``docs/service.md`` for the API schema, the metrics glossary, and
 operational notes.

@@ -17,6 +17,11 @@ contract:
   same configuration on a private store.  The serving layer may batch,
   cache, and coalesce, but never perturb a number.
 
+The service's store is :func:`~repro.sim.store.default_store`: with
+``REPRO_RESULT_STORE`` set, the service saves it to that file at its
+clean stop, and a re-run with ``expect_warm`` proves a warm restart
+from the file.
+
 :class:`ServerHarness` (the service in a background thread with a
 ready/stop handshake) is exported for tests and examples.
 """
@@ -37,7 +42,7 @@ from repro.service.pipeline import ServiceConfig, SimulationService
 from repro.service.server import ServiceServer
 from repro.sim.config import SystemConfig
 from repro.sim.engine import SimJob, StagedEngine
-from repro.sim.store import ResultStore
+from repro.sim.store import ResultStore, default_store
 from repro.util.version import package_version
 
 __all__ = ["ServerHarness", "run_check"]
@@ -68,8 +73,8 @@ class ServerHarness:
             so harnesses never leak state into the process-wide store).
         host: Bind address.
         interceptor: Optional batch interceptor, passed through to the
-            service — the chaos harness's injection point (see
-            :mod:`repro.service.chaos`).
+            service (tests inject latency with it; see
+            :class:`~repro.service.stages.Executor`).
     """
 
     def __init__(
@@ -127,26 +132,6 @@ class ServerHarness:
         """A client pointed at this harness (one per thread, please)."""
         assert self.port is not None, "harness is not started"
         return ServiceClient(host=self.host, port=self.port, **kwargs)
-
-    def run_in_loop(self, func, timeout: float = 30.0):
-        """Call ``func()`` on the service's event loop thread.
-
-        The chaos harness uses this to reach the store (a flush, a
-        scrub) without racing the loop.
-        """
-        assert self._loop is not None, "harness is not started"
-        import concurrent.futures
-
-        outcome: concurrent.futures.Future = concurrent.futures.Future()
-
-        def call() -> None:
-            try:
-                outcome.set_result(func())
-            except BaseException as exc:
-                outcome.set_exception(exc)
-
-        self._loop.call_soon_threadsafe(call)
-        return outcome.result(timeout)
 
     def _run(self) -> None:
         try:
@@ -206,7 +191,6 @@ def run_check(
     requests_per_client: int | None = None,
     sample_blocks: int | None = None,
     metrics_out: str | None = None,
-    warehouse: str | None = None,
     expect_warm: bool = False,
 ) -> tuple[int, dict]:
     """Run the end-to-end smoke check; returns (exit code, summary).
@@ -215,10 +199,10 @@ def run_check(
     cost), not the traffic shape: the concurrency and duplication the
     check exists to exercise stay the same.
 
-    ``warehouse`` points the service's store at a disk tier, and
-    ``expect_warm`` asserts the run was served (at least partly) from
-    that tier — the warm-restart proof: run once to populate, re-run
-    with ``expect_warm`` against the same path.
+    The service's store persists to ``REPRO_RESULT_STORE`` when it is
+    set, and ``expect_warm`` asserts that every request was answered
+    from that store — the warm-restart proof: run once to fill the
+    file, re-run with ``expect_warm`` against the same file.
     """
     if sample_blocks is None:
         sample_blocks = 250 if quick else 1200
@@ -259,7 +243,7 @@ def run_check(
         ]
         schedules.append(indices)
 
-    engine = StagedEngine(ResultStore(warehouse=warehouse))
+    engine = StagedEngine(default_store())
     outcomes = [_ClientOutcome() for _ in range(num_clients)]
     barrier = threading.Barrier(num_clients)
     with ServerHarness(engine=engine) as harness:
@@ -302,26 +286,22 @@ def run_check(
 
     counters = metrics.get("counters", {})
     derived = metrics.get("derived", {})
-    # Read the store's stats after the harness stopped: shutdown
-    # flushes the warehouse's write-behind buffer, so segment counts
-    # here reflect what actually landed on disk (the mid-run /metrics
-    # snapshot predates that flush).
-    store_stats = engine.store.stats()
     coalesced = counters.get("coalesced_total", 0)
+    store_hits = counters.get("store_hits_total", 0)
     hit_rate = derived.get("combined_hit_rate", 0.0)
     # A warm replay is served from the store (that's the point), so
     # there is nothing in flight to coalesce — the coalescing contract
-    # only binds cold runs.
-    if answered and coalesced == 0 and not expect_warm:
+    # only binds runs that computed something.
+    if answered and coalesced == 0 and store_hits < total_requests:
         problems.append("no request was coalesced under concurrent duplicates")
     if answered and hit_rate < 0.5:
         problems.append(
             f"combined coalesce+store hit rate {hit_rate:.1%} is below 50%"
         )
-    if expect_warm and store_stats.disk_hits == 0:
+    if expect_warm and store_hits != total_requests:
         problems.append(
-            "expected a warm start from the warehouse tier, but no lookup "
-            "was served from disk"
+            f"expected a warm start from the saved store, but only "
+            f"{store_hits} of {total_requests} request(s) were store hits"
         )
     if health.get("status") != "ok":
         problems.append(f"healthz reported {health!r}")
@@ -341,11 +321,8 @@ def run_check(
         "byte_identical": mismatches == 0,
         "coalesced_total": coalesced,
         "combined_hit_rate": hit_rate,
-        "warehouse": warehouse,
-        "store_disk_hits": store_stats.disk_hits,
-        "store_promotions": store_stats.promotions,
-        "warehouse_segments": store_stats.warehouse_segments,
-        "warehouse_bytes": store_stats.warehouse_bytes,
+        "store": str(engine.store.path) if engine.store.path else None,
+        "store_hits": store_hits,
         "version": health.get("version"),
         "problems": problems,
         "metrics": metrics,

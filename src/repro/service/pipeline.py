@@ -6,8 +6,7 @@ Batcher, Executor.  The full request path:
 
 1. **read-through cache** — a request whose canonical
    :func:`~repro.sim.stages.run_key` is already in the engine's
-   :class:`~repro.sim.store.ResultStore` (memory LRU or the disk
-   warehouse tier beneath it) is answered immediately;
+   :class:`~repro.sim.store.ResultStore` is answered immediately;
 2. **coalescing** — identical configurations *in flight* share one
    computation: the first request enqueues a job, the rest await the
    same future (``coalesced_total`` counts the sharers);
@@ -147,7 +146,8 @@ class SimulationService:
         config: Operational knobs; see :class:`ServiceConfig`.
         clock: Monotonic time source (tests inject a fake).
         metrics: Registry to record into (default: a private one).
-        interceptor: Optional chaos hook for the executor; see
+        interceptor: Optional batch hook for the executor (tests use
+            it to inject latency); see
             :class:`~repro.service.stages.Executor`.
 
     Use as an async context manager, or call :meth:`start` /
@@ -203,12 +203,14 @@ class SimulationService:
         self.batcher.start(self.admission, self.coalescer, self.executor)
 
     async def stop(self) -> None:
-        """Drain the stages, then flush the warehouse.
+        """Drain the stages, then save the store.
 
         The batcher exits (completing its current batch; a dead drain
         task has already failed its waiters), admission fails anything
         stranded behind the sentinel, and the coalescing map clears.
-        Last, the store's write-behind tier flushes.
+        Last, a store with a path (``REPRO_RESULT_STORE`` for the
+        process-wide one) is saved, so a restarted service starts warm;
+        see :meth:`~repro.sim.store.ResultStore.persist`.
         """
         if not self._started:
             return
@@ -220,7 +222,9 @@ class SimulationService:
         await self.admission.drain()  # lint-ok: R006
         await self.coalescer.drain()  # lint-ok: R006
         await self.executor.drain()  # lint-ok: R006
-        self.engine.store.flush()
+        # Saved on the loop: with the stages drained no batch inserts
+        # into the store, and nothing is left on the loop to delay.
+        self.engine.store.persist()
 
     async def __aenter__(self) -> "SimulationService":
         await self.start()
@@ -416,8 +420,8 @@ class SimulationService:
     # -- observability -------------------------------------------------
 
     def snapshot(self) -> dict:
-        """The metrics snapshot plus derived rates, store and warehouse
-        statistics, and each stage's state."""
+        """The metrics snapshot plus derived rates, store statistics,
+        and each stage's state."""
         # The batcher updates the gauge only after it assembles a
         # batch; pin it to the true depth at snapshot time.
         self.metrics.gauge("queue_depth").set(self.admission.depth)
@@ -440,10 +444,6 @@ class SimulationService:
             "store_misses": store_stats.misses,
             "store_evictions": store_stats.evictions,
             "store_max_entries": store_stats.max_entries,
-            "store_disk_hits": store_stats.disk_hits,
-            "store_promotions": store_stats.promotions,
-            "warehouse_segments": store_stats.warehouse_segments,
-            "warehouse_bytes": store_stats.warehouse_bytes,
         }
         snap["stages"] = {stage.name: stage.snapshot() for stage in self.stages}
         return snap

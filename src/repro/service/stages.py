@@ -589,7 +589,7 @@ class Executor:
     Args:
         engine: The engine to drive.
         retries: Engine-level re-attempts per job.
-        interceptor: Optional chaos hook awaited before each engine
+        interceptor: Optional hook awaited before each engine
             dispatch, inside the failure-isolation net: a sleeping
             interceptor injects stage latency, and an ``Exception``
             becomes typed :class:`~repro.sim.engine.FailedJob` slots.

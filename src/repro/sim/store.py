@@ -11,18 +11,17 @@ provide:
 * **control** — one ``clear()`` drops every stage's entries (wired into
   :func:`repro.sim.system.clear_caches`);
 * **persistence** — an optional pickle file lets separate processes
-  (CLI invocations, pool workers) share expensive stage outputs.
+  (CLI invocations, a restarted service) share expensive stage outputs.
 
 Keys are plain tuples of hashables, built by each stage's ``*_key``
 function in :mod:`repro.sim.stages`; the leading element names the
 stage so one store can hold every stage's results without collisions.
 
-Workload samples (:data:`MEMORY_ONLY_STAGE`) stay in memory: neither
-the pickle file nor the warehouse tier receives them, and neither is
-ever read for one, so a sample is always drawn fresh.  Everything
-derived from a sample — transfer statistics, chunk statistics, whole
-runs — persists, so a warm re-run reads its results without redrawing
-any sample.
+Workload samples (:data:`MEMORY_ONLY_STAGE`) stay in memory: the pickle
+file never receives them, so a sample is always drawn fresh.
+Everything derived from a sample — transfer statistics, chunk
+statistics, whole runs — persists, so a warm re-run reads its results
+without redrawing any sample.
 """
 
 from __future__ import annotations
@@ -31,11 +30,10 @@ import os
 import pickle
 import tempfile
 import warnings
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Hashable, Iterator
-
-from repro.sim.warehouse import SegmentWarehouse
 
 __all__ = ["ResultStore", "StoreStats", "RESULT_STORE", "default_store"]
 
@@ -45,23 +43,19 @@ STORE_PATH_ENV = "REPRO_RESULT_STORE"
 #: Environment variable capping the global store's entry count (LRU).
 STORE_MAX_ENV = "REPRO_RESULT_STORE_MAX"
 
-#: Environment variable naming the warehouse directory for the global
-#: store's disk tier (unset = memory-only).
-WAREHOUSE_ENV = "REPRO_WAREHOUSE"
-
 #: Format of the persisted payload.  Bumped whenever the pickle layout
 #: (or the meaning of stored entries) changes incompatibly; a store
 #: written under any other version is discarded with a warning instead
-#: of being misread.
-STORE_FORMAT_VERSION = 2
+#: of being misread.  Version 3 wraps the pickled entries and counters
+#: in a CRC32.
+STORE_FORMAT_VERSION = 3
 
 StoreKey = tuple[Hashable, ...]
 
 #: Leading key element (``stages.workload_key``) of the stage whose
-#: entries are never persisted: :meth:`ResultStore.save` skips them and
-#: the warehouse tier never receives them.  A workload sample is about
-#: 100x the bytes of everything derived from it, and redrawing one
-#: takes about 10 ms.
+#: entries are never persisted: :meth:`ResultStore.save` skips them.  A
+#: workload sample is about 100x the bytes of everything derived from
+#: it, and redrawing one takes about 10 ms.
 MEMORY_ONLY_STAGE = "workload"
 
 #: Internal "no value" marker (``None`` is a legitimate stored value).
@@ -79,11 +73,6 @@ class StoreStats:
         evictions: Entries dropped by the LRU cap since
             construction/load (always 0 for an uncapped store).
         max_entries: The LRU cap, or ``None`` when unbounded.
-        disk_hits: Lookups served by the warehouse tier (0 when the
-            store has no warehouse).
-        promotions: Warehouse reads promoted into the memory LRU.
-        warehouse_segments: Segment files in the warehouse tier.
-        warehouse_bytes: Total bytes across warehouse segments.
     """
 
     hits: int
@@ -91,10 +80,6 @@ class StoreStats:
     size: int
     evictions: int = 0
     max_entries: int | None = None
-    disk_hits: int = 0
-    promotions: int = 0
-    warehouse_segments: int = 0
-    warehouse_bytes: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -103,11 +88,52 @@ class StoreStats:
         return self.hits / total if total else 0.0
 
 
+class _StaleFormat(Exception):
+    """A saved store of another format version: valid data, just old."""
+
+    def __init__(self, version: object) -> None:
+        super().__init__(version)
+        self.version = version
+
+
+def _decode(data: bytes) -> dict:
+    """The entries and counters held by a saved store's bytes.
+
+    The CRC is checked before the entries are unpickled.  Raises
+    :class:`_StaleFormat` for another format version, and any other
+    exception for bytes that do not decode.
+    """
+    payload = pickle.loads(data)
+    if not isinstance(payload, dict):
+        raise TypeError(f"payload is {type(payload).__name__}, not dict")
+    if payload.get("version") != STORE_FORMAT_VERSION:
+        raise _StaleFormat(payload.get("version"))
+    body = payload["body"]
+    if zlib.crc32(body) != payload["crc32"]:
+        raise ValueError("CRC32 mismatch")
+    state = pickle.loads(body)
+    if not isinstance(state["entries"], dict):
+        raise TypeError("entries are not a key-to-value mapping")
+    for name in ("hits", "misses", "evictions"):
+        if type(state[name]) is not int:
+            raise TypeError(f"counter {name!r} is not an int")
+    return state
+
+
+def _fsync_directory(directory: Path) -> None:
+    """Make a rename inside ``directory`` durable."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class ResultStore:
     """A keyed cache with hit/miss counters and optional persistence.
 
     Args:
-        path: When given, the store loads any existing pickle at that
+        path: When given, the store loads any existing file at that
             path on construction and :meth:`save` writes back to it
             every entry but the workload samples
             (:data:`MEMORY_ONLY_STAGE`).  Counters persist alongside
@@ -120,22 +146,14 @@ class ResultStore:
             the ``REPRO_RESULT_STORE_MAX`` environment variable.  Every
             eviction is counted (see :class:`StoreStats`), so an
             undersized cap is visible in ``repro cache-stats`` and the
-            service's ``/metrics`` instead of silently thrashing.
-        warehouse: The durable disk tier beneath the memory LRU: a
-            :class:`~repro.sim.warehouse.SegmentWarehouse`, or a
-            directory path to open one at.  Lookups read through to it
-            (a warehouse hit is **promoted** into memory), writes
-            other than workload samples go write-behind into its
-            append-only segments, and a restarted process pointed at
-            the same directory warm-starts its cache.  ``None`` (the
-            default) keeps the store memory-only.
+            service's ``/metrics`` instead of silently thrashing.  An
+            evicted entry is gone from the saved file too.
     """
 
     def __init__(
         self,
         path: str | Path | None = None,
         max_entries: int | None = None,
-        warehouse: SegmentWarehouse | str | Path | None = None,
     ) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValueError(
@@ -145,12 +163,7 @@ class ResultStore:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._promotions = 0
         self.max_entries = max_entries
-        if warehouse is None or isinstance(warehouse, SegmentWarehouse):
-            self.warehouse = warehouse
-        else:
-            self.warehouse = SegmentWarehouse(warehouse)
         self.path = Path(path) if path is not None else None
         if self.path is not None and self.path.exists():
             self.load(self.path)
@@ -160,18 +173,10 @@ class ResultStore:
     # ------------------------------------------------------------------
 
     def get_or_compute(self, key: StoreKey, compute: Callable[[], Any]) -> Any:
-        """Return the stored value for ``key``, computing it on a miss.
-
-        Lookup order: the memory LRU, then the warehouse tier (a disk
-        hit counts as a store hit and the entry is promoted into
-        memory), then ``compute``.
-        """
+        """Return the stored value for ``key``, computing it on a miss."""
         try:
             value = self._entries[key]
         except KeyError:
-            promoted = self._promote(key)
-            if promoted is not _ABSENT:
-                return promoted
             self._misses += 1
             value = compute()
             self.put(key, value)
@@ -188,48 +193,17 @@ class ResultStore:
         ``default`` instead of asking ``key in store`` first.
         """
         value = self._entries.get(key, _ABSENT)
-        if value is not _ABSENT:
-            self._hits += 1
-            self._touch(key)
-            return value
-        promoted = self._promote(key)
-        if promoted is not _ABSENT:
-            return promoted
-        return default
+        if value is _ABSENT:
+            return default
+        self._hits += 1
+        self._touch(key)
+        return value
 
     def put(self, key: StoreKey, value: Any) -> None:
-        """Insert (or overwrite) an entry, evicting LRU ones over the cap.
-
-        With a warehouse attached, the entry also lands (write-behind,
-        append-once) in the disk tier, so it survives both LRU eviction
-        and process restart — unless it is a workload sample.
-        """
+        """Insert (or overwrite) an entry, evicting LRU ones over the cap."""
         self._entries.pop(key, None)  # re-insert at the recent end
         self._entries[key] = value
-        if self.warehouse is not None and key[0] != MEMORY_ONLY_STAGE:
-            self.warehouse.put(key, value)
         self._evict_over_cap()
-
-    def _promote(self, key: StoreKey) -> Any:
-        """Read ``key`` through to the warehouse, promoting a hit into
-        the memory LRU; returns ``_ABSENT`` on a true miss.
-
-        Workload samples are never read from the warehouse, so a sample
-        an older release wrote there is redrawn, not served.
-        """
-        if (
-            self.warehouse is None
-            or key[0] == MEMORY_ONLY_STAGE
-            or key not in self.warehouse
-        ):
-            return _ABSENT
-        value = self.warehouse.get(key, _ABSENT)
-        if value is _ABSENT:
-            return _ABSENT
-        self._hits += 1
-        self._promotions += 1
-        self.put(key, value)
-        return value
 
     def _touch(self, key: StoreKey) -> None:
         """Mark ``key`` most-recently-used (dicts preserve insert order)."""
@@ -245,13 +219,7 @@ class ResultStore:
             self._evictions += 1
 
     def __contains__(self, key: StoreKey) -> bool:
-        if key in self._entries:
-            return True
-        return (
-            self.warehouse is not None
-            and key[0] != MEMORY_ONLY_STAGE
-            and key in self.warehouse
-        )
+        return key in self._entries
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -279,64 +247,21 @@ class ResultStore:
         return self._evictions
 
     def stats(self) -> StoreStats:
-        """A snapshot of the store's counters (and the warehouse's)."""
-        disk_hits = 0
-        warehouse_segments = 0
-        warehouse_bytes = 0
-        if self.warehouse is not None:
-            wh = self.warehouse.stats()
-            disk_hits = wh.disk_hits
-            warehouse_segments = wh.segment_count
-            warehouse_bytes = wh.segment_bytes
+        """A snapshot of the store's counters."""
         return StoreStats(
             hits=self._hits,
             misses=self._misses,
             size=len(self),
             evictions=self._evictions,
             max_entries=self.max_entries,
-            disk_hits=disk_hits,
-            promotions=self._promotions,
-            warehouse_segments=warehouse_segments,
-            warehouse_bytes=warehouse_bytes,
         )
 
     def clear(self) -> None:
-        """Drop every memory entry and reset the counters.
-
-        The warehouse tier is durable by design and is *not* cleared —
-        it is the thing that survives restarts.
-        """
+        """Drop every entry and reset the counters."""
         self._entries.clear()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._promotions = 0
-
-    def flush(self) -> None:
-        """Flush the warehouse tier's write-behind buffer (if any)."""
-        if self.warehouse is not None:
-            self.warehouse.flush()
-
-    def scrub(self) -> dict:
-        """Re-verify the warehouse tier's records, repairing corrupt
-        ones from the memory LRU where it still holds the value.
-
-        Returns the warehouse's scrub report (all-zero counts for a
-        memory-only store); see
-        :meth:`~repro.sim.warehouse.SegmentWarehouse.scrub`.
-        """
-        if self.warehouse is None:
-            return {"scanned": 0, "corrupt": 0, "repaired": 0, "lost": 0}
-        return self.warehouse.scrub(repair=self._entries)
-
-    def compact(self) -> dict:
-        """Compact the warehouse tier's segments (no-op when
-        memory-only); see
-        :meth:`~repro.sim.warehouse.SegmentWarehouse.compact`."""
-        if self.warehouse is None:
-            return {"records": 0, "segments_before": 0,
-                    "segments_after": 0, "reclaimed": 0}
-        return self.warehouse.compact()
 
     # ------------------------------------------------------------------
     # Persistence
@@ -346,21 +271,31 @@ class ResultStore:
         """Pickle the entries and counters to ``path`` (or ``self.path``).
 
         Workload samples are left out (:data:`MEMORY_ONLY_STAGE`).  The
-        write is atomic (temp file + rename) so a crashed run never
-        leaves a truncated store behind.
+        pickled entries and counters travel with their CRC32, which
+        :meth:`load` checks before unpickling them.  The write is
+        atomic and durable: a temp file is fsynced and renamed over the
+        target, then the directory is fsynced, so a crash leaves either
+        the previous store or the new one, never a torn one.
         """
         target = Path(path) if path is not None else self.path
         if target is None:
             raise ValueError("no path given and the store has no default path")
+        body = pickle.dumps(
+            {
+                "entries": {
+                    key: value for key, value in self._entries.items()
+                    if key[0] != MEMORY_ONLY_STAGE
+                },
+                "hits": self._hits,
+                "misses": self._misses,
+                "evictions": self._evictions,
+            },
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
         payload = {
             "version": STORE_FORMAT_VERSION,
-            "entries": {
-                key: value for key, value in self._entries.items()
-                if key[0] != MEMORY_ONLY_STAGE
-            },
-            "hits": self._hits,
-            "misses": self._misses,
-            "evictions": self._evictions,
+            "crc32": zlib.crc32(body),
+            "body": body,
         }
         target.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(
@@ -369,75 +304,89 @@ class ResultStore:
         try:
             with os.fdopen(fd, "wb") as handle:
                 pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.flush()
+                os.fsync(handle.fileno())
             os.replace(tmp_name, target)
         except BaseException:
             if os.path.exists(tmp_name):
                 os.unlink(tmp_name)
             raise
-        self.flush()
+        _fsync_directory(target.parent)
         return target
 
+    def persist(self) -> Path | None:
+        """Save to ``self.path`` when the store has one.
+
+        The CLI calls this after a command's work and the service at a
+        clean stop.  A write the filesystem refuses warns, naming the
+        path, instead of raising: the store is a cache, and failing to
+        keep it must not cost the caller the results it just computed.
+        """
+        if self.path is None:
+            return None
+        try:
+            return self.save()
+        except OSError as exc:
+            warnings.warn(
+                f"could not save result store {self.path}: "
+                f"{exc.strerror or exc}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            return None
+
     def load(self, path: str | Path) -> None:
-        """Replace the store's contents with a previously saved pickle.
+        """Replace the store's contents with a previously saved store.
 
         A persisted store is a cache, never the only copy of anything —
-        so nothing that goes wrong here is fatal.  Workload samples an
-        older release persisted are dropped: a sample is always drawn
-        fresh, in the form the current stages read.  A missing file or a
-        stale format version empties the store with a warning; a
-        corrupt or truncated pickle is additionally **quarantined**
-        (renamed to ``<name>.corrupt``) so the broken bytes survive for
-        inspection while the next :meth:`save` starts clean.
+        so nothing that goes wrong here is fatal: the store warns and
+        starts empty.  A path that cannot be read as a file (missing, a
+        directory, unreadable) and a store of another format version
+        are left where they are.  Bytes that were read but do not
+        decode — a garbled or truncated pickle, a CRC mismatch, a
+        payload of the wrong shape — are **quarantined** (renamed to
+        ``<name>.corrupt``) so they survive for inspection while the
+        next :meth:`save` starts clean.
         """
         path = Path(path)
         try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-            if not isinstance(payload, dict):
-                raise TypeError(f"payload is {type(payload).__name__}, not dict")
-            entries = {
-                key: value for key, value in payload["entries"].items()
-                if key[0] != MEMORY_ONLY_STAGE
-            }
-            hits = payload["hits"]
-            misses = payload["misses"]
+            data = path.read_bytes()
         except FileNotFoundError:
-            warnings.warn(
-                f"result store {path} does not exist; starting empty",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            self.clear()
+            self._start_empty(f"result store {path} does not exist")
             return
-        except Exception as exc:  # truncated/garbled pickle, wrong shape
+        except OSError as exc:
+            self._start_empty(
+                f"result store {path} cannot be read ({exc.strerror or exc})"
+            )
+            return
+        try:
+            state = _decode(data)
+        except _StaleFormat as stale:
+            self._start_empty(
+                f"result store {path} has format version "
+                f"{stale.version!r}, expected {STORE_FORMAT_VERSION}; "
+                "discarding it"
+            )
+            return
+        except Exception as exc:  # truncated/garbled bytes, wrong shape
             quarantine = self._quarantine(path)
             where = f" (quarantined as {quarantine})" if quarantine else ""
-            warnings.warn(
+            self._start_empty(
                 f"result store {path} is corrupt ({exc!r}); "
-                f"starting empty{where}",
-                RuntimeWarning,
-                stacklevel=2,
+                f"starting empty{where}"
             )
-            self.clear()
             return
-        version = payload.get("version")
-        if version != STORE_FORMAT_VERSION:
-            warnings.warn(
-                f"result store {path} has format version {version!r}, "
-                f"expected {STORE_FORMAT_VERSION}; discarding it",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            self.clear()
-            return
-        self._entries = entries
-        self._hits = hits
-        self._misses = misses
-        # Older stores predate the eviction counter; start it at 0.
-        self._evictions = payload.get("evictions", 0)
+        self._entries = state["entries"]
+        self._hits = state["hits"]
+        self._misses = state["misses"]
+        self._evictions = state["evictions"]
         # A persisted store larger than this instance's cap trims down
         # immediately (oldest-persisted first) instead of exceeding it.
         self._evict_over_cap()
+
+    def _start_empty(self, message: str) -> None:
+        warnings.warn(message, RuntimeWarning, stacklevel=3)
+        self.clear()
 
     @staticmethod
     def _quarantine(path: Path) -> Path | None:
@@ -472,12 +421,11 @@ def _env_max_entries() -> int | None:
 
 def default_store() -> ResultStore:
     """Build the process-wide store, honouring ``REPRO_RESULT_STORE``
-    (persistence path), ``REPRO_RESULT_STORE_MAX`` (LRU entry cap), and
-    ``REPRO_WAREHOUSE`` (disk-tier directory)."""
+    (persistence path; unset or empty = memory only) and
+    ``REPRO_RESULT_STORE_MAX`` (LRU entry cap)."""
     return ResultStore(
-        path=os.environ.get(STORE_PATH_ENV),
+        path=os.environ.get(STORE_PATH_ENV) or None,
         max_entries=_env_max_entries(),
-        warehouse=os.environ.get(WAREHOUSE_ENV) or None,
     )
 
 

@@ -228,6 +228,9 @@ class TestServerDeadline:
             yield harness
 
     def test_deadline_header_maps_to_504(self, slow_harness):
+        """A structured 504, never a hang, and the expiry is visible in
+        ``/metrics`` over HTTP (the contract of ``repro chaos``'s
+        deadline phase)."""
         from repro.service.client import ServiceRequestError
 
         with slow_harness.client(
@@ -237,6 +240,9 @@ class TestServerDeadline:
                 client.simulate("Ocean", system={"sample_blocks": 100})
         assert excinfo.value.status == 504
         assert excinfo.value.error["type"] == "deadline-exceeded"
+        with slow_harness.client() as probe:
+            counters = probe.metrics()["counters"]
+        assert counters["deadline_expirations"] >= 1
         slow_harness.gate.set()
 
     def test_malformed_deadline_header_is_400(self, slow_harness):

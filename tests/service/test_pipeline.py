@@ -124,6 +124,42 @@ class TestCoalescing:
         assert sum(len(batch) for batch in engine.batches) == 1
 
 
+class TestStoreAtStop:
+    """A clean stop saves a store that has a path, so a restarted
+    service starts warm."""
+
+    @staticmethod
+    def _serve_once(engine, job):
+        async def drive():
+            async with SimulationService(engine=engine) as service:
+                await service.submit(job)
+                return service.snapshot()["counters"]
+
+        return asyncio.run(drive())
+
+    def test_a_restarted_service_answers_from_the_saved_store(self, tmp_path):
+        path = tmp_path / "store.pkl"
+        job = job_for()
+        first = StubEngine()
+        first.store = ResultStore(path)
+        self._serve_once(first, job)
+        assert len(first.batches) == 1
+        restarted = StubEngine()
+        restarted.store = ResultStore(path)
+        counters = self._serve_once(restarted, job)
+        assert counters["store_hits_total"] == 1
+        assert restarted.batches == []
+
+    def test_a_refused_save_warns_and_stops_cleanly(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        engine = StubEngine()
+        engine.store = ResultStore(blocker / "store.pkl")
+        with pytest.warns(RuntimeWarning, match="could not save result store"):
+            self._serve_once(engine, job_for())
+        assert blocker.read_text() == ""
+
+
 class TestBackpressure:
     def test_queue_full_raises_backpressure(self):
         gate = threading.Event()

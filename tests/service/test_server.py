@@ -29,6 +29,20 @@ from repro.sim.store import ResultStore
 SYSTEM = {"sample_blocks": 120}
 
 
+class GatedEngine:
+    """A stub engine that holds every batch until :attr:`gate` opens,
+    then answers from a real engine, so replies serialize over HTTP."""
+
+    def __init__(self) -> None:
+        self.real = StagedEngine(ResultStore())
+        self.store = self.real.store
+        self.gate = threading.Event()
+
+    def run_many(self, jobs, max_workers=None, retries=1):
+        assert self.gate.wait(timeout=30), "test gate never opened"
+        return self.real.run_many(jobs, max_workers, retries=retries)
+
+
 @pytest.fixture(scope="module")
 def harness():
     with ServerHarness() as running:
@@ -78,8 +92,8 @@ class TestEndpoints:
         assert health["max_queue"] == harness.service_config.max_queue
 
     def test_metrics_snapshot_shape(self, harness):
-        """The bare metric names that ``repro serve --check``,
-        ``repro chaos`` and the benchmark read."""
+        """The bare metric names that ``repro serve --check`` and the
+        benchmark read."""
         with harness.client() as client:
             first = client.simulate("Ocean", system={"sample_blocks": 119})
             repeat = client.simulate("Ocean", system={"sample_blocks": 119})
@@ -97,6 +111,10 @@ class TestEndpoints:
             assert metrics["histograms"][name]["count"] >= 1, name
         for block in ("derived", "engine", "stages", "version"):
             assert block in metrics, block
+        assert sorted(metrics["engine"]) == [
+            "store_entries", "store_evictions", "store_hits",
+            "store_max_entries", "store_misses",
+        ]
         for block in ("breaker", "supervisor"):
             assert block not in metrics, block
         assert "crashed" not in metrics["stages"]["batcher"]
@@ -458,35 +476,151 @@ class TestClientRetry:
         wait = ServiceClient._retry_after({}, {}, fallback=0.1)
         assert wait == pytest.approx(0.1)
 
-    def test_429_consumes_attempts_then_unavailable(self, harness):
-        """A client hammering a full queue gets Backpressure mapped to
-        429 and converges (the smoke check's contract) — here we only
-        check the client gives up cleanly when attempts run out."""
-        client = ServiceClient(
-            host=harness.host,
-            port=harness.port,
-            max_attempts=1,
-        )
-        # max_attempts=1 means a single 429 would exhaust the budget;
-        # against an idle harness this request simply succeeds, which
-        # also proves one attempt is enough when there is no pressure.
-        assert client.healthz()["status"] == "ok"
-        client.close()
+    def test_429_consumes_attempts_then_unavailable(self):
+        """A real queue flood, the contract ``repro chaos``'s
+        queue-flood phase checked.  With the engine gated shut and a
+        one-slot queue, a request past the full queue gets a 429 with
+        ``Retry-After`` and moves ``rejected_total``, a one-attempt
+        client gives up with :class:`ServiceUnavailable`, and retrying
+        clients all converge on the direct engine's bytes once the gate
+        opens, with zero drops."""
+        import http.client
+        import time
+
+        engine = GatedEngine()
+        payloads = [
+            {"app": app, "system": {"sample_blocks": 97}}
+            for app in ("Ocean", "CG", "mcf")
+        ]
+        direct = StagedEngine(ResultStore())
+        expected = [
+            codec.encode_json(codec.result_to_payload(direct.run(
+                payload["app"], SchemeConfig(),
+                SystemConfig(**payload["system"]),
+            )))
+            for payload in payloads
+        ]
+
+        def wait_for(harness, predicate):
+            with harness.client() as probe:
+                for _ in range(500):
+                    metrics = probe.metrics()
+                    if predicate(metrics):
+                        return metrics
+                    time.sleep(0.01)
+            raise AssertionError(f"service never reached the state: {metrics}")
+
+        def depth(metrics):
+            stages = metrics["stages"]
+            return (stages["coalescer"]["inflight"],
+                    stages["admission"]["queue_depth"])
+
+        replies: list[tuple[int, dict]] = []
+        errors: list[Exception] = []
+
+        def drive(indices):
+            try:
+                with harness.client(max_attempts=100, backoff_s=0.01) as c:
+                    for index in indices:
+                        replies.append((index, c.simulate_payload(
+                            payloads[index]
+                        )))
+            except Exception as exc:  # collected, not raised in-thread
+                errors.append(exc)
+
+        config = ServiceConfig(max_queue=1, batch_linger_s=0.0)
+        with ServerHarness(service_config=config, engine=engine) as harness:
+            # One job held in the gated engine, one filling the queue.
+            threads = [threading.Thread(target=drive, args=([0],))]
+            threads[0].start()
+            wait_for(harness, lambda m: depth(m) == (1, 0))
+            threads.append(threading.Thread(target=drive, args=([1],)))
+            threads[1].start()
+            wait_for(harness, lambda m: depth(m) == (2, 1))
+
+            conn = http.client.HTTPConnection(
+                harness.host, harness.port, timeout=10
+            )
+            try:
+                conn.request(
+                    "POST", "/simulate", body=json.dumps(payloads[2]),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = conn.getresponse()
+                body = json.loads(response.read())
+            finally:
+                conn.close()
+            assert response.status == 429
+            assert float(response.getheader("Retry-After")) > 0
+            assert body["error"]["type"] == "backpressure"
+            with harness.client(max_attempts=1) as once:
+                with pytest.raises(ServiceUnavailable, match="1 attempt"):
+                    once.simulate_payload(payloads[2])
+            rejected = wait_for(
+                harness, lambda m: m["counters"].get("rejected_total", 0) >= 2
+            )["counters"]["rejected_total"]
+
+            # Retrying clients pile onto the full queue, then converge
+            # once the gate opens.
+            for _ in range(4):
+                threads.append(threading.Thread(target=drive, args=([2, 0, 1],)))
+                threads[-1].start()
+            wait_for(
+                harness,
+                lambda m: m["counters"].get("rejected_total", 0) > rejected,
+            )
+            engine.gate.set()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            service = harness.service
+        assert errors == []
+        assert len(replies) == 2 + 4 * 3
+        for index, reply in replies:
+            assert codec.encode_json(reply) == expected[index], index
+        assert not service.batcher.running
 
 
 class TestRunCheck:
-    def test_quick_check_passes(self, tmp_path):
+    SMALL = dict(
+        quick=True, num_clients=6, requests_per_client=2, sample_blocks=80
+    )
+
+    def test_quick_check_passes(self, tmp_path, monkeypatch):
+        from repro.sim.store import STORE_PATH_ENV
+
+        monkeypatch.delenv(STORE_PATH_ENV, raising=False)
         metrics_out = tmp_path / "metrics.json"
-        code, summary = run_check(
-            quick=True,
-            num_clients=6,
-            requests_per_client=2,
-            sample_blocks=80,
-            metrics_out=str(metrics_out),
-        )
+        code, summary = run_check(metrics_out=str(metrics_out), **self.SMALL)
         assert code == 0, summary["problems"]
         assert summary["problems"] == []
         assert summary["byte_identical"] is True
         assert summary["answered"] == 12
         assert summary["coalesced_total"] > 0
         assert metrics_out.exists()
+
+    def test_warm_restart_from_the_saved_store(self, tmp_path, monkeypatch):
+        """``repro serve --check`` then ``--expect-warm`` over one
+        ``REPRO_RESULT_STORE`` file: every warm request is a store hit,
+        and without the file the warm check fails."""
+        from repro.sim.store import STORE_PATH_ENV
+
+        path = tmp_path / "serve.pkl"
+        monkeypatch.setenv(STORE_PATH_ENV, str(path))
+        code, cold = run_check(**self.SMALL)
+        assert code == 0, cold["problems"]
+        assert cold["store"] == str(path)
+        assert path.exists()
+        code, warm = run_check(expect_warm=True, **self.SMALL)
+        assert code == 0, warm["problems"]
+        assert warm["store_hits"] == warm["requests"] == 12
+        # A fully warm run has nothing in flight to coalesce, with or
+        # without the flag.
+        code, again = run_check(**self.SMALL)
+        assert code == 0, again["problems"]
+        assert again["coalesced_total"] == 0
+        monkeypatch.delenv(STORE_PATH_ENV)
+        code, unsaved = run_check(expect_warm=True, **self.SMALL)
+        assert code == 1
+        assert unsaved["store"] is None
+        assert any("warm start" in p for p in unsaved["problems"])

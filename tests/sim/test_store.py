@@ -81,6 +81,15 @@ class TestPersistence:
         assert fresh.misses == 1
         assert fresh.hits >= 1
 
+    def test_none_is_a_value_that_persists(self, tmp_path):
+        path = tmp_path / "store.pkl"
+        store = ResultStore(path)
+        store.put(("k",), None)
+        store.save()
+        fresh = ResultStore(path)
+        assert ("k",) in fresh
+        assert fresh.get(("k",), "absent") is None
+
     def test_default_path_used_by_save(self, tmp_path):
         path = tmp_path / "store.pkl"
         store = ResultStore(path)
@@ -214,7 +223,7 @@ class TestSamplesStayInMemory:
         cold = self._run(store, "cold", "fig12")
         assert cold.returncode == 0, cold.stderr
         with open(store, "rb") as handle:
-            entries = pickle.load(handle)["entries"]
+            entries = pickle.loads(pickle.load(handle)["body"])["entries"]
         stages = Counter(key[0] for key in entries)
         assert "workload" not in stages
         assert stages["chunk-stats"] == 16
@@ -226,55 +235,37 @@ class TestSamplesStayInMemory:
         assert warm.returncode == 0, warm.stderr
         assert json.loads(warm.stdout) == fig13_last_value.run(num_blocks=200)
 
-    def test_a_store_holding_samples_still_loads(self, tmp_path):
-        """A version-2 store written while samples were still persisted
-        loads without them: a sample is never served from disk."""
+    def test_a_store_holding_samples_is_discarded(self, tmp_path):
+        """A version-2 store, written while samples were still
+        persisted, is discarded whole and left in place: no old sample
+        is ever served, and the engine draws the sample afresh."""
         import pickle
-        import warnings
 
+        from repro.sim.engine import StagedEngine
         from repro.sim.stages import sample_workload, workload_key
-        from repro.sim.store import STORE_FORMAT_VERSION
         from repro.workloads.profiles import profile
 
         app = profile("FFT")
         sample_key = workload_key(app, 8, 0)
         path = tmp_path / "store.pkl"
         payload = {
-            "version": STORE_FORMAT_VERSION,
+            "version": 2,
             "entries": {sample_key: sample_workload(app, 8, 0), ("k",): 1},
             "hits": 2, "misses": 3, "evictions": 0,
         }
         with open(path, "wb") as handle:
             pickle.dump(payload, handle)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+        with pytest.warns(RuntimeWarning, match="format version 2"):
             store = ResultStore(path)
-        assert store.stats() == StoreStats(hits=2, misses=3, size=1)
-        assert sample_key not in store
+        assert store.stats() == StoreStats(hits=0, misses=0, size=0)
         assert store.get(sample_key) is None
-        assert list(store) == [("k",)]
-        store.save()
-        assert list(ResultStore(path)) == [("k",)]
-
-    def test_a_warehouse_never_serves_a_sample(self, tmp_path):
-        """A sample record an older release appended to a warehouse is
-        skipped on read; the sample is drawn again."""
-        from repro.sim.engine import StagedEngine
-        from repro.sim.stages import workload_key
-        from repro.sim.warehouse import SegmentWarehouse
-        from repro.workloads.profiles import profile
-
-        app = profile("FFT")
-        key = workload_key(app, 8, 0)
-        warehouse = SegmentWarehouse(tmp_path / "wh")
-        warehouse.put(key, "an older sample")
-        warehouse.flush()
-        store = ResultStore(warehouse=SegmentWarehouse(tmp_path / "wh"))
-        assert key not in store
-        assert store.get(key) is None
+        assert path.exists()
+        assert not (tmp_path / "store.pkl.corrupt").exists()
         sample = StagedEngine(store).workload(app, 8, 0)
         assert sample.num_blocks == 8
         assert store.misses == 1
+        store.save()
+        assert list(ResultStore(path)) == []
 
 
 class TestGracefulLoad:
@@ -377,6 +368,32 @@ class TestGracefulLoad:
         fresh = ResultStore(path)
         assert fresh.get(("k",)) == 7
 
+    def test_crc_mismatch_quarantined(self, tmp_path):
+        """A flipped byte inside the pickled entries fails the CRC
+        before anything is unpickled."""
+        path = tmp_path / "store.pkl"
+        good = ResultStore(path)
+        good.put(("k",), b"intact-value")
+        good.save()
+        data = bytearray(path.read_bytes())
+        data[data.index(b"intact-value")] ^= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.warns(RuntimeWarning, match="CRC32 mismatch"):
+            store = ResultStore(path)
+        assert len(store) == 0
+        assert (tmp_path / "store.pkl.corrupt").read_bytes() == bytes(data)
+
+    def test_unreadable_path_left_in_place(self, tmp_path):
+        """A path that cannot be read as a file warns and starts empty;
+        nothing is renamed, since no bytes were read."""
+        directory = tmp_path / "store.pkl"
+        directory.mkdir()
+        with pytest.warns(RuntimeWarning, match="cannot be read"):
+            store = ResultStore(directory)
+        assert len(store) == 0
+        assert directory.is_dir()
+        assert not (tmp_path / "store.pkl.corrupt").exists()
+
 
 class TestCrashSafety:
     """Satellite guarantee: ``save`` is atomic.  A process killed in
@@ -388,16 +405,21 @@ class TestCrashSafety:
         import os, signal, sys
         from repro.sim.store import ResultStore
 
+        def die(*args):
+            os.kill(os.getpid(), signal.SIGKILL)
+
         class Bomb:
-            '''Pickles partway, then SIGKILLs the process: a crash in
-            the middle of save()'s temp-file write.'''
+            '''SIGKILLs the process while save() pickles the entries.'''
             def __reduce__(self):
-                os.kill(os.getpid(), signal.SIGKILL)
+                die()
                 return (int, (0,))  # unreachable
 
         store = ResultStore(sys.argv[1])
         store.put(("padding",), list(range(10000)))  # fill the buffer
-        store.put(("bomb",), Bomb())
+        if sys.argv[2] == "pickling":
+            store.put(("bomb",), Bomb())
+        else:  # the temp file is written; die before the rename
+            os.fsync = die
         store.save()
         """
     )
@@ -413,19 +435,21 @@ class TestCrashSafety:
             os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "src"
         )
         env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-c", self.KILLER, str(path)],
-            env=env, capture_output=True,
-        )
-        assert proc.returncode == -9  # SIGKILL landed mid-save
+        for crash_point in ("pickling", "rename"):
+            proc = subprocess.run(
+                [sys.executable, "-c", self.KILLER, str(path), crash_point],
+                env=env, capture_output=True,
+            )
+            assert proc.returncode == -9, crash_point  # SIGKILL landed
 
-        # The target was never replaced: byte-identical to the good
-        # save, and the next load sees the old entries with no
-        # quarantine (the half-written temp file is not the store).
-        assert path.read_bytes() == before
-        fresh = ResultStore(path)
-        assert fresh.get(("survivor",)) == 42
-        assert not (tmp_path / "store.pkl.corrupt").exists()
+            # The target was never replaced: byte-identical to the good
+            # save, and the next load sees the old entries with no
+            # quarantine (a half-written temp file is not the store).
+            assert path.read_bytes() == before, crash_point
+            fresh = ResultStore(path)
+            assert fresh.get(("survivor",)) == 42, crash_point
+            assert not (tmp_path / "store.pkl.corrupt").exists()
+        assert len(list(tmp_path.glob("store.pkl*.tmp"))) == 1
 
     def test_save_failure_cleans_up_its_temp_file(self, tmp_path):
         class Unpicklable:
@@ -439,6 +463,136 @@ class TestCrashSafety:
             store.save()
         assert not path.exists()
         assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_save_fsyncs_the_file_then_renames_then_fsyncs_the_directory(
+        self, tmp_path, monkeypatch
+    ):
+        import stat
+
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            mode = os.fstat(fd).st_mode
+            events.append(("fsync", "dir" if stat.S_ISDIR(mode) else "file"))
+            real_fsync(fd)
+
+        def replace(source, target):
+            events.append(("replace", os.path.basename(target)))
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        store = ResultStore(tmp_path / "store.pkl")
+        store.put(("k",), 1)
+        store.save()
+        assert events == [
+            ("fsync", "file"), ("replace", "store.pkl"), ("fsync", "dir"),
+        ]
+
+
+class TestPersist:
+    """``persist`` is the save the CLI and the service make: it never
+    raises for a write the filesystem refuses."""
+
+    def test_a_store_without_a_path_saves_nothing(self):
+        assert ResultStore().persist() is None
+
+    def test_saves_to_the_store_path(self, tmp_path):
+        path = tmp_path / "store.pkl"
+        store = ResultStore(path)
+        store.put(("k",), 1)
+        assert store.persist() == path
+        assert ResultStore(path).get(("k",)) == 1
+
+    def test_a_refused_write_warns_naming_the_path(self, tmp_path):
+        import re
+
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        path = blocker / "store.pkl"
+        store = ResultStore(path)
+        store.put(("k",), 1)
+        with pytest.warns(
+            RuntimeWarning,
+            match=f"could not save result store {re.escape(str(path))}",
+        ):
+            assert store.persist() is None
+        assert blocker.read_text() == ""
+        assert list(tmp_path.iterdir()) == [blocker]
+
+
+class TestCorruptionOracle:
+    """Every single-byte flip and every truncation of a saved store.
+
+    The oracle shares no code with the store's checks: it knows only
+    the entries that were saved and where their value bytes sit in the
+    file.  Loading must either return exactly the saved entries, or
+    warn and start empty; it never raises and never holds a value that
+    differs from a saved one.  A flip inside a stored value, and any
+    truncation, must leave a ``.corrupt`` file.
+    """
+
+    SAVED = {("run", i): b"value-%04d" % i * 2 for i in range(4)}
+
+    def _save(self, tmp_path):
+        path = tmp_path / "store.pkl"
+        store = ResultStore(path)
+        for key, value in self.SAVED.items():
+            store.put(key, value)
+        store.save()
+        return path, path.read_bytes()
+
+    @staticmethod
+    def _load(path, data):
+        """Write ``data`` at ``path`` and load it; returns the entries,
+        whether a RuntimeWarning was raised, and whether a
+        ``.corrupt`` file appeared."""
+        import warnings
+
+        quarantine = path.with_name(path.name + ".corrupt")
+        quarantine.unlink(missing_ok=True)
+        path.write_bytes(data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            store = ResultStore(path)
+        entries = {key: store.get(key) for key in list(store)}
+        warned = any(
+            issubclass(w.category, RuntimeWarning) for w in caught
+        )
+        return entries, warned, quarantine.exists()
+
+    def test_every_byte_flip_loads_exactly_or_starts_empty(self, tmp_path):
+        path, data = self._save(tmp_path)
+        value_bytes = set()
+        for value in self.SAVED.values():
+            assert data.count(value) == 1
+            start = data.index(value)
+            value_bytes.update(range(start, start + len(value)))
+        for position in range(len(data)):
+            for mask in (0x01, 0xFF):
+                flipped = bytearray(data)
+                flipped[position] ^= mask
+                entries, warned, quarantined = self._load(
+                    path, bytes(flipped)
+                )
+                where = f"byte {position} ^ {mask:#x}"
+                if entries:
+                    assert entries == self.SAVED, where
+                else:
+                    assert warned, where
+                if position in value_bytes:
+                    assert not entries and quarantined, where
+
+    def test_every_truncation_is_quarantined(self, tmp_path):
+        path, data = self._save(tmp_path)
+        for length in range(len(data)):
+            entries, warned, quarantined = self._load(path, data[:length])
+            assert not entries and warned and quarantined, length
+
+    def test_the_intact_file_loads_exactly(self, tmp_path):
+        path, data = self._save(tmp_path)
+        assert self._load(path, data) == (self.SAVED, False, False)
 
 
 class TestLRUCap:
@@ -543,6 +697,20 @@ class TestEnvCap:
 
         monkeypatch.delenv(STORE_MAX_ENV, raising=False)
         assert default_store().max_entries is None
+
+    def test_empty_path_env_means_memory_only(self, monkeypatch, tmp_path):
+        import warnings
+
+        from repro.sim.store import STORE_PATH_ENV, default_store
+
+        monkeypatch.setenv(STORE_PATH_ENV, "")
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            store = default_store()
+            assert store.path is None
+            assert store.persist() is None
+        assert list(tmp_path.iterdir()) == []
 
     def test_invalid_env_warns_and_ignores(self, monkeypatch):
         from repro.sim.store import STORE_MAX_ENV, default_store

@@ -379,16 +379,37 @@ class TestServeCommand:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-class TestChaosCommand:
+class TestRetiredPersistenceTier:
+    """The segment warehouse and ``repro chaos`` are gone: each way in
+    is an argparse usage error before any work starts.
+
+    argparse accepts any unambiguous prefix of an option, so ``--ware``
+    is refused only when no option starting with it is left, the
+    retired warehouse directory option included.  The other arguments
+    make a regression fail fast instead of starting work.
+    """
+
     @pytest.mark.parametrize(
-        "flags", [["--seed", "0"], ["--check"]], ids=["seed", "check"]
+        "args,message",
+        [
+            (["chaos", "--help"], "invalid choice: 'chaos'"),
+            (["serve", "--port", "0", "--max-queue", "0", "--ware", "d"],
+             "unrecognized arguments: --ware d"),
+            (["explore", "--study", "x.json", "--preset", "quick",
+              "--ware", "d"],
+             "unrecognized arguments: --ware d"),
+            (["cache-stats", "--ware", "d"],
+             "unrecognized arguments: --ware d"),
+        ],
+        ids=["chaos", "serve", "explore", "cache-stats"],
     )
-    def test_removed_flags_exit_two(self, capsys, flags):
+    def test_exits_2_with_a_usage_error(self, capsys, args, message):
         with pytest.raises(SystemExit) as excinfo:
-            main(["chaos", "--quick", *flags])
+            main(args)
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "unrecognized arguments" in err
+        assert err.startswith("usage: repro")
+        assert message in err
         assert "Traceback" not in err
 
 
@@ -490,20 +511,120 @@ class TestBadArguments:
         assert "running fig01" not in err  # failed before the figures ran
         assert not out.parent.exists()
 
-    @pytest.mark.parametrize("via_env", [False, True])
-    def test_missing_warehouse_exits_2_and_creates_nothing(
-        self, tmp_path, capsys, monkeypatch, via_env
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_missing_store_exits_2_and_creates_nothing(
+        self, tmp_path, capsys, kind
     ):
-        from repro.sim.store import WAREHOUSE_ENV
-
-        missing = tmp_path / "typo" / "dir"
-        if via_env:
-            monkeypatch.setenv(WAREHOUSE_ENV, str(missing))
-            args = ["cache-stats"]
+        if kind == "missing":
+            store = tmp_path / "typo" / "store.pkl"
         else:
-            monkeypatch.delenv(WAREHOUSE_ENV, raising=False)
-            args = ["cache-stats", "--warehouse", str(missing)]
-        assert main(args) == 2
+            store = tmp_path / "store.pkl"
+            store.mkdir()
+        assert main(["cache-stats", "--store", str(store)]) == 2
         err = capsys.readouterr().err
-        assert err == f"repro cache-stats: error: no warehouse at {missing}\n"
-        assert not (tmp_path / "typo").exists()
+        assert err == f"repro cache-stats: error: no store at {store}\n"
+        assert [p.name for p in tmp_path.iterdir()] == (
+            [] if kind == "missing" else ["store.pkl"]
+        )
+
+
+class TestStoreFileBoundary:
+    """A bad ``REPRO_RESULT_STORE`` never costs a command its output:
+    the store warns, the command prints its result and exits 0, and no
+    file of the user's is renamed."""
+
+    @staticmethod
+    def _run(args, cwd, store):
+        import os
+        import subprocess
+        import sys as _sys
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        env = dict(
+            os.environ, PYTHONPATH=str(root / "src"), REPRO_RESULT_STORE=store
+        )
+        return subprocess.run(
+            [_sys.executable, "-m", "repro", *args],
+            env=env, capture_output=True, text=True, cwd=cwd, timeout=120,
+        )
+
+    @pytest.mark.parametrize("args", [["--help"], ["run", "fig03"]],
+                             ids=["help", "run"])
+    def test_an_empty_value_means_no_store(self, tmp_path, args):
+        proc = self._run(args, tmp_path, "")
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_directory_is_left_in_place(self, tmp_path):
+        store = tmp_path / "store"
+        store.mkdir()
+        proc = self._run(["run", "fig03"], tmp_path, str(store))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("=== fig03")
+        assert f"result store {store} cannot be read" in proc.stderr
+        assert f"could not save result store {store}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["store"]
+        assert store.is_dir() and list(store.iterdir()) == []
+
+    def test_a_path_under_a_regular_file_warns_at_save(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("keep")
+        store = blocker / "store.pkl"
+        proc = self._run(["run", "fig03"], tmp_path, str(store))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("=== fig03")
+        assert f"could not save result store {store}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert blocker.read_text() == "keep"
+
+
+class TestServeSavesItsStore:
+    def test_a_sigint_stop_saves_the_store(self, tmp_path):
+        """``repro serve`` saves ``REPRO_RESULT_STORE`` at a clean stop
+        (SIGINT), and ``cache-stats`` reads what it saved."""
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys as _sys
+        from pathlib import Path
+
+        from repro.service.client import ServiceClient
+
+        root = Path(__file__).resolve().parent.parent
+        store = tmp_path / "serve.pkl"
+        env = dict(
+            os.environ, PYTHONPATH=str(root / "src"),
+            REPRO_RESULT_STORE=str(store),
+        )
+        server = subprocess.Popen(
+            [_sys.executable, "-m", "repro", "serve", "--port", "0"],
+            env=env, cwd=tmp_path, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            banner = server.stderr.readline()
+            port = int(re.search(r"http://[^:]+:(\d+)", banner).group(1))
+            with ServiceClient(port=port) as client:
+                client.simulate("Ocean", system={"sample_blocks": 100})
+            server.send_signal(signal.SIGINT)
+            _, err = server.communicate(timeout=60)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+        assert server.returncode == 0, err
+        assert "Traceback" not in err
+        stats = subprocess.run(
+            [_sys.executable, "-m", "repro", "cache-stats", "--store",
+             str(store)],
+            env=env, capture_output=True, text=True, cwd=tmp_path,
+            timeout=120,
+        )
+        assert stats.returncode == 0, stats.stderr
+        assert "entries: 0" not in stats.stdout
+        assert "misses:  " in stats.stdout
