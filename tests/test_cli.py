@@ -413,6 +413,22 @@ class TestRetiredPersistenceTier:
         assert "Traceback" not in err
 
 
+class TestChaosCommand:
+    """The flags ``repro chaos`` once took still exit 2; the subcommand
+    itself is now refused before its flags are read."""
+
+    @pytest.mark.parametrize(
+        "flags", [["--seed", "0"], ["--check"]], ids=["seed", "check"]
+    )
+    def test_removed_flags_exit_two(self, capsys, flags):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chaos", "--quick", *flags])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'chaos'" in err
+        assert "Traceback" not in err
+
+
 class TestOutsideCheckout:
     """``repro lint`` away from a checkout: clear error, exit code 2,
     never a traceback."""
