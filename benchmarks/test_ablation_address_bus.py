@@ -17,7 +17,7 @@ from repro.core.analysis import DescCostModel
 from repro.core.chunking import ChunkLayout
 from repro.encoding.address import GrayCodeEncoder, T0Encoder, addresses_to_bits
 from repro.encoding.binary import BinaryEncoder
-from repro.sim.config import SystemConfig, baseline_scheme
+from repro.sim.config import baseline_scheme
 from repro.sim.system import transfer_stats
 from repro.workloads import PARALLEL_SUITE, memory_trace
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from conftest import print_series
-
 from repro.experiments import fig12_chunk_values
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from conftest import BENCH_SYSTEM, print_series
+from conftest import BENCH_SYSTEM
 
 from repro.experiments import fig15_segment_size
 

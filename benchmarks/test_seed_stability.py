@@ -8,8 +8,6 @@ seed would be worthless; this bench pins the variance.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.experiments.common import geomean, run_suite
 from repro.sim.config import SystemConfig, baseline_scheme, desc_scheme
 

@@ -135,7 +135,9 @@ class AnalysisConfig:
         "readexactly", "readuntil", "readline", "read", "recv",
         "accept", "wait_closed", "serve_forever",
     )
-    deadline_wrappers: tuple[str, ...] = ("wait_for", "timeout", "timeout_at")
+    deadline_wrappers: tuple[str, ...] = (
+        "wait_for", "timeout", "timeout_at", "_abort_after",
+    )
     async_scope: tuple[str, ...] = ("src/repro/service",)
     async_blocking_calls: tuple[str, ...] = (
         "time.sleep",

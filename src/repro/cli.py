@@ -530,10 +530,14 @@ def _run_serve(args: argparse.Namespace) -> int:
         finally:
             await server.stop()
 
+    # SIGINT stops the server either way: asyncio.run cancels serve(),
+    # which swallows the cancellation and returns, or (where no handler
+    # is installed) raises KeyboardInterrupt after serve() has stopped.
     try:
         asyncio.run(serve())
     except KeyboardInterrupt:
-        print("repro service stopped", file=sys.stderr)
+        pass
+    print("repro service stopped", file=sys.stderr)
     return 0
 
 

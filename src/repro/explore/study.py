@@ -39,7 +39,6 @@ uninterrupted run's (the self-check's crash-consistency assertion).
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path

@@ -94,6 +94,7 @@ class ServerHarness:
         )
         self.interceptor = interceptor
         self.service: SimulationService | None = None
+        self.server: ServiceServer | None = None
         self._thread: threading.Thread | None = None
         self._ready = threading.Event()
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -148,7 +149,7 @@ class ServerHarness:
             config=self.service_config,
             interceptor=self.interceptor,
         )
-        server = ServiceServer(self.service, host=self.host, port=0)
+        server = self.server = ServiceServer(self.service, host=self.host, port=0)
         await server.start()
         self.port = server.port
         self._ready.set()

@@ -16,12 +16,12 @@ Batcher, Executor.  The full request path:
    retry-after derived from observed latency, which the HTTP layer
    turns into a ``429`` (the service never silently queues unbounded
    work or hangs a connection);
-4. **adaptive batching** — the batcher task drains the queue into
-   :meth:`~repro.sim.engine.StagedEngine.run_many` calls, sizing each
-   batch from the observed queue depth and lingering (briefly, and only
-   when jobs are expensive enough for batching to pay) to let
-   concurrent clients pile in;
-5. **failure isolation** — the hardened engine turns job failures into
+4. **batching** — the batcher task drains the queue into
+   :meth:`~repro.sim.engine.StagedEngine.run_many` calls: it dispatches
+   as soon as it takes a job, with whatever else is already queued (up
+   to ``max_batch``), and never waits for company;
+5. **failure isolation** — the executor runs each batch on its one
+   engine thread, and the hardened engine turns job failures into
    typed :class:`~repro.sim.engine.FailedJob` slots, which surface here
    as :class:`~repro.service.stages.SimulationFailed` — a structured
    error response, never a hung connection.
@@ -32,10 +32,10 @@ If the batcher's drain task ever dies, every waiter fails with
 store hits, refuses engine work with ``ServiceError``, and reports
 itself unhealthy, so the process is restarted rather than the stack.
 
-Batches run in-process on one worker thread: a job costs about a
-millisecond, so a process pool per batch costs more than it saves, and
-extra stacks in one process would share the one event loop, GIL, and
-engine.  ``/sweep`` requests ride the same path through
+Batches run in-process on the executor's one engine thread: a job
+costs about a millisecond, so a process pool per batch costs more than
+it saves, and extra stacks in one process would share the one event
+loop, GIL, and engine.  ``/sweep`` requests ride the same path through
 :meth:`SimulationService.submit_many`.
 
 Every clock read goes through the injectable
@@ -100,9 +100,6 @@ class ServiceConfig:
         max_queue: Pending (not yet batched) jobs held before rejecting
             new work with :class:`~repro.service.stages.Backpressure`.
         max_batch: Largest job count handed to one ``run_many`` call.
-        batch_linger_s: Upper bound on how long the batcher waits for
-            more arrivals after the first job of a batch; the actual
-            linger adapts downward for cheap jobs.
         retry_after_s: Floor of the retry-after hint sent with a
             rejection; scaled up by observed latency and queue depth.
         max_sweep_jobs: Largest job count one sweep request may expand
@@ -115,7 +112,6 @@ class ServiceConfig:
 
     max_queue: int = 128
     max_batch: int = 16
-    batch_linger_s: float = 0.02
     retry_after_s: float = 0.25
     max_sweep_jobs: int = 1024
     retries: int = 1
@@ -126,10 +122,6 @@ class ServiceConfig:
             raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.batch_linger_s < 0:
-            raise ValueError(
-                f"batch_linger_s must be >= 0, got {self.batch_linger_s}"
-            )
         if self.default_deadline_s is not None and self.default_deadline_s <= 0:
             raise ValueError(
                 f"default_deadline_s must be > 0 when set, "
@@ -174,7 +166,6 @@ class SimulationService:
         )
         self.batcher = Batcher(
             max_batch=self.config.max_batch,
-            linger_s=self.config.batch_linger_s,
             retry_after_floor=self.config.retry_after_s,
             clock=self.clock,
             metrics=self.metrics,

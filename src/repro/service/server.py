@@ -62,7 +62,9 @@ _log = logging.getLogger("repro.service.server")
 _MAX_BODY = 1 << 20
 #: Largest request line / header section the server will read, bytes.
 _MAX_HEADER = 32 << 10
-#: Seconds an idle keep-alive connection is held open.
+#: Seconds any one socket wait may take: an idle keep-alive connection,
+#: a request head or body that stops arriving, a client that stops
+#: reading its response.
 _IDLE_TIMEOUT_S = 30.0
 #: Request header carrying the client's remaining deadline budget.
 _DEADLINE_HEADER = "x-repro-deadline-s"
@@ -98,6 +100,35 @@ class _HttpError(Exception):
         self.message = message
         self.headers = dict(headers or {})
         self.extra = dict(extra or {})
+
+
+class _abort_after:
+    """Abort ``transport`` if the ``async with`` body outlasts ``seconds``.
+
+    Bounds one socket wait with a loop timer rather than
+    ``asyncio.wait_for``, which on Python 3.10 and 3.11 wraps every
+    await in a task of its own.  On expiry the transport is aborted, so
+    the wait inside ends as a closed connection (``IncompleteReadError``
+    or ``ConnectionError``), which the connection loop already treats
+    as a client that went away.  Only socket waits go inside: the
+    engine's computation is never under this bound.
+    """
+
+    __slots__ = ("_transport", "_seconds", "_timer")
+
+    def __init__(self, transport: asyncio.WriteTransport, seconds: float) -> None:
+        self._transport = transport
+        self._seconds = seconds
+        self._timer: asyncio.TimerHandle | None = None
+
+    async def __aenter__(self) -> None:
+        self._timer = asyncio.get_running_loop().call_later(
+            self._seconds, self._transport.abort
+        )
+
+    async def __aexit__(self, *exc_info: object) -> None:
+        assert self._timer is not None
+        self._timer.cancel()
 
 
 class ServiceServer:
@@ -169,12 +200,8 @@ class ServiceServer:
                 keep_alive = await self._handle_one(reader, writer)
                 if not keep_alive:
                     break
-        except (
-            ConnectionError,
-            asyncio.IncompleteReadError,
-            asyncio.TimeoutError,
-        ):
-            pass  # client went away; nothing to answer
+        except (ConnectionError, asyncio.IncompleteReadError):
+            pass  # client went away (or was cut off); nothing to answer
         # Top of the per-connection task: stop() cancels these tasks and
         # then awaits them, so swallowing the cancellation here is the
         # shutdown protocol — nothing above this frame needs to see it.
@@ -187,16 +214,14 @@ class ServiceServer:
                 self._connections.discard(task)
             writer.close()
             try:
-                await asyncio.wait_for(
-                    writer.wait_closed(), timeout=_IDLE_TIMEOUT_S
-                )
+                async with _abort_after(writer.transport, _IDLE_TIMEOUT_S):
+                    await writer.wait_closed()
             # Best-effort socket teardown while already unwinding; a
             # second cancellation here must not mask the original exit.
             except (  # lint-ok: R007
                 ConnectionError,
                 OSError,
                 asyncio.CancelledError,
-                asyncio.TimeoutError,
             ):
                 pass
 
@@ -205,9 +230,8 @@ class ServiceServer:
     ) -> bool:
         """Serve one request; returns whether to keep the connection."""
         try:
-            head = await asyncio.wait_for(
-                reader.readuntil(b"\r\n\r\n"), timeout=_IDLE_TIMEOUT_S
-            )
+            async with _abort_after(writer.transport, _IDLE_TIMEOUT_S):
+                head = await reader.readuntil(b"\r\n\r\n")
         except asyncio.LimitOverrunError:
             await _respond_error(
                 writer,
@@ -253,9 +277,8 @@ class ServiceServer:
             )
             return False
         if length:
-            body = await asyncio.wait_for(
-                reader.readexactly(length), timeout=_IDLE_TIMEOUT_S
-            )
+            async with _abort_after(writer.transport, _IDLE_TIMEOUT_S):
+                body = await reader.readexactly(length)
         keep_alive = headers.get("connection", "keep-alive") != "close"
         try:
             deadline_s = _parse_deadline(headers)
@@ -543,7 +566,8 @@ async def _write_response(
         lines.append(f"{name}: {value}")
     writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body)
     # Bounded: a client that stops reading must not pin the handler.
-    await asyncio.wait_for(writer.drain(), timeout=_IDLE_TIMEOUT_S)
+    async with _abort_after(writer.transport, _IDLE_TIMEOUT_S):
+        await writer.drain()
 
 
 async def _respond_error(

@@ -10,14 +10,13 @@ stack:
   instead of queueing unbounded work;
 * :class:`Coalescer` — the run_key-shared future map.  Identical
   configurations *in flight* share one computation;
-* :class:`Batcher` — the drain loop.  Sizes each engine batch from the
-  observed queue depth and lingers (briefly, and only when jobs are
-  expensive enough for batching to pay) to let concurrent clients pile
-  in; owns the per-job latency EMA that both the linger and the
-  retry-after hint scale from;
+* :class:`Batcher` — the drain loop.  Dispatches a batch as soon as it
+  takes a job, together with whatever else is already queued (up to
+  ``max_batch``); owns the per-job latency EMA the retry-after hint
+  scales from;
 * :class:`Executor` — engine dispatch.  Runs
-  :meth:`~repro.sim.engine.StagedEngine.run_many` in-process on a
-  worker thread, off the event loop, and turns engine-infrastructure
+  :meth:`~repro.sim.engine.StagedEngine.run_many` in-process on its one
+  engine thread, off the event loop, and turns engine-infrastructure
   crashes into :class:`~repro.sim.engine.FailedJob` slots, never a
   hung future.
 
@@ -56,6 +55,7 @@ from __future__ import annotations
 
 import asyncio
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Protocol
 
@@ -82,11 +82,6 @@ _log = logging.getLogger("repro.service.stages")
 
 #: Exponential-moving-average weight for per-job latency observations.
 _EMA_ALPHA = 0.3
-
-#: Fraction of the per-job latency the batcher is willing to linger for
-#: more arrivals; cheap jobs get (almost) no linger, expensive jobs get
-#: up to the configured cap.
-_LINGER_FRACTION = 0.25
 
 #: Queue sentinel: the batcher exits when it takes this item.
 SHUTDOWN = object()
@@ -360,18 +355,19 @@ class Coalescer:
 
 
 class Batcher:
-    """Stage 3: adaptive batch assembly and the stack's pacing brain.
+    """Stage 3: batch assembly and the stack's pacing brain.
 
-    One batcher task drains the admission queue into executor calls,
-    sizing each batch from the observed queue depth and lingering
-    (briefly, and only when jobs are expensive enough for batching to
-    pay) to let concurrent clients pile in.  It owns the per-job
-    latency EMA, from which both the linger and admission's
-    retry-after hint derive.
+    One batcher task drains the admission queue into executor calls.
+    It dispatches a batch as soon as it takes the first job, with
+    whatever else is already queued, up to ``max_batch``: it never
+    waits for company, because a job costs about a millisecond and any
+    wait on an idle loop rounds up to a whole millisecond of epoll
+    timeout.  Requests that arrive while a batch runs queue up and
+    form the next one.  It owns the per-job latency EMA, from which
+    admission's retry-after hint derives.
 
     Args:
         max_batch: Largest job count handed to one executor call.
-        linger_s: Upper bound on how long a batch waits for company.
         retry_after_floor: Floor of the retry-after hint.
         clock: Monotonic time source.
         metrics: The service's metrics registry.
@@ -382,13 +378,11 @@ class Batcher:
     def __init__(
         self,
         max_batch: int,
-        linger_s: float,
         retry_after_floor: float,
         clock: Clock,
         metrics: MetricsRegistry,
     ) -> None:
         self._max_batch = max_batch
-        self._linger_cap = linger_s
         self._retry_after_floor = retry_after_floor
         self._clock = clock
         self._metrics = metrics
@@ -456,23 +450,6 @@ class Batcher:
         estimate = self._ema * self._max_batch * backlog_batches
         return min(30.0, max(self._retry_after_floor, estimate))
 
-    def _linger_seconds(self) -> float:
-        """How long this batch should wait for company.
-
-        Adapts to observed per-job latency: when jobs are cheap,
-        lingering would dominate service time, so the batcher skips it;
-        when jobs are expensive, a bounded linger lets concurrent
-        clients join the batch (and coalesce duplicates) at negligible
-        relative cost.
-        """
-        if self._ema is None:
-            return self._linger_cap
-        return min(self._linger_cap, self._ema * _LINGER_FRACTION)
-
-    def _target_batch_size(self, queue_depth: int) -> int:
-        """Batch size adapted to the observed queue depth."""
-        return max(1, min(self._max_batch, 1 + queue_depth))
-
     async def _loop(self) -> None:
         admission = self._admission
         assert admission is not None, "start() wires the stack first"
@@ -481,12 +458,8 @@ class Batcher:
             if item is SHUTDOWN:
                 return
             assert isinstance(item, Pending)
-            linger = self._linger_seconds()
-            if linger > 0 and admission.depth == 0:
-                await asyncio.sleep(linger)
             batch = [item]
-            target = self._target_batch_size(admission.depth)
-            while len(batch) < target:
+            while len(batch) < self._max_batch:
                 extra = admission.take_nowait()
                 if extra is None:
                     break
@@ -580,11 +553,18 @@ class Executor:
     """Stage 4: engine dispatch off the event loop.
 
     Runs :meth:`~repro.sim.engine.StagedEngine.run_many` in-process
-    (a worker count of 1) on a worker thread so the event loop stays
-    responsive, and absorbs engine-infrastructure crashes (not per-job
-    failures — the hardened engine already types those) into
-    :class:`~repro.sim.engine.FailedJob` slots, so a broken engine can
-    never hang a waiter.
+    (a worker count of 1) on the executor's own engine thread, so the
+    event loop stays responsive, and absorbs engine-infrastructure
+    crashes (not per-job failures — the hardened engine already types
+    those) into :class:`~repro.sim.engine.FailedJob` slots, so a broken
+    engine can never hang a waiter.
+
+    The engine thread is a one-worker thread pool, created on the first
+    batch and shut down by :meth:`drain`; a later batch creates a fresh
+    one.  The batcher runs one batch at a time, so one thread is all
+    the engine ever needs, and the loop's shared default pool (which
+    grows a thread whenever a batch is handed over before the last
+    worker reports itself idle) never holds an engine.
 
     Args:
         engine: The engine to drive.
@@ -607,6 +587,7 @@ class Executor:
         self.engine = engine
         self._retries = retries
         self._interceptor = interceptor
+        self._thread: ThreadPoolExecutor | None = None
 
     async def execute(self, jobs: list[SimJob]) -> list:
         """Run one batch; one result or :class:`FailedJob` per slot."""
@@ -614,7 +595,13 @@ class Executor:
         try:
             if self._interceptor is not None:
                 await self._interceptor(jobs)
-            return await loop.run_in_executor(None, self._run_many, jobs)
+            if self._thread is None:
+                self._thread = ThreadPoolExecutor(
+                    max_workers=1, thread_name_prefix="repro-engine"
+                )
+            return await loop.run_in_executor(
+                self._thread, self._run_many, jobs
+            )
         except asyncio.CancelledError:
             raise  # shutdown outranks the failure net
         except Exception as exc:  # engine infrastructure, not a job
@@ -634,5 +621,11 @@ class Executor:
         return {"retries": self._retries}
 
     async def drain(self) -> None:
-        """Nothing to release — batches run on the loop's thread pool."""
-        return None
+        """Shut the engine thread down and join it.
+
+        Called after the batcher has exited, so no batch is running and
+        the join returns at once.
+        """
+        if self._thread is not None:
+            self._thread.shutdown(wait=True)
+            self._thread = None

@@ -696,6 +696,25 @@ class TestDeadlineHygiene:
         )
         assert lint(root, "R006") == []
 
+    def test_abort_timer_scope_guards_reads_inside_it_only(self, make_repo):
+        # The HTTP server bounds each socket wait with a loop timer that
+        # aborts the transport; a read outside its scope is still bare.
+        root = make_repo(
+            {
+                "src/repro/service/server.py": """
+                async def handle(reader, writer):
+                    async with _abort_after(writer.transport, 30.0):
+                        head = await reader.readuntil(b"\\r\\n\\r\\n")
+                        await writer.drain()
+                    body = await reader.readexactly(4)
+                    return head, body
+                """
+            }
+        )
+        findings = lint(root, "R006")
+        assert len(findings) == 1
+        assert "readexactly()" in findings[0].message
+
     def test_waiver_comment_passes_with_justification(self, make_repo):
         root = make_repo(
             {

@@ -17,7 +17,6 @@ import numpy as np
 from hypothesis import settings
 from hypothesis.stateful import (
     RuleBasedStateMachine,
-    initialize,
     invariant,
     rule,
 )

@@ -142,7 +142,6 @@ class TestHedging:
         second connection; the result is still correct and the hedge
         counter records the race."""
         from repro.service.check import ServerHarness
-        from repro.service.pipeline import ServiceConfig
 
         slow_once = {"remaining": 1}
 
@@ -153,10 +152,7 @@ class TestHedging:
 
                 await asyncio.sleep(0.5)
 
-        config = ServiceConfig(batch_linger_s=0.0)
-        with ServerHarness(
-            service_config=config, interceptor=intercept
-        ) as harness:
+        with ServerHarness(interceptor=intercept) as harness:
             with harness.client(
                 hedge_after_s=0.05, timeout=30, jitter_seed=0
             ) as client:
@@ -168,10 +164,8 @@ class TestHedging:
 
     def test_fast_answers_never_hedge(self):
         from repro.service.check import ServerHarness
-        from repro.service.pipeline import ServiceConfig
 
-        config = ServiceConfig(batch_linger_s=0.0)
-        with ServerHarness(service_config=config) as harness:
+        with ServerHarness() as harness:
             with harness.client(
                 hedge_after_s=5.0, timeout=30, jitter_seed=0
             ) as client:

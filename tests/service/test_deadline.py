@@ -126,12 +126,8 @@ class TestServiceDeadline:
         DeadlineExceeded and counts the expiration."""
         gate = threading.Event()
         engine = StubEngine(gate=gate)
-        config = ServiceConfig(batch_linger_s=0.0)
-
         async def drive():
-            async with SimulationService(
-                engine=engine, config=config
-            ) as service:
+            async with SimulationService(engine=engine) as service:
                 with pytest.raises(DeadlineExceeded):
                     await service.submit(
                         job_for(100), deadline_s=0.05
@@ -156,7 +152,7 @@ class TestServiceDeadline:
             return original(jobs, *args, **kwargs)
 
         engine.run_many = spying_run_many
-        config = ServiceConfig(batch_linger_s=0.0, max_batch=1)
+        config = ServiceConfig(max_batch=1)
 
         async def drive():
             async with SimulationService(
@@ -187,9 +183,7 @@ class TestServiceDeadline:
     def test_default_deadline_config_applies_when_caller_gives_none(self):
         gate = threading.Event()
         engine = StubEngine(gate=gate)
-        config = ServiceConfig(
-            batch_linger_s=0.0, default_deadline_s=0.05
-        )
+        config = ServiceConfig(default_deadline_s=0.05)
 
         async def drive():
             async with SimulationService(
@@ -220,10 +214,7 @@ class TestServerDeadline:
 
         gate = threading.Event()
         engine = StubEngine(gate=gate)
-        with ServerHarness(
-            service_config=ServiceConfig(batch_linger_s=0.0),
-            engine=engine,
-        ) as harness:
+        with ServerHarness(engine=engine) as harness:
             harness.gate = gate
             yield harness
 

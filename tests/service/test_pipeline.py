@@ -31,7 +31,8 @@ def job_for(app: str = "Ocean", **system_fields) -> SimJob:
 
 
 class StubEngine:
-    """An engine double: records batches, answers from a function.
+    """An engine double: records batches and the threads they ran on,
+    answers from a function.
 
     Like the real engine, successful results are memoized into the
     store (the pipeline's read-through cache relies on that).
@@ -40,6 +41,7 @@ class StubEngine:
     def __init__(self, respond=None, gate: threading.Event | None = None):
         self.store = ResultStore()
         self.batches: list[list[SimJob]] = []
+        self.threads: list[threading.Thread] = []
         self.gate = gate
         self._respond = respond if respond is not None else (
             lambda job: ("result", job.app.name)
@@ -51,6 +53,7 @@ class StubEngine:
         if self.gate is not None:
             assert self.gate.wait(timeout=30), "test gate never opened"
         self.batches.append(list(jobs))
+        self.threads.append(threading.current_thread())
         results = [self._respond(job) for job in jobs]
         for job, result in zip(jobs, results):
             if not isinstance(result, FailedJob):
@@ -164,7 +167,7 @@ class TestBackpressure:
     def test_queue_full_raises_backpressure(self):
         gate = threading.Event()
         engine = StubEngine(gate=gate)
-        config = ServiceConfig(max_queue=1, batch_linger_s=0.0)
+        config = ServiceConfig(max_queue=1)
 
         async def drive():
             async with SimulationService(engine=engine, config=config) as service:
@@ -194,7 +197,7 @@ class TestBackpressure:
     def test_wait_true_blocks_instead_of_rejecting(self):
         gate = threading.Event()
         engine = StubEngine(gate=gate)
-        config = ServiceConfig(max_queue=1, batch_linger_s=0.0)
+        config = ServiceConfig(max_queue=1)
 
         async def drive():
             async with SimulationService(engine=engine, config=config) as service:
@@ -299,7 +302,7 @@ class TestDrainTaskDeath:
 
             service = SimulationService(
                 engine=StubEngine(),
-                config=ServiceConfig(max_queue=1, batch_linger_s=0.0),
+                config=ServiceConfig(max_queue=1),
                 interceptor=intercept,
             )
             await service.start()
@@ -361,7 +364,6 @@ class TestDrainTaskDeath:
 
             service = SimulationService(
                 engine=StubEngine(),
-                config=ServiceConfig(batch_linger_s=0.0),
                 interceptor=intercept,
             )
             await service.start()
@@ -383,7 +385,7 @@ class TestBatching:
     def test_queued_jobs_batch_together(self):
         gate = threading.Event()
         engine = StubEngine(gate=gate)
-        config = ServiceConfig(max_batch=8, batch_linger_s=0.0)
+        config = ServiceConfig(max_batch=8)
 
         async def drive():
             async with SimulationService(engine=engine, config=config) as service:
@@ -407,7 +409,7 @@ class TestBatching:
     def test_max_batch_bounds_batch_size(self):
         gate = threading.Event()
         engine = StubEngine(gate=gate)
-        config = ServiceConfig(max_batch=2, batch_linger_s=0.0)
+        config = ServiceConfig(max_batch=2)
 
         async def drive():
             async with SimulationService(engine=engine, config=config) as service:
@@ -448,3 +450,84 @@ class TestBatching:
                 await pending.future
 
         asyncio.run(drive())
+
+
+class TestEngineThread:
+    """Misses run on the executor's one engine thread, dispatched
+    without delay, and stop() leaves no engine thread behind."""
+
+    def test_back_to_back_misses_share_one_engine_thread(self):
+        engine = StubEngine()
+
+        async def drive():
+            async with SimulationService(engine=engine) as service:
+                for i in range(50):
+                    await service.submit(job_for(sample_blocks=200 + i))
+
+        asyncio.run(drive())
+        assert sum(len(batch) for batch in engine.batches) == 50
+        assert len({thread.ident for thread in engine.threads}) == 1
+        thread = engine.threads[0]
+        assert thread is not threading.main_thread()
+        assert thread.name.startswith("repro-engine")
+
+    def test_stop_joins_the_engine_thread(self):
+        engine = StubEngine()
+
+        async def drive():
+            service = SimulationService(engine=engine)
+            await service.start()
+            await service.submit(job_for(sample_blocks=300))
+            assert engine.threads[0].is_alive()
+            await service.stop()
+            return threading.enumerate()
+
+        alive = asyncio.run(drive())
+        (thread,) = engine.threads
+        assert not thread.is_alive()
+        assert thread not in alive
+        assert not [t for t in alive if t.name.startswith("repro-engine")]
+
+    def test_a_restarted_service_still_serves_misses(self):
+        engine = StubEngine()
+
+        async def drive():
+            service = SimulationService(engine=engine)
+            results = []
+            for i in range(2):
+                await service.start()
+                results.append(
+                    await service.submit(job_for(sample_blocks=310 + i))
+                )
+                await service.stop()
+            return results
+
+        assert asyncio.run(drive()) == [("result", "Ocean")] * 2
+        assert len(engine.batches) == 2
+        first, second = engine.threads
+        assert first is not second
+        assert not first.is_alive() and not second.is_alive()
+
+    def test_a_lone_miss_is_dispatched_without_sleeping(self, monkeypatch):
+        """On an idle stack the batcher hands the first job to the
+        executor at once: no sleep on the loop waiting for company."""
+        engine = StubEngine()
+        sleeps: list[float] = []
+        real_sleep = asyncio.sleep
+
+        async def recording_sleep(delay, *args, **kwargs):
+            sleeps.append(delay)
+            return await real_sleep(delay, *args, **kwargs)
+
+        async def drive():
+            async with SimulationService(engine=engine) as service:
+                await real_sleep(0)  # the batcher parks on the empty queue
+                monkeypatch.setattr(asyncio, "sleep", recording_sleep)
+                try:
+                    return await service.submit(job_for(sample_blocks=320))
+                finally:
+                    monkeypatch.undo()
+
+        assert asyncio.run(drive()) == ("result", "Ocean")
+        assert len(engine.batches) == 1
+        assert sleeps == []

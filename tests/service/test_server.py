@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -349,6 +350,64 @@ class TestInvalidGeometry:
         assert message in excinfo.value.error["message"]
 
 
+class TestIdleTimeout:
+    """``_IDLE_TIMEOUT_S`` bounds every socket wait, and only those: a
+    client that stalls mid-request is cut off, while engine work that
+    outlasts the bound is still answered."""
+
+    BOUND_S = 0.2
+
+    @pytest.fixture(autouse=True)
+    def short_bound(self, monkeypatch):
+        from repro.service import server
+
+        monkeypatch.setattr(server, "_IDLE_TIMEOUT_S", self.BOUND_S)
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"POST /simulate HTTP/1.1\r\nHost: localhost\r\n",
+            b"POST /simulate HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Length: 64\r\n\r\n{\"app\": ",
+        ],
+        ids=["half-head", "short-body"],
+    )
+    def test_a_stalled_request_is_cut_off(self, request_bytes):
+        with ServerHarness() as harness:
+            with socket.create_connection(
+                (harness.host, harness.port), timeout=10
+            ) as conn:
+                conn.sendall(request_bytes)
+                started = time.monotonic()
+                assert conn.recv(65536) == b""  # closed, nothing answered
+                elapsed = time.monotonic() - started
+            assert self.BOUND_S / 2 <= elapsed < self.BOUND_S + 1.0
+            connections = harness.server._connections
+            for _ in range(200):
+                if not connections:
+                    break
+                time.sleep(0.01)
+            assert not connections
+
+    def test_engine_work_past_the_bound_is_answered(self):
+        engine = GatedEngine()
+        opener = threading.Timer(3 * self.BOUND_S, engine.gate.set)
+        with ServerHarness(engine=engine) as harness:
+            opener.start()
+            try:
+                # One attempt: a dropped connection must not be retried
+                # into a success.
+                with harness.client(max_attempts=1, timeout=30) as client:
+                    started = time.monotonic()
+                    reply = client.simulate("Ocean", system=SYSTEM)
+                    elapsed = time.monotonic() - started
+            finally:
+                opener.cancel()
+                engine.gate.set()
+        assert elapsed >= 2 * self.BOUND_S
+        assert reply["app"] == "Ocean"
+
+
 class DrainTaskKilled(BaseException):
     """Not an ``Exception``: escapes the executor's failure net and
     kills the drain task."""
@@ -373,10 +432,7 @@ class TestDeadDrainTask:
             ))
 
         hit = {"app": "Ocean", "system": {"sample_blocks": 123}}
-        with ServerHarness(
-            service_config=ServiceConfig(batch_linger_s=0.0),
-            interceptor=intercept,
-        ) as dying:
+        with ServerHarness(interceptor=intercept) as dying:
             status, stored = post(dying, hit)
             assert status == 200
             kill.set()
@@ -528,7 +584,7 @@ class TestClientRetry:
             except Exception as exc:  # collected, not raised in-thread
                 errors.append(exc)
 
-        config = ServiceConfig(max_queue=1, batch_linger_s=0.0)
+        config = ServiceConfig(max_queue=1)
         with ServerHarness(service_config=config, engine=engine) as harness:
             # One job held in the gated engine, one filling the queue.
             threads = [threading.Thread(target=drive, args=([0],))]

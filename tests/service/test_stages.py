@@ -143,7 +143,7 @@ class TestCoalescer:
 class TestBatcher:
     def test_retry_after_scales_with_ema_and_backlog(self):
         batcher = Batcher(
-            max_batch=4, linger_s=0.02, retry_after_floor=0.25,
+            max_batch=4, retry_after_floor=0.25,
             clock=FakeClock(), metrics=scope(),
         )
         # No latency observed yet: the floor.
@@ -153,17 +153,6 @@ class TestBatcher:
         assert batcher.suggest_retry_after(0) == 4.0
         # Deep backlog is capped.
         assert batcher.suggest_retry_after(1000) == 30.0
-
-    def test_linger_adapts_to_cheap_jobs(self):
-        batcher = Batcher(
-            max_batch=4, linger_s=0.02, retry_after_floor=0.25,
-            clock=FakeClock(), metrics=scope(),
-        )
-        assert batcher._linger_seconds() == 0.02  # unknown cost: the cap
-        batcher._ema = 1e-6  # cheap jobs: effectively no linger
-        assert batcher._linger_seconds() == pytest.approx(2.5e-7)
-        batcher._ema = 10.0  # expensive jobs: the cap again
-        assert batcher._linger_seconds() == 0.02
 
     def test_loop_batches_and_resolves_futures(self):
         class RecordingExecutor:
@@ -183,7 +172,7 @@ class TestBatcher:
             coalescer = Coalescer(metrics=metrics)
             executor = RecordingExecutor()
             batcher = Batcher(
-                max_batch=8, linger_s=0.0, retry_after_floor=0.25,
+                max_batch=8, retry_after_floor=0.25,
                 clock=FakeClock(), metrics=metrics,
             )
             loop = asyncio.get_running_loop()
@@ -207,7 +196,7 @@ class TestBatcher:
     def test_drain_is_idempotent(self):
         async def drive():
             batcher = Batcher(
-                max_batch=2, linger_s=0.0, retry_after_floor=0.25,
+                max_batch=2, retry_after_floor=0.25,
                 clock=FakeClock(), metrics=scope(),
             )
             await batcher.drain()  # never started: a no-op
@@ -226,7 +215,10 @@ class TestExecutor:
 
         async def drive():
             executor = Executor(engine=MeltingEngine(), retries=1)
-            return await executor.execute(["job-a", "job-b"])
+            try:
+                return await executor.execute(["job-a", "job-b"])
+            finally:
+                await executor.drain()
 
         results = asyncio.run(drive())
         assert len(results) == 2
@@ -248,7 +240,10 @@ class TestExecutor:
 
         async def drive():
             executor = Executor(engine=engine, retries=2)
-            return await executor.execute(["job"])
+            try:
+                return await executor.execute(["job"])
+            finally:
+                await executor.drain()
 
         assert asyncio.run(drive()) == ["job"]
         # Always one worker (in-process), whatever the engine default.
@@ -277,7 +272,7 @@ class TestShutdownSentinel:
             )
             coalescer = Coalescer(metrics=metrics)
             batcher = Batcher(
-                max_batch=8, linger_s=0.0, retry_after_floor=0.25,
+                max_batch=8, retry_after_floor=0.25,
                 clock=FakeClock(), metrics=metrics,
             )
             loop = asyncio.get_running_loop()

@@ -6,7 +6,6 @@ import pytest
 
 from repro.sim.config import (
     DEFAULT_SYSTEM,
-    SchemeConfig,
     SystemConfig,
     baseline_scheme,
     desc_scheme,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import math
 
-import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.sim.config import SystemConfig, baseline_scheme, desc_scheme

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.config import SchemeConfig, SystemConfig, baseline_scheme, desc_scheme
+from repro.sim.config import SystemConfig, baseline_scheme, desc_scheme
 from repro.sim.system import simulate, transfer_stats
 from repro.workloads.profiles import profile
 

@@ -635,6 +635,7 @@ class TestServeSavesItsStore:
                 server.wait()
         assert server.returncode == 0, err
         assert "Traceback" not in err
+        assert "repro service stopped" in err
         stats = subprocess.run(
             [_sys.executable, "-m", "repro", "cache-stats", "--store",
              str(store)],

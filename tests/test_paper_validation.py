@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.validation import Check, CheckResult, build_checks, run_validation
+from repro.validation import CheckResult, build_checks, run_validation
 
 
 class TestCheckResult:
